@@ -9,8 +9,10 @@ all: build vet test
 # Full pre-merge gate: vet (plus staticcheck when installed), the
 # race-detector suite, a 32-bit cross-compile (pins int-width bugs like the
 # rotor truncation), the zero-allocation pin on the pooled routing hot path,
-# a short fuzz smoke of the fault-injected pooled path, and the differential
-# verification battery up to m=4.
+# a short fuzz smoke of the fault-injected pooled path, the differential
+# verification battery up to m=4, and the benchmark module: perfbench is its
+# own Go module (replace repro => ../), so the root ./... never compiles it
+# and a removed public name would otherwise break it unnoticed.
 check:
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
@@ -19,6 +21,7 @@ check:
 	$(GO) test -run=TestRouteAllocs .
 	$(GO) test -run='^$$' -fuzz FuzzPooledPathUnderFault -fuzztime 10s .
 	$(GO) run ./cmd/bnbverify -maxm 4
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Differential + metamorphic verification of every registered family:
 # exhaustive for N <= 8, the full BPC class at m=4, structured, random and

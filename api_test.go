@@ -67,8 +67,8 @@ func TestRegistryErrors(t *testing.T) {
 	if _, err := New("benes", 4, WithDataBits(8)); err == nil {
 		t.Error("WithDataBits accepted by a family that does not model it")
 	}
-	if _, err := New("batcher", 4, WithWorkers(2)); err == nil {
-		t.Error("WithWorkers accepted by a family without parallel routing")
+	if _, err := New("bnb", 4, WithWorkers(2)); err == nil {
+		t.Error("WithWorkers accepted by New")
 	}
 	if _, err := New("waksman", 4, WithTrace(func(int, []Word) {})); err == nil {
 		t.Error("WithTrace accepted by a family without traced routing")
@@ -133,39 +133,6 @@ func TestRegister(t *testing.T) {
 	}
 }
 
-// TestDeprecatedConstructorsDelegate: the legacy per-family constructors
-// still work as thin wrappers over the registry.
-func TestDeprecatedConstructorsDelegate(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		fn   func() (Network, error)
-	}{
-		{"batcher", func() (Network, error) { return NewBatcher(4, 8) }},
-		{"koppelman", func() (Network, error) { return NewKoppelman(4, 8) }},
-		{"benes", func() (Network, error) { return NewBenes(4) }},
-		{"waksman", func() (Network, error) { return NewWaksman(4) }},
-		{"bitonic", func() (Network, error) { return NewBitonic(4) }},
-	} {
-		n, err := tc.fn()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if n.Name() != tc.name {
-			t.Errorf("%s: Name() = %q", tc.name, n.Name())
-		}
-	}
-	bnb, err := New("bnb", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sw, err := NewFabricSwitch(bnb); err != nil || sw == nil {
-		t.Errorf("NewFabricSwitch: %v", err)
-	}
-	if sw, err := NewVOQFabricSwitch(bnb); err != nil || sw == nil {
-		t.Errorf("NewVOQFabricSwitch: %v", err)
-	}
-}
-
 // TestInstrumentedOptions: the decorator New returns under options routes
 // identically, reports into the metrics sink, traces stage snapshots, and
 // unwraps to the bare network.
@@ -174,7 +141,6 @@ func TestInstrumentedOptions(t *testing.T) {
 	var stages []int
 	n := mustNetwork(t, "bnb", 4,
 		WithDataBits(8),
-		WithWorkers(3),
 		WithTrace(func(stage int, snapshot []Word) {
 			stages = append(stages, stage)
 			if len(snapshot) != 16 {

@@ -7,16 +7,15 @@
 //
 // The package exposes:
 //
-//   - the BNB network itself (New("bnb", m) or NewBNB, with stage tracing,
-//     parallel simulation and compiled Compile/Replay route plans) and the
-//     paper's comparison baselines — Batcher's odd-even sorting network
-//     and bitonic sorter, a functional analogue of the Koppelman-Oruç
-//     self-routing network, the Beneš and Waksman networks under global
-//     looping routing, and a crossbar — all built through the one
-//     constructor registry New(family, m, opts...) behind the common
-//     Network interface, with a reusable conformance battery
-//     (VerifyNetwork); superseded per-family constructors survive as
-//     deprecated veneers (see deprecated.go for the policy);
+//   - the BNB network itself (New("bnb", m) or NewBNB, with stage tracing
+//     and compiled Compile/Replay route plans, all evaluated by one pooled
+//     routing kernel) and the paper's comparison baselines — Batcher's
+//     odd-even sorting network and bitonic sorter, a functional analogue of
+//     the Koppelman-Oruç self-routing network, the Beneš and Waksman
+//     networks under global looping routing, and a crossbar — all built
+//     through the one constructor registry New(family, m, opts...) behind
+//     the common Network interface, with a reusable conformance battery
+//     (VerifyNetwork);
 //   - the serving stack behind one Router contract: the worker-pool
 //     Engine (NewEngine), the self-healing multi-plane Supervised
 //     (NewSupervised), and the multi-shard Cluster fabric (NewCluster,
@@ -125,8 +124,9 @@ type Network interface {
 
 // BNB is the paper's self-routing permutation network with its full
 // extended API: besides the Network interface it offers stage tracing,
-// parallel simulation, and the circuit-switched compute-once/replay-many
-// mode. A *BNB is immutable and safe for concurrent use.
+// allocation-free RouteInto, and the circuit-switched compute-once/
+// replay-many mode (Compile/Replay). A *BNB is immutable and safe for
+// concurrent use.
 type BNB struct{ n *core.Network }
 
 var _ Network = (*BNB)(nil)
@@ -134,8 +134,7 @@ var _ Network = (*BNB)(nil)
 // NewBNB constructs the paper's BNB self-routing permutation network with
 // N = 2^m inputs and w data bits per word (0 <= w <= 64). It is the concrete
 // constructor behind New("bnb", m, WithDataBits(w)); use it directly when
-// the extended *BNB API (tracing, parallel routing, Compile/Replay,
-// RouteInto) is needed.
+// the extended *BNB API (tracing, Compile/Replay, RouteInto) is needed.
 func NewBNB(m, w int) (*BNB, error) {
 	n, err := core.New(m, w)
 	if err != nil {
@@ -173,13 +172,6 @@ func (b *BNB) Delay() Delay {
 // MSB-first radix sort made visible.
 func (b *BNB) RouteTraced(words []Word) ([]Word, [][]Word, error) {
 	return b.n.RouteTraced(words)
-}
-
-// RouteParallel routes the words with the nested networks of each main
-// stage evaluated concurrently; workers <= 0 selects GOMAXPROCS. Results
-// are identical to Route.
-func (b *BNB) RouteParallel(words []Word, workers int) ([]Word, error) {
-	return b.n.RouteParallel(words, workers)
 }
 
 // RouteInto routes src into dst over the pooled hot path: after the routing

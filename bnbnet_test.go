@@ -113,14 +113,10 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := NewBNB(0, 0); err == nil {
 		t.Error("NewBNB(0,0) accepted")
 	}
-	if _, err := NewBatcher(0, 0); err == nil {
-		t.Error("NewBatcher(0,0) accepted")
-	}
-	if _, err := NewKoppelman(0, 0); err == nil {
-		t.Error("NewKoppelman(0,0) accepted")
-	}
-	if _, err := NewBenes(0); err == nil {
-		t.Error("NewBenes(0) accepted")
+	for _, family := range []string{"batcher", "koppelman", "benes", "waksman", "bitonic"} {
+		if _, err := New(family, 0); err == nil {
+			t.Errorf("New(%q, 0) accepted", family)
+		}
 	}
 	if _, err := NewCrossbar(0); err == nil {
 		t.Error("NewCrossbar(0) accepted")
@@ -382,16 +378,6 @@ func TestAllNetworksCostDelayPositive(t *testing.T) {
 func TestBenesSelfRoutingTrialsValidation(t *testing.T) {
 	if _, _, err := BenesSelfRouting(3, 0, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("zero trials accepted")
-	}
-}
-
-// TestNewWaksmanNewBitonicValidation covers the constructor error paths.
-func TestNewWaksmanNewBitonicValidation(t *testing.T) {
-	if _, err := NewWaksman(0); err == nil {
-		t.Error("NewWaksman(0) accepted")
-	}
-	if _, err := NewBitonic(0); err == nil {
-		t.Error("NewBitonic(0) accepted")
 	}
 }
 

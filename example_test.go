@@ -30,23 +30,26 @@ func ExampleNewBNB() {
 	// output 3 <- input 7
 }
 
-// ExampleBNB_Connect establishes a circuit once and streams two frames.
-func ExampleBNB_Connect() {
+// ExampleBNB_Compile establishes a circuit once and streams two frames
+// over it: Compile runs the self-routing control plane and records every
+// switch state, and each Replay only follows the recorded wires.
+func ExampleBNB_Compile() {
 	net, err := bnbnet.NewBNB(2, 16)
 	if err != nil {
 		log.Fatal(err)
 	}
-	circuit, err := net.Connect(bnbnet.Perm{2, 0, 3, 1})
+	circuit := bnbnet.Perm{2, 0, 3, 1}
+	plan, err := net.Compile(circuit)
 	if err != nil {
 		log.Fatal(err)
 	}
+	out := make([]bnbnet.Word, 4)
 	for frame := 0; frame < 2; frame++ {
 		words := make([]bnbnet.Word, 4)
 		for i := range words {
-			words[i] = bnbnet.Word{Data: uint64(100*frame + i)}
+			words[i] = bnbnet.Word{Addr: circuit[i], Data: uint64(100*frame + i)}
 		}
-		out, err := circuit.Send(words)
-		if err != nil {
+		if err := net.Replay(plan, out, words); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("frame %d at outputs: %d %d %d %d\n",

@@ -211,7 +211,7 @@ func TestFigBatcherFacade(t *testing.T) {
 }
 
 // TestCircuitMode exercises the compute-once/replay-many circuit-switched
-// API end to end.
+// mode end to end: one Compile carries several data batches.
 func TestCircuitMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	net, err := NewBNB(5, 32)
@@ -219,20 +219,20 @@ func TestCircuitMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := RandomPerm(net.Inputs(), rng)
-	circuit, err := net.Connect(p)
+	circuit, err := net.Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := net.Inputs() / 2 * 5 * 6 / 2; circuit.Switches() != want {
 		t.Errorf("circuit switches = %d, want %d", circuit.Switches(), want)
 	}
+	out := make([]Word, net.Inputs())
 	for batch := 0; batch < 5; batch++ {
 		words := make([]Word, net.Inputs())
-		for i := range words {
-			words[i] = Word{Data: rng.Uint64()}
+		for i, d := range p {
+			words[i] = Word{Addr: d, Data: rng.Uint64()}
 		}
-		out, err := circuit.Send(words)
-		if err != nil {
+		if err := net.Replay(circuit, out, words); err != nil {
 			t.Fatal(err)
 		}
 		for i, d := range p {
@@ -241,16 +241,16 @@ func TestCircuitMode(t *testing.T) {
 			}
 		}
 	}
-	if _, err := net.Connect(Perm{0, 1}); err == nil {
-		t.Error("Connect accepted wrong-length permutation")
+	if _, err := net.Compile(Perm{0, 1}); err == nil {
+		t.Error("Compile accepted wrong-length permutation")
 	}
-	if _, err := circuit.Send(make([]Word, 3)); err == nil {
-		t.Error("Send accepted wrong-length batch")
+	if err := net.Replay(circuit, out, make([]Word, 3)); err == nil {
+		t.Error("Replay accepted wrong-length batch")
 	}
 }
 
-// TestBNBExtendedMethods covers the traced and parallel entry points of the
-// concrete facade type.
+// TestBNBExtendedMethods covers the traced entry point of the concrete
+// facade type against its plain Route.
 func TestBNBExtendedMethods(t *testing.T) {
 	net, err := NewBNB(4, 8)
 	if err != nil {
@@ -268,13 +268,13 @@ func TestBNBExtendedMethods(t *testing.T) {
 	if len(trace) != 5 {
 		t.Errorf("trace has %d snapshots, want 5", len(trace))
 	}
-	par, err := net.RouteParallel(words, 4)
+	plain, err := net.Route(words)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j := range out {
-		if out[j] != par[j] {
-			t.Fatalf("parallel and traced routes disagree at %d", j)
+		if out[j] != plain[j] || trace[4][j] != out[j] {
+			t.Fatalf("plain and traced routes disagree at %d", j)
 		}
 	}
 }

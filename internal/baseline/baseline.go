@@ -71,30 +71,14 @@ func (n *Network) Route(p perm.Perm) (ok bool, conflicts int, err error) {
 	if err := p.Validate(); err != nil {
 		return false, 0, fmt.Errorf("baseline: %w", err)
 	}
-	m := n.M()
-	router := gbn.RouterFunc[int](func(box gbn.Box, in []int) ([]int, error) {
-		out := make([]int, len(in))
-		for k := 0; k+1 < len(in); k += 2 {
-			a, b := in[k], in[k+1]
-			wantA := wiring.AddrBit(a, box.Stage, m)
-			wantB := wiring.AddrBit(b, box.Stage, m)
-			if wantA == wantB {
-				conflicts++
-				wantA = 0
-			}
-			if wantA == 1 {
-				a, b = b, a
-			}
-			out[k], out[k+1] = a, b
-		}
-		return out, nil
-	})
-	dests, err := gbn.Run[int](n.top, p, router)
-	if err != nil {
+	dests := make([]int, len(p))
+	copy(dests, p)
+	r := &tagRouter{m: n.M()}
+	if err := gbn.RunInPlace[int](n.top, dests, make([]int, len(dests)), r); err != nil {
 		return false, 0, fmt.Errorf("baseline: %w", err)
 	}
-	if conflicts > 0 {
-		return false, conflicts, nil
+	if r.conflicts > 0 {
+		return false, r.conflicts, nil
 	}
 	for j, d := range dests {
 		if d != j {
@@ -102,6 +86,28 @@ func (n *Network) Route(p perm.Perm) (ok bool, conflicts int, err error) {
 		}
 	}
 	return true, 0, nil
+}
+
+// tagRouter sets every 2x2 switch of a box from its two packets' address bit
+// for the box's stage, counting the switches where both packets request the
+// same output (the conflict resolves as straight).
+type tagRouter struct {
+	m, conflicts int
+}
+
+// RouteBox implements gbn.InPlaceRouter.
+func (r *tagRouter) RouteBox(box gbn.Box, lines []int) error {
+	for k := 0; k+1 < len(lines); k += 2 {
+		wantA := wiring.AddrBit(lines[k], box.Stage, r.m)
+		if wantA == wiring.AddrBit(lines[k+1], box.Stage, r.m) {
+			r.conflicts++
+			continue
+		}
+		if wantA == 1 {
+			lines[k], lines[k+1] = lines[k+1], lines[k]
+		}
+	}
+	return nil
 }
 
 // Passable reports whether p routes without conflict.

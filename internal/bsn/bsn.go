@@ -78,19 +78,28 @@ func (n *Network) Sort(bits []uint8) ([]uint8, Controls, error) {
 	for i := range controls {
 		controls[i] = make([][]bool, n.top.BoxesInStage(i))
 	}
-	router := gbn.RouterFunc[uint8](func(box gbn.Box, in []uint8) ([]uint8, error) {
-		out, ctl, err := n.sps[box.Stage].RouteBits(in)
-		if err != nil {
-			return nil, err
-		}
-		controls[box.Stage][box.Index] = ctl
-		return out, nil
-	})
-	out, err := gbn.Run[uint8](n.top, bits, router)
-	if err != nil {
+	out := append([]uint8(nil), bits...)
+	if err := gbn.RunInPlace[uint8](n.top, out, make([]uint8, len(out)), sorter{n: n, controls: controls}); err != nil {
 		return nil, nil, fmt.Errorf("bsn: %w", err)
 	}
 	return out, controls, nil
+}
+
+// sorter routes the splitter boxes of one Sort pass in place, recording each
+// box's switch settings.
+type sorter struct {
+	n        *Network
+	controls Controls
+}
+
+// RouteBox implements gbn.InPlaceRouter.
+func (s sorter) RouteBox(box gbn.Box, lines []uint8) error {
+	ctl, err := s.n.sps[box.Stage].Controls(lines)
+	if err != nil {
+		return err
+	}
+	s.controls[box.Stage][box.Index] = ctl
+	return splitter.ApplyInPlace(ctl, lines)
 }
 
 // Sorted reports whether a bit vector satisfies the Theorem 1 postcondition:

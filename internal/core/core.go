@@ -103,30 +103,6 @@ func (n *Network) W() int { return n.w }
 // Inputs returns the number of network inputs N = 2^m.
 func (n *Network) Inputs() int { return 1 << uint(n.m) }
 
-// routeNested routes the words of one nested network NB(i,l): a GBN of order
-// m-i in which every internal box is a splitter decoding address bit i (the
-// BSN slice) whose controls drive the word as a whole.
-func (n *Network) routeNested(mainStage int, words []Word) ([]Word, error) {
-	nt := n.nested[mainStage]
-	router := gbn.RouterFunc[Word](func(box gbn.Box, in []Word) ([]Word, error) {
-		p := nt.BoxOrder(box.Stage)
-		bits := make([]uint8, len(in))
-		for j, wd := range in {
-			bits[j] = uint8(wiring.AddrBit(wd.Addr, mainStage, n.m))
-		}
-		controls, err := n.sps[p].Controls(bits)
-		if err != nil {
-			return nil, fmt.Errorf("splitter sp(%d) on address bit %d: %w", p, mainStage, err)
-		}
-		return splitter.Apply(controls, in)
-	})
-	out, err := gbn.Run[Word](nt, words, router)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Route self-routes the words to the network outputs. The destination
 // addresses must form a permutation of {0, ..., N-1}; output j of the result
 // holds the word whose address is j. The input slice is not modified. Route
@@ -142,63 +118,26 @@ func (n *Network) Route(words []Word) ([]Word, error) {
 
 // RouteTraced behaves like Route and additionally returns the word vector as
 // it appears at the input of every main stage plus the final output
-// (Stages()+1 snapshots), for stage-by-stage inspection.
+// (Stages()+1 snapshots), for stage-by-stage inspection. The snapshots are
+// taken by the kernel's Override hook: column 0 of main stage i sees that
+// stage's whole input, box by box.
 func (n *Network) RouteTraced(words []Word) ([]Word, [][]Word, error) {
-	return n.route(words, true)
-}
-
-func (n *Network) route(words []Word, traced bool) ([]Word, [][]Word, error) {
-	if len(words) != n.Inputs() {
-		return nil, nil, fmt.Errorf("bnb: got %d words, want %d: %w", len(words), n.Inputs(), neterr.ErrBadSize)
+	N := n.Inputs()
+	trace := make([][]Word, n.m+1)
+	for i := range trace {
+		trace[i] = make([]Word, N)
 	}
-	addrs := make(perm.Perm, len(words))
-	for i, wd := range words {
-		addrs[i] = wd.Addr
-	}
-	if err := addrs.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("bnb: destination addresses are not a permutation: %w", err)
-	}
-	router := gbn.RouterFunc[Word](func(box gbn.Box, in []Word) ([]Word, error) {
-		return n.routeNested(box.Stage, in)
-	})
-	if traced {
-		out, trace, err := gbn.RunTraced[Word](n.main, words, router)
-		if err != nil {
-			return nil, nil, fmt.Errorf("bnb: %w", err)
+	snapshot := func(mainStage, column, switchBase int, _ []bool, box []Word) {
+		if column == 0 {
+			copy(trace[mainStage][2*switchBase:], box)
 		}
-		return out, trace, nil
 	}
-	out, err := gbn.Run[Word](n.main, words, router)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bnb: %w", err)
+	out := make([]Word, N)
+	if err := n.routeInto(out, words, snapshot); err != nil {
+		return nil, nil, err
 	}
-	return out, nil, nil
-}
-
-// RouteParallel behaves like Route but evaluates the nested networks of
-// each main stage concurrently (they are independent switching boxes of the
-// main GBN). workers <= 0 selects GOMAXPROCS. Output is identical to Route;
-// only simulation wall-clock changes — the hardware this simulates is
-// parallel either way.
-func (n *Network) RouteParallel(words []Word, workers int) ([]Word, error) {
-	if len(words) != n.Inputs() {
-		return nil, fmt.Errorf("bnb: got %d words, want %d: %w", len(words), n.Inputs(), neterr.ErrBadSize)
-	}
-	addrs := make(perm.Perm, len(words))
-	for i, wd := range words {
-		addrs[i] = wd.Addr
-	}
-	if err := addrs.Validate(); err != nil {
-		return nil, fmt.Errorf("bnb: destination addresses are not a permutation: %w", err)
-	}
-	router := gbn.RouterFunc[Word](func(box gbn.Box, in []Word) ([]Word, error) {
-		return n.routeNested(box.Stage, in)
-	})
-	out, err := gbn.RunParallel[Word](n.main, words, router, workers)
-	if err != nil {
-		return nil, fmt.Errorf("bnb: %w", err)
-	}
-	return out, nil
+	copy(trace[n.m], out)
+	return out, trace, nil
 }
 
 // RoutePerm routes a bare permutation: input i carries destination p[i] and

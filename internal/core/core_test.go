@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -413,6 +414,39 @@ func TestRouteInputUnmodified(t *testing.T) {
 	for i := range words {
 		if words[i] != orig[i] {
 			t.Fatal("Route modified its input")
+		}
+	}
+}
+
+// TestRouteConcurrentUse exercises the documented concurrency contract: one
+// immutable Network serving many goroutines.
+func TestRouteConcurrentUse(t *testing.T) {
+	n, err := New(6, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 8
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func(seed int64) {
+			rng := rand.New(rand.NewSource(seed))
+			for trial := 0; trial < 20; trial++ {
+				out, err := n.RoutePerm(perm.Random(n.Inputs(), rng))
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !Delivered(out) {
+					errs <- errors.New("misrouted")
+					return
+				}
+			}
+			errs <- nil
+		}(int64(g))
+	}
+	for g := 0; g < goroutines; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
 	}
 }

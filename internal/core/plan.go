@@ -9,20 +9,18 @@ package core
 // rearrangeable networks (DESIGN.md §12): the compile costs one full BNB
 // route, and every replay costs a single gather over the wire map.
 //
-// The Plan supersedes Settings as the circuit-switched mode's recording:
-// Settings stores one bool per switch in nested per-column slices, while the
-// Plan packs the same decisions 64 per word and additionally carries the
-// wire map so the hot path never walks the stages at all. ReplayWired keeps
-// the stage-by-stage data path available as the slow reference the
-// differential tests compare the wire map against.
+// The Plan packs the switch decisions 64 per word and carries the wire map
+// so the hot path never walks the stages at all. Compile and ReplayWired
+// both run the one routing kernel through its Override hook: Compile
+// records each column's controls, and ReplayWired loads them back from the
+// bitsets, the slow reference that proves the wire map and the bitset image
+// agree.
 
 import (
 	"fmt"
 
-	"repro/internal/gbn"
 	"repro/internal/neterr"
 	"repro/internal/perm"
-	"repro/internal/splitter"
 )
 
 // Plan is an immutable compiled switch-setting plan for one permutation: the
@@ -61,14 +59,14 @@ func (pl *Plan) Perm() perm.Perm {
 }
 
 // SwitchCount returns the number of recorded switch decisions,
-// (N/2)·(1/2)m(m+1) — the same count Settings.SwitchCount reports.
+// (N/2)·(1/2)m(m+1): one per 2x2 switch of the one-bit control plane.
 func (pl *Plan) SwitchCount() int {
 	return (pl.Inputs() / 2) * pl.m * (pl.m + 1) / 2
 }
 
 // Control reads one recorded switch state: the exchange bit of global switch
-// k (0 <= k < N/2) in nested column j of main stage i — the Settings
-// coordinate system.
+// k (0 <= k < N/2) in nested column j of main stage i — the coordinate
+// system of the kernel's Override hook.
 func (pl *Plan) Control(i, j, k int) bool {
 	col := pl.cols[colIndex(pl.m, i, j)]
 	return col[k>>6]&(1<<uint(k&63)) != 0
@@ -99,7 +97,7 @@ func (n *Network) Compile(p perm.Perm) (*Plan, error) {
 		src[i] = Word{Addr: d, Data: uint64(i)}
 	}
 	dst := make([]Word, N)
-	record := func(mainStage, column, switchBase int, controls []bool) {
+	record := func(mainStage, column, switchBase int, controls []bool, _ []Word) {
 		col := pl.cols[colIndex(n.m, mainStage, column)]
 		for t, exchange := range controls {
 			if exchange {
@@ -161,31 +159,13 @@ func (n *Network) Replay(pl *Plan, dst, src []Word) error {
 	return nil
 }
 
-// ApplyPlan replays the plan over arbitrary payloads, ignoring the words'
-// addresses entirely: word i lands on the output the compiled permutation
-// assigned to input i — the pure data path, exactly what the hardware's
-// slaved slices do. It backs the deprecated circuit-switched Send.
-func (n *Network) ApplyPlan(pl *Plan, words []Word) ([]Word, error) {
-	if pl == nil {
-		return nil, fmt.Errorf("bnb: nil plan")
-	}
-	if pl.m != n.m {
-		return nil, fmt.Errorf("bnb: plan compiled for order %d, network has order %d: %w", pl.m, n.m, neterr.ErrPlanMismatch)
-	}
-	if len(words) != n.Inputs() {
-		return nil, fmt.Errorf("bnb: got %d words, want %d: %w", len(words), n.Inputs(), neterr.ErrBadSize)
-	}
-	out := make([]Word, len(words))
-	for j, w := range pl.wire {
-		out[j] = words[w]
-	}
-	return out, nil
-}
-
-// ReplayWired replays the plan by driving the words through the full GBN
-// wiring column by column, reading every switch state from the plan's
-// bitsets — the slow reference path that proves the wire map and the bitset
-// image agree. It allocates freely; Replay is the hot path.
+// ReplayWired replays the plan by driving the words through the routing
+// kernel with every switch state loaded from the plan's bitsets instead of
+// the splitters' decisions — the slow reference path that proves the wire
+// map and the bitset image agree. Because the kernel validates its input,
+// the words' addresses must form a permutation; a corrupted bit surfaces as
+// a misdelivery or as a splitter rejecting its now-unbalanced input. It
+// allocates the result; Replay is the hot path.
 func (n *Network) ReplayWired(pl *Plan, words []Word) ([]Word, error) {
 	if pl == nil {
 		return nil, fmt.Errorf("bnb: nil plan")
@@ -193,26 +173,14 @@ func (n *Network) ReplayWired(pl *Plan, words []Word) ([]Word, error) {
 	if pl.m != n.m {
 		return nil, fmt.Errorf("bnb: plan compiled for order %d, network has order %d: %w", pl.m, n.m, neterr.ErrPlanMismatch)
 	}
-	if len(words) != n.Inputs() {
-		return nil, fmt.Errorf("bnb: got %d words, want %d: %w", len(words), n.Inputs(), neterr.ErrBadSize)
+	load := func(mainStage, column, switchBase int, controls []bool, _ []Word) {
+		for t := range controls {
+			controls[t] = pl.Control(mainStage, column, switchBase+t)
+		}
 	}
-	mainRouter := gbn.RouterFunc[Word](func(mainBox gbn.Box, in []Word) ([]Word, error) {
-		i := mainBox.Stage
-		nt := n.nested[i]
-		mainBase := mainBox.Index * nt.Inputs()
-		nestedRouter := gbn.RouterFunc[Word](func(box gbn.Box, boxIn []Word) ([]Word, error) {
-			base := (mainBase + box.Index*nt.BoxSize(box.Stage)) / 2
-			controls := make([]bool, len(boxIn)/2)
-			for t := range controls {
-				controls[t] = pl.Control(i, box.Stage, base+t)
-			}
-			return splitter.Apply(controls, boxIn)
-		})
-		return gbn.Run[Word](nt, in, nestedRouter)
-	})
-	out, err := gbn.Run[Word](n.main, words, mainRouter)
-	if err != nil {
-		return nil, fmt.Errorf("bnb: %w", err)
+	out := make([]Word, n.Inputs())
+	if err := n.routeInto(out, words, load); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

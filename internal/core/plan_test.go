@@ -22,10 +22,10 @@ func testPerms(t *testing.T, m int) []perm.Perm {
 	return ps
 }
 
-// TestCompileAgreesWithSettings checks that Compile records exactly the same
-// switch decisions as the Settings path, bit for bit, and that the wire map
-// is the inverse of the compiled permutation.
-func TestCompileAgreesWithSettings(t *testing.T) {
+// TestCompileAgreesWithSliced checks that Compile records exactly the
+// switch decisions of the bit-sliced reference model, bit for bit, and that
+// the wire map is the inverse of the compiled permutation.
+func TestCompileAgreesWithSliced(t *testing.T) {
 	for m := 1; m <= 4; m++ {
 		n, err := New(m, 16)
 		if err != nil {
@@ -36,17 +36,23 @@ func TestCompileAgreesWithSettings(t *testing.T) {
 			if err != nil {
 				t.Fatalf("m=%d Compile(%v): %v", m, p, err)
 			}
-			s, err := n.ComputeSettings(p)
-			if err != nil {
-				t.Fatalf("m=%d ComputeSettings(%v): %v", m, p, err)
+			words := make([]Word, len(p))
+			for i, d := range p {
+				words[i] = Word{Addr: d}
 			}
-			for i := 0; i < m; i++ {
-				for j := 0; j < m-i; j++ {
-					for k := 0; k < n.Inputs()/2; k++ {
-						if got, want := pl.Control(i, j, k), s.controls[i][j][k]; got != want {
-							t.Fatalf("m=%d perm %v: control (%d,%d,%d) = %v, settings say %v",
+			ref, err := n.RouteSliced(words)
+			if err != nil {
+				t.Fatalf("m=%d RouteSliced(%v): %v", m, p, err)
+			}
+			recorded := 0
+			for i, stage := range ref.controls {
+				for j, col := range stage {
+					for k, want := range col {
+						if got := pl.Control(i, j, k); got != want {
+							t.Fatalf("m=%d perm %v: control (%d,%d,%d) = %v, reference says %v",
 								m, p, i, j, k, got, want)
 						}
+						recorded++
 					}
 				}
 			}
@@ -55,8 +61,8 @@ func TestCompileAgreesWithSettings(t *testing.T) {
 					t.Fatalf("m=%d perm %v: wire[%d] = %d, want %d", m, p, d, got, i)
 				}
 			}
-			if pl.SwitchCount() != s.SwitchCount() {
-				t.Fatalf("m=%d: plan counts %d switches, settings %d", m, pl.SwitchCount(), s.SwitchCount())
+			if pl.SwitchCount() != recorded {
+				t.Fatalf("m=%d: plan counts %d switches, reference %d", m, pl.SwitchCount(), recorded)
 			}
 		}
 	}
@@ -105,16 +111,6 @@ func TestReplayMatchesLiveRoute(t *testing.T) {
 					t.Fatalf("m=%d perm %v: output %d live %+v, wired replay %+v", m, p, j, live[j], wired[j])
 				}
 			}
-			// ApplyPlan ignores addresses: word i must land on output p[i].
-			out, err := n.ApplyPlan(pl, src)
-			if err != nil {
-				t.Fatalf("m=%d ApplyPlan: %v", m, err)
-			}
-			for i, d := range p {
-				if out[d] != src[i] {
-					t.Fatalf("m=%d perm %v: ApplyPlan put %+v on output %d, want %+v", m, p, out[d], d, src[i])
-				}
-			}
 		}
 	}
 }
@@ -148,6 +144,42 @@ func TestCompileReplayExhaustive(t *testing.T) {
 			for j := range live {
 				if live[j] != replayed[j] {
 					t.Fatalf("m=%d perm %v: output %d live %+v, replay %+v", m, p, j, live[j], replayed[j])
+				}
+			}
+			return true
+		})
+	}
+}
+
+// TestReplayWiredReadsEveryBit flips each stored switch bit of every
+// compiled plan at m <= 3 in turn: ReplayWired must then fail or
+// misdeliver, which proves it loads every column from the plan instead of
+// trusting the splitters — the property the rollout pre-warm check relies
+// on.
+func TestReplayWiredReadsEveryBit(t *testing.T) {
+	for m := 1; m <= 3; m++ {
+		n, err := New(m, 0)
+		if err != nil {
+			t.Fatalf("New(%d): %v", m, err)
+		}
+		N := n.Inputs()
+		src := make([]Word, N)
+		perm.ForEach(N, func(p perm.Perm) bool {
+			for i, d := range p {
+				src[i] = Word{Addr: d, Data: uint64(i)}
+			}
+			pl, err := n.Compile(p)
+			if err != nil {
+				t.Fatalf("m=%d Compile(%v): %v", m, p, err)
+			}
+			for c, col := range pl.cols {
+				for k := 0; k < N/2; k++ {
+					col[k>>6] ^= 1 << uint(k&63)
+					out, err := n.ReplayWired(pl, src)
+					col[k>>6] ^= 1 << uint(k&63)
+					if err == nil && Delivered(out) {
+						t.Fatalf("m=%d perm %v: flipping switch %d of column %d went unnoticed", m, p, k, c)
+					}
 				}
 			}
 			return true
@@ -229,14 +261,19 @@ func TestPlanErrors(t *testing.T) {
 	if err := n.Replay(pl2, dst, src); !errors.Is(err, neterr.ErrPlanMismatch) {
 		t.Fatalf("Replay(foreign plan) = %v, want ErrPlanMismatch", err)
 	}
-	if _, err := n.ApplyPlan(pl2, src); !errors.Is(err, neterr.ErrPlanMismatch) {
-		t.Fatalf("ApplyPlan(foreign plan) = %v, want ErrPlanMismatch", err)
-	}
 	if _, err := n.ReplayWired(pl2, src); !errors.Is(err, neterr.ErrPlanMismatch) {
 		t.Fatalf("ReplayWired(foreign plan) = %v, want ErrPlanMismatch", err)
 	}
-	if _, err := n.ApplyPlan(pl, src[:N-1]); !errors.Is(err, neterr.ErrBadSize) {
-		t.Fatalf("ApplyPlan(short) = %v, want ErrBadSize", err)
+	if _, err := n.ReplayWired(nil, src); err == nil {
+		t.Fatal("ReplayWired(nil plan) succeeded")
+	}
+	if _, err := n.ReplayWired(pl, src[:N-1]); !errors.Is(err, neterr.ErrBadSize) {
+		t.Fatalf("ReplayWired(short) = %v, want ErrBadSize", err)
+	}
+	// ReplayWired runs the routing kernel, so its words must carry a
+	// permutation.
+	if _, err := n.ReplayWired(pl, make([]Word, N)); !errors.Is(err, neterr.ErrNotPermutation) {
+		t.Fatalf("ReplayWired(non-permutation) = %v, want ErrNotPermutation", err)
 	}
 	// Accessors.
 	if pl.M() != 3 || pl.Inputs() != N {

@@ -58,8 +58,7 @@ func (r *mainRouter) RouteBox(box gbn.Box, lines []Word) error {
 
 // nestedRouter routes one splitter box of the nested network for the main
 // stage currently set in stage: the BSN slice decodes address bit `stage`
-// and the derived controls move the whole words, exactly like routeNested
-// but into recycled buffers.
+// and the derived controls move the whole words.
 type nestedRouter struct {
 	n         *Network
 	sc        *scratch
@@ -81,21 +80,25 @@ func (r *nestedRouter) RouteBox(box gbn.Box, lines []Word) error {
 	}
 	if r.sc.ov != nil {
 		lineBase := r.mainIndex*nt.Inputs() + box.Index*nt.BoxSize(box.Stage)
-		r.sc.ov(r.stage, box.Stage, lineBase/2, controls)
+		r.sc.ov(r.stage, box.Stage, lineBase/2, controls, lines)
 	}
 	return splitter.ApplyInPlace(controls, lines)
 }
 
-// Override perturbs the control bits of one switching column after the
-// splitter computes them and before the words move — the per-element
-// fault-injection hook. It is called once per splitter box with the
-// element's address in the Settings coordinate system: mainStage is the
-// main-GBN stage i, column the nested-stage index j within it, and
-// controls[x] is the exchange bit of global switch switchBase+x of that
-// column (0 <= switchBase+x < N/2). Mutating controls in place changes how
-// the data words move; the self-routing control plane is not re-run, exactly
-// like a hardware fault that corrupts a switch state after arbitration.
-type Override func(mainStage, column, switchBase int, controls []bool)
+// Override is the kernel's one per-column hook. It is called once per
+// splitter box, after the splitter computes the box's controls and before
+// the words move, with the box's address in the Plan.Control coordinate
+// system: mainStage is the main-GBN stage i, column the nested-stage index j
+// within it, and controls[x] is the exchange bit of global switch
+// switchBase+x of that column (0 <= switchBase+x < N/2). words holds the
+// box's 2*len(controls) lines as they enter the switch column, starting at
+// global line 2*switchBase; at column 0 the boxes of main stage i together
+// see that stage's whole input. Mutating controls in place changes how the
+// words move; the self-routing control plane is not re-run, exactly like a
+// hardware fault that corrupts a switch state after arbitration. The hook
+// serves fault injection, Compile's recorder, ReplayWired's plan loader and
+// RouteTraced's stage snapshots; it must not retain or modify words.
+type Override func(mainStage, column, switchBase int, controls []bool, words []Word)
 
 // RouteIntoOverride behaves like RouteInto with the override hook installed
 // for the duration of the route. Input validation is unchanged — the offered
@@ -118,6 +121,9 @@ func (n *Network) RouteInto(dst, src []Word) error {
 	return n.routeInto(dst, src, nil)
 }
 
+// routeInto is the routing kernel: the only code that evaluates the network.
+// Route, RouteTraced, Compile, ReplayWired and the fault injectors all run
+// it, differing only in the Override they install.
 func (n *Network) routeInto(dst, src []Word, ov Override) error {
 	N := n.Inputs()
 	if len(src) != N {

@@ -193,7 +193,7 @@ func (d *Diagnoser) outputs(f Fault, probe perm.Perm) (string, error) {
 	if f.Kind == StuckStraight || f.Kind == StuckCross {
 		stuck := f.Kind == StuckCross
 		e := f.Elem
-		ov = func(mainStage, column, switchBase int, controls []bool) {
+		ov = func(mainStage, column, switchBase int, controls []bool, _ []core.Word) {
 			if e.MainStage != mainStage || e.Column != column {
 				return
 			}

@@ -90,7 +90,7 @@ func (k Kind) String() string {
 }
 
 // Element addresses one 2x2 switching element of a BNB network in the
-// Settings coordinate system: MainStage is the main-GBN stage i, Column the
+// coordinate system of core.Override and Plan.Control: MainStage is the main-GBN stage i, Column the
 // nested-stage index j within it (0 <= j < m-i), and Switch the global
 // switch index k within that column (0 <= k < N/2).
 type Element struct {
@@ -592,7 +592,7 @@ func (inj *Injector) classify(err error, transientOnly bool, cycle int64) error 
 
 // overrideFor builds the core.Override applying every live stuck element.
 func (inj *Injector) overrideFor(live []Fault) core.Override {
-	return func(mainStage, column, switchBase int, controls []bool) {
+	return func(mainStage, column, switchBase int, controls []bool, _ []core.Word) {
 		for _, f := range live {
 			if f.Kind != StuckStraight && f.Kind != StuckCross {
 				continue

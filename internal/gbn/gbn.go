@@ -4,8 +4,8 @@
 // stage-(i+1) inputs through the 2^{m-i}-unshuffle connection U_{m-i}^m.
 //
 // The package supplies the pure topology — box geometry, inter-stage wiring,
-// and a generic evaluator that pushes a payload vector through the stages
-// with caller-provided switching-box behaviour. The bit-sorter network
+// and the one evaluator, RunInPlace, that pushes a payload vector through the
+// stages with caller-provided switching-box behaviour. The bit-sorter network
 // instantiates the boxes with splitters; the BNB main network instantiates
 // them with whole nested GBNs.
 package gbn
@@ -134,70 +134,20 @@ func (t Topology) FirstLine(b Box) int {
 	return b.Index * t.BoxSize(b.Stage)
 }
 
-// BoxRouter provides the behaviour of the switching boxes for Run. Route
-// receives the payload entering one box and returns the payload on the box's
-// outputs in port order. The returned slice must have the same length as in;
-// implementations may route in place and return in.
-type BoxRouter[T any] interface {
-	Route(box Box, in []T) ([]T, error)
-}
-
-// RouterFunc adapts a function to the BoxRouter interface.
-type RouterFunc[T any] func(box Box, in []T) ([]T, error)
-
-// Route implements BoxRouter.
-func (f RouterFunc[T]) Route(box Box, in []T) ([]T, error) { return f(box, in) }
-
-// Run pushes the payload vector through every stage of the topology: at each
-// stage the vector is partitioned into consecutive box-sized blocks, each
-// block is routed by r, and the stage outputs are rewired to the next stage
-// through the unshuffle connection. The input slice is not modified.
-func Run[T any](t Topology, in []T, r BoxRouter[T]) ([]T, error) {
-	n := t.Inputs()
-	if len(in) != n {
-		return nil, fmt.Errorf("gbn: got %d inputs, want %d", len(in), n)
-	}
-	cur := make([]T, n)
-	copy(cur, in)
-	next := make([]T, n)
-	for i := 0; i < t.Stages(); i++ {
-		size := t.BoxSize(i)
-		for l := 0; l < t.BoxesInStage(i); l++ {
-			lo := l * size
-			out, err := r.Route(Box{Stage: i, Index: l}, cur[lo:lo+size])
-			if err != nil {
-				return nil, fmt.Errorf("gbn: stage %d box %d: %w", i, l, err)
-			}
-			if len(out) != size {
-				return nil, fmt.Errorf("gbn: stage %d box %d returned %d outputs, want %d",
-					i, l, len(out), size)
-			}
-			copy(cur[lo:lo+size], out)
-		}
-		if i == t.Stages()-1 {
-			break // network outputs are the final stage's outputs
-		}
-		for j := 0; j < n; j++ {
-			next[t.InterStage(i, j)] = cur[j]
-		}
-		cur, next = next, cur
-	}
-	return cur, nil
-}
-
-// InPlaceRouter is the allocation-free counterpart of BoxRouter: RouteBox
-// permutes the lines of one switching box in place. Implementations must not
-// grow or shrink the slice.
+// InPlaceRouter provides the behaviour of the switching boxes for RunInPlace:
+// RouteBox permutes the lines of one switching box in place. Implementations
+// must not grow or shrink the slice.
 type InPlaceRouter[T any] interface {
 	RouteBox(box Box, lines []T) error
 }
 
-// RunInPlace is the allocation-free counterpart of Run: it pushes cur through
-// every stage with the in-place router, using tmp (same length) as the
-// rewiring buffer for the inter-stage unshuffle. The final network output is
-// left in cur; tmp's contents are unspecified afterwards. Neither slice is
-// allocated or retained, so callers can recycle both across routes — this is
-// the engine hot path.
+// RunInPlace pushes cur through every stage of the topology: at each stage
+// the vector is partitioned into consecutive box-sized blocks, each block is
+// routed in place by r, and the stage outputs are rewired to the next stage
+// through the unshuffle connection, using tmp (same length) as the rewiring
+// buffer. The final network output is left in cur; tmp's contents are
+// unspecified afterwards. Neither slice is allocated or retained, so callers
+// can recycle both across routes — this is the engine hot path.
 func RunInPlace[T any](t Topology, cur, tmp []T, r InPlaceRouter[T]) error {
 	n := t.Inputs()
 	if len(cur) != n {
@@ -227,49 +177,6 @@ func RunInPlace[T any](t Topology, cur, tmp []T, r InPlaceRouter[T]) error {
 		copy(cur, a)
 	}
 	return nil
-}
-
-// RunTraced behaves like Run but additionally records the payload vector as
-// it appears at the input of every stage plus the final output, enabling
-// stage-by-stage inspection (used by the diagram and trace tools). The
-// returned trace has Stages()+1 entries.
-func RunTraced[T any](t Topology, in []T, r BoxRouter[T]) (out []T, trace [][]T, err error) {
-	n := t.Inputs()
-	if len(in) != n {
-		return nil, nil, fmt.Errorf("gbn: got %d inputs, want %d", len(in), n)
-	}
-	cur := make([]T, n)
-	copy(cur, in)
-	next := make([]T, n)
-	snapshot := func(v []T) []T {
-		s := make([]T, len(v))
-		copy(s, v)
-		return s
-	}
-	trace = append(trace, snapshot(cur))
-	for i := 0; i < t.Stages(); i++ {
-		size := t.BoxSize(i)
-		for l := 0; l < t.BoxesInStage(i); l++ {
-			lo := l * size
-			boxOut, err := r.Route(Box{Stage: i, Index: l}, cur[lo:lo+size])
-			if err != nil {
-				return nil, nil, fmt.Errorf("gbn: stage %d box %d: %w", i, l, err)
-			}
-			if len(boxOut) != size {
-				return nil, nil, fmt.Errorf("gbn: stage %d box %d returned %d outputs, want %d",
-					i, l, len(boxOut), size)
-			}
-			copy(cur[lo:lo+size], boxOut)
-		}
-		if i < t.Stages()-1 {
-			for j := 0; j < n; j++ {
-				next[t.InterStage(i, j)] = cur[j]
-			}
-			cur, next = next, cur
-		}
-		trace = append(trace, snapshot(cur))
-	}
-	return cur, trace, nil
 }
 
 // SwitchCount returns the number of 2x2 switches in one one-bit slice of the

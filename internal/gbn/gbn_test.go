@@ -1,7 +1,8 @@
 package gbn
 
 import (
-	"fmt"
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/wiring"
@@ -153,12 +154,27 @@ func TestEvenOddSplit(t *testing.T) {
 // identityRouter routes every box straight through.
 type identityRouter[T any] struct{}
 
-func (identityRouter[T]) Route(_ Box, in []T) ([]T, error) { return in, nil }
+func (identityRouter[T]) RouteBox(Box, []T) error { return nil }
+
+// boxFunc adapts a function to InPlaceRouter.
+type boxFunc func(box Box, lines []int) error
+
+func (f boxFunc) RouteBox(box Box, lines []int) error { return f(box, lines) }
+
+// lineLabels returns the vector 0, 1, ..., n-1.
+func lineLabels(n int) []int {
+	in := make([]int, n)
+	for i := range in {
+		in[i] = i
+	}
+	return in
+}
 
 // TestRunIdentityIsBaselinePermutation pushes line labels through an
 // all-straight network; the result must equal the composition of the
 // inter-stage unshuffles, i.e. the baseline network's inherent wiring
-// permutation.
+// permutation. Orders of both parities check that the output lands back in
+// cur whichever buffer the last stage wrote.
 func TestRunIdentityIsBaselinePermutation(t *testing.T) {
 	for m := 1; m <= 8; m++ {
 		top, err := New(m)
@@ -166,19 +182,12 @@ func TestRunIdentityIsBaselinePermutation(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := top.Inputs()
-		in := make([]int, n)
-		for i := range in {
-			in[i] = i
-		}
-		out, err := Run[int](top, in, identityRouter[int]{})
-		if err != nil {
+		out := lineLabels(n)
+		if err := RunInPlace[int](top, out, make([]int, n), identityRouter[int]{}); err != nil {
 			t.Fatal(err)
 		}
 		// Compute the expected wiring permutation directly.
-		want := make([]int, n)
-		for i := range want {
-			want[i] = i
-		}
+		want := lineLabels(n)
 		for s := 0; s < top.Stages()-1; s++ {
 			next := make([]int, n)
 			for j := 0; j < n; j++ {
@@ -203,13 +212,8 @@ func TestRunBaselineWiringIsBitReversal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := top.Inputs()
-		in := make([]int, n)
-		for i := range in {
-			in[i] = i
-		}
-		out, err := Run[int](top, in, identityRouter[int]{})
-		if err != nil {
+		out := lineLabels(top.Inputs())
+		if err := RunInPlace[int](top, out, make([]int, top.Inputs()), identityRouter[int]{}); err != nil {
 			t.Fatal(err)
 		}
 		for pos, v := range out {
@@ -221,81 +225,36 @@ func TestRunBaselineWiringIsBitReversal(t *testing.T) {
 	}
 }
 
+// TestRunValidation covers every refusal of RunInPlace: a wrong input
+// length, a short rewire buffer, and a box error, which must come back
+// wrapped with the failing box's stage and index.
 func TestRunValidation(t *testing.T) {
 	top, err := New(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run[int](top, make([]int, 7), identityRouter[int]{}); err == nil {
-		t.Error("Run accepted wrong input length")
+	if err := RunInPlace[int](top, make([]int, 7), make([]int, 8), identityRouter[int]{}); err == nil {
+		t.Error("RunInPlace accepted wrong input length")
 	}
-	// Router that returns the wrong number of outputs.
-	bad := RouterFunc[int](func(_ Box, in []int) ([]int, error) {
-		return in[:len(in)-1], nil
-	})
-	if _, err := Run[int](top, make([]int, 8), bad); err == nil {
-		t.Error("Run accepted short box output")
+	if err := RunInPlace[int](top, make([]int, 8), make([]int, 7), identityRouter[int]{}); err == nil {
+		t.Error("RunInPlace accepted a short rewire buffer")
 	}
-	// Router error propagates with stage/box context.
-	failing := RouterFunc[int](func(b Box, in []int) ([]int, error) {
+	boom := errors.New("boom")
+	failing := boxFunc(func(b Box, lines []int) error {
+		if len(lines) != top.BoxSize(b.Stage) {
+			t.Errorf("box %+v got %d lines, want %d", b, len(lines), top.BoxSize(b.Stage))
+		}
 		if b.Stage == 1 && b.Index == 1 {
-			return nil, fmt.Errorf("boom")
+			return boom
 		}
-		return in, nil
+		return nil
 	})
-	if _, err := Run[int](top, make([]int, 8), failing); err == nil {
-		t.Error("Run swallowed router error")
+	err = RunInPlace[int](top, make([]int, 8), make([]int, 8), failing)
+	if !errors.Is(err, boom) {
+		t.Fatalf("RunInPlace returned %v, want the box error", err)
 	}
-}
-
-func TestRunDoesNotModifyInput(t *testing.T) {
-	top, err := New(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	orig := append([]int(nil), in...)
-	if _, err := Run[int](top, in, identityRouter[int]{}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range in {
-		if in[i] != orig[i] {
-			t.Fatal("Run modified its input slice")
-		}
-	}
-}
-
-func TestRunTraced(t *testing.T) {
-	top, err := New(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	out, trace, err := RunTraced[int](top, in, identityRouter[int]{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trace) != top.Stages()+1 {
-		t.Fatalf("trace has %d entries, want %d", len(trace), top.Stages()+1)
-	}
-	// First snapshot is the input; last equals the output.
-	for i := range in {
-		if trace[0][i] != in[i] {
-			t.Fatal("trace[0] != input")
-		}
-		if trace[len(trace)-1][i] != out[i] {
-			t.Fatal("trace[last] != output")
-		}
-	}
-	// Traced and untraced runs agree.
-	plain, err := Run[int](top, in, identityRouter[int]{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain {
-		if plain[i] != out[i] {
-			t.Fatal("RunTraced disagrees with Run")
-		}
+	if !strings.Contains(err.Error(), "stage 1 box 1") {
+		t.Errorf("box error %q lacks its stage 1 box 1 context", err)
 	}
 }
 
@@ -342,14 +301,11 @@ func BenchmarkRun1024(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := make([]int, top.Inputs())
-	for i := range in {
-		in[i] = i
-	}
+	cur, tmp := lineLabels(top.Inputs()), make([]int, top.Inputs())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run[int](top, in, identityRouter[int]{}); err != nil {
+		if err := RunInPlace[int](top, cur, tmp, identityRouter[int]{}); err != nil {
 			b.Fatal(err)
 		}
 	}

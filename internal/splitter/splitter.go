@@ -117,28 +117,18 @@ func (s *Splitter) RouteBits(bits []uint8) (out []uint8, controls []bool, err er
 	if err != nil {
 		return nil, nil, err
 	}
-	out = make([]uint8, len(bits))
-	applySwitches(controls, bits, out)
+	out = append([]uint8(nil), bits...)
+	if err := ApplyInPlace(controls, out); err != nil {
+		return nil, nil, err
+	}
 	return out, controls, nil
 }
 
-// Apply routes an arbitrary payload slice through a switch column driven by
+// ApplyInPlace routes an arbitrary payload through a switch column driven by
 // the given controls, modeling the slaved sw(1)s of the non-BSN slices of a
-// nested network. len(in) must be exactly twice len(controls).
-func Apply[T any](controls []bool, in []T) ([]T, error) {
-	if len(in) != 2*len(controls) {
-		return nil, fmt.Errorf("splitter: payload length %d does not match %d switches",
-			len(in), len(controls))
-	}
-	out := make([]T, len(in))
-	applySwitches(controls, in, out)
-	return out, nil
-}
-
-// ApplyInPlace routes the payload through the switch column in place,
-// exchanging lines 2t and 2t+1 where controls[t] is set. It is the
-// allocation-free counterpart of Apply: a 2x2 switch only ever swaps its
-// pair, so no second buffer is needed.
+// nested network: lines 2t and 2t+1 are exchanged where controls[t] is set.
+// A 2x2 switch only ever swaps its pair, so no second buffer is needed.
+// len(lines) must be exactly twice len(controls).
 func ApplyInPlace[T any](controls []bool, lines []T) error {
 	if len(lines) != 2*len(controls) {
 		return fmt.Errorf("splitter: payload length %d does not match %d switches",
@@ -150,16 +140,6 @@ func ApplyInPlace[T any](controls []bool, lines []T) error {
 		}
 	}
 	return nil
-}
-
-func applySwitches[T any](controls []bool, in, out []T) {
-	for t, exchange := range controls {
-		if exchange {
-			out[2*t], out[2*t+1] = in[2*t+1], in[2*t]
-		} else {
-			out[2*t], out[2*t+1] = in[2*t], in[2*t+1]
-		}
-	}
 }
 
 // Balance returns the number of 1-bits on even-numbered and odd-numbered

@@ -250,8 +250,8 @@ func TestApplySlavedSlices(t *testing.T) {
 	// Slave a payload slice to the same controls: it must follow the exact
 	// same switch settings.
 	payload := []string{"a", "b", "c", "d"}
-	out, err := Apply(controls, payload)
-	if err != nil {
+	out := append([]string(nil), payload...)
+	if err := ApplyInPlace(controls, out); err != nil {
 		t.Fatal(err)
 	}
 	for sw, exchange := range controls {
@@ -263,8 +263,8 @@ func TestApplySlavedSlices(t *testing.T) {
 			t.Fatalf("slaved slice disagrees at switch %d", sw)
 		}
 	}
-	if _, err := Apply(controls, payload[:3]); err == nil {
-		t.Error("Apply accepted mismatched payload length")
+	if err := ApplyInPlace(controls, payload[:3]); err == nil {
+		t.Error("ApplyInPlace accepted mismatched payload length")
 	}
 }
 

@@ -72,8 +72,7 @@ func TestPlanDifferentialSweep(t *testing.T) {
 }
 
 // TestPlanRouterSurface covers the public surface: discovery through New's
-// decorators, the compile-replay round trip, the plan accessors, and the
-// deprecated Circuit veneer delegating to the same plans.
+// decorators, the compile-replay round trip and the plan accessors.
 func TestPlanRouterSurface(t *testing.T) {
 	b, err := NewBNB(4, 16)
 	if err != nil {
@@ -159,37 +158,12 @@ func TestPlanRouterSurface(t *testing.T) {
 	if _, err := b.Compile(Perm{0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}); !errors.Is(err, ErrNotPermutation) {
 		t.Errorf("Compile of a non-permutation = %v, want ErrNotPermutation", err)
 	}
-
-	// The deprecated Circuit is a veneer over the same plans.
-	c, err := b.Connect(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Switches() != pl.Switches() {
-		t.Errorf("Circuit.Switches() = %d, want %d", c.Switches(), pl.Switches())
-	}
-	if c.Plan() == nil {
-		t.Error("Circuit.Plan() = nil")
-	}
-	payload := make([]Word, n)
-	for i := range payload {
-		payload[i] = Word{Addr: 0, Data: uint64(7000 + i)} // addresses ignored
-	}
-	out, err := c.Send(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range p {
-		if out[d].Data != uint64(7000+i) {
-			t.Fatalf("Circuit.Send: payload of input %d lost", i)
-		}
-	}
 }
 
 // TestWithPlanCacheEngine verifies the engine-level cache wiring: repeated
-// permutations hit, the counters land in both PlanCacheStats and the shared
-// Metrics sink, expvar publication works once, and the option is rejected
-// where it cannot apply.
+// permutations hit, the counters land in both Stats().PlanCaches and the
+// shared Metrics sink, expvar publication works once, and the option is
+// rejected where it cannot apply.
 func TestWithPlanCacheEngine(t *testing.T) {
 	ms := NewMetrics()
 	e, err := NewEngine(mustNetwork(t, "bnb", 3), WithPlanCache(8), WithMetrics(ms))
@@ -212,7 +186,11 @@ func TestWithPlanCacheEngine(t *testing.T) {
 			}
 		}
 	}
-	st := e.PlanCacheStats()
+	caches := e.Stats().PlanCaches
+	if len(caches) != 1 {
+		t.Fatalf("Stats().PlanCaches has %d entries, want 1", len(caches))
+	}
+	st := caches[0]
 	if st.Misses != 2 || st.Hits != 4 {
 		t.Errorf("cache stats = %+v, want 2 misses and 4 hits", st)
 	}
@@ -230,10 +208,10 @@ func TestWithPlanCacheEngine(t *testing.T) {
 	if snap.PlanCompiles > 0 && snap.MeanPlanCompile <= 0 {
 		t.Error("MeanPlanCompile not recorded")
 	}
-	if err := e.PublishPlanCache("test_engine_plan_cache"); err != nil {
+	if err := e.Publish("test_engine_plan_cache"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.PublishPlanCache("test_engine_plan_cache"); err == nil {
+	if err := e.Publish("test_engine_plan_cache"); err == nil {
 		t.Error("duplicate expvar name accepted")
 	}
 
@@ -254,17 +232,14 @@ func TestWithPlanCacheEngine(t *testing.T) {
 	if _, err := NewEngine(mustNetwork(t, "bnb", 3), WithPlanCache(-1)); err == nil {
 		t.Error("negative WithPlanCache accepted")
 	}
-	// Engine without the option reports zero stats and refuses to publish.
+	// Engine without the option reports no plan cache.
 	plain, err := NewEngine(mustNetwork(t, "bnb", 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	if st := plain.PlanCacheStats(); st != (PlanCacheStats{}) {
-		t.Errorf("uncached engine stats = %+v, want zero", st)
-	}
-	if err := plain.PublishPlanCache("test_engine_plan_cache_none"); err == nil {
-		t.Error("PublishPlanCache without a cache succeeded")
+	if caches := plain.Stats().PlanCaches; caches != nil {
+		t.Errorf("uncached engine PlanCaches = %+v, want nil", caches)
 	}
 }
 
@@ -291,9 +266,9 @@ func TestWithPlanCacheSupervised(t *testing.T) {
 			}
 		}
 	}
-	stats := s.PlanCacheStats()
+	stats := s.Stats().PlanCaches
 	if len(stats) != 2 {
-		t.Fatalf("PlanCacheStats() has %d planes, want 2", len(stats))
+		t.Fatalf("Stats().PlanCaches has %d planes, want 2", len(stats))
 	}
 	var hits, misses int64
 	for _, st := range stats {
@@ -314,8 +289,11 @@ func TestWithPlanCacheSupervised(t *testing.T) {
 		t.Errorf("metrics (hits %d, misses %d) disagree with cache stats (%d, %d)",
 			snap.PlanHits, snap.PlanMisses, hits, misses)
 	}
-	if err := s.PublishPlanCache("test_supervised_plan_cache"); err != nil {
+	if err := s.Publish("test_supervised_plan_cache"); err != nil {
 		t.Fatal(err)
+	}
+	if err := s.Publish("test_supervised_plan_cache"); err == nil {
+		t.Error("duplicate expvar name accepted")
 	}
 
 	// WithPlanCache(0) opts out entirely.
@@ -324,11 +302,8 @@ func TestWithPlanCacheSupervised(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer off.Close()
-	if got := off.PlanCacheStats(); got != nil {
-		t.Errorf("opted-out supervised PlanCacheStats() = %v, want nil", got)
-	}
-	if err := off.PublishPlanCache("test_supervised_plan_cache_off"); err == nil {
-		t.Error("PublishPlanCache without caches succeeded")
+	if got := off.Stats().PlanCaches; got != nil {
+		t.Errorf("opted-out supervised PlanCaches = %v, want nil", got)
 	}
 
 	// An explicit cache on a family without the surface is an error ...
@@ -342,7 +317,7 @@ func TestWithPlanCacheSupervised(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bs.Close()
-	if st := bs.PlanCacheStats(); len(st) != 2 || st[0] != (PlanCacheStats{}) {
+	if st := bs.Stats().PlanCaches; len(st) != 2 || st[0] != (PlanCacheStats{}) {
 		t.Errorf("batcher plane stats = %v, want zero stats per plane", st)
 	}
 
@@ -359,9 +334,9 @@ func TestWithPlanCacheSupervised(t *testing.T) {
 			t.Fatal(errs[0])
 		}
 	}
-	fstats := fs.PlanCacheStats()
+	fstats := fs.Stats().PlanCaches
 	if len(fstats) != 2 {
-		t.Fatalf("PlanCacheStats() has %d planes, want 2", len(fstats))
+		t.Fatalf("Stats().PlanCaches has %d planes, want 2", len(fstats))
 	}
 	if fstats[0] != (PlanCacheStats{}) {
 		t.Errorf("faulted plane 0 has cache stats %+v, want zero (uncached)", fstats[0])

@@ -146,7 +146,7 @@ func TestAddRemovePlaneLifecycle(t *testing.T) {
 			t.Errorf("plane %d state = %v after AddPlane returned, want healthy", i, st)
 		}
 	}
-	if got := len(s.PlanCacheStats()); got != 3 {
+	if got := len(s.Stats().PlanCaches); got != 3 {
 		t.Errorf("PlanCacheStats length = %d, want 3", got)
 	}
 	rng := rand.New(rand.NewSource(9))
@@ -162,7 +162,7 @@ func TestAddRemovePlaneLifecycle(t *testing.T) {
 	if got := s.PlaneIDs(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("PlaneIDs after remove = %v, want [1 2]", got)
 	}
-	if got := len(s.PlanCacheStats()); got != 2 {
+	if got := len(s.Stats().PlanCaches); got != 2 {
 		t.Errorf("PlanCacheStats length after remove = %d, want 2", got)
 	}
 	if err := s.RemovePlane(ctx, 1); err == nil || !strings.Contains(err.Error(), "fewer than 2") {
@@ -231,7 +231,7 @@ func TestReconfigureWarmsPlanCaches(t *testing.T) {
 	// request count, misses not at all. (Deltas, because SwapPlane's offline
 	// probe verification also flows through the fresh caches.)
 	var hits0, misses0 int64
-	for i, st := range s.PlanCacheStats() {
+	for i, st := range s.Stats().PlanCaches {
 		if st.Entries < len(perms) {
 			t.Errorf("plane %d rebuilt cache holds %d plans, want >= %d", i, st.Entries, len(perms))
 		}
@@ -250,7 +250,7 @@ func TestReconfigureWarmsPlanCaches(t *testing.T) {
 		}
 	}
 	var hits, misses int64
-	for _, st := range s.PlanCacheStats() {
+	for _, st := range s.Stats().PlanCaches {
 		hits += st.Hits
 		misses += st.Misses
 	}

@@ -185,11 +185,10 @@ func WithDataBits(w int) Option {
 	return func(o *options) { o.set |= optDataBits; o.dataBits = w }
 }
 
-// WithWorkers requests concurrent evaluation. For New it wraps a network
-// whose simulation supports parallel routing (currently "bnb") so that Route
-// evaluates independent boxes on n goroutines; for NewEngine it sets the
-// worker-pool size. Zero keeps the default (serial Route; 4 engine workers);
-// negative counts are rejected.
+// WithWorkers sets the worker-pool size of NewEngine and NewSupervised (and
+// of each cluster shard under NewCluster); zero keeps the default of 4 and
+// negative counts are rejected. New rejects it: one route is one serial
+// kernel pass, and the engine runs requests in parallel instead.
 func WithWorkers(n int) Option {
 	return func(o *options) {
 		if n < 0 {
@@ -234,8 +233,9 @@ func WithBatch(n int) Option {
 // WithTrace installs a stage observer on a network that supports traced
 // routing (currently "bnb"): every Route additionally calls fn once per
 // snapshot — snapshot 0 is the network input and snapshot i the word vector
-// entering main stage i, with the final snapshot the output. Tracing forces
-// serial evaluation, so it overrides WithWorkers for Route. New only.
+// entering main stage i, with the final snapshot the output. The snapshots
+// come from the routing kernel's per-column hook, so a traced route runs
+// the same pass as an untraced one. New only.
 func WithTrace(fn func(stage int, snapshot []Word)) Option {
 	return func(o *options) { o.set |= optTrace; o.trace = fn }
 }
@@ -251,8 +251,8 @@ func WithMetrics(m *Metrics) Option {
 // every route according to the plan, with delivery verification on — faults
 // surface as errors (transient ones marked ErrTransient) rather than silent
 // misdeliveries. Stuck-at and chaos plans require the "bnb" family, whose
-// simulation supports switch-level overrides. New only; it does not compose
-// with WithWorkers or WithTrace.
+// routing kernel takes switch-level overrides through its per-column hook.
+// New only; it does not compose with WithTrace.
 func WithFaults(plan *FaultPlan) Option {
 	return func(o *options) {
 		if plan == nil {
@@ -523,10 +523,11 @@ func WithHealthInterval(d time.Duration) Option {
 //
 //	n, err := bnbnet.New("bnb", 10, bnbnet.WithDataBits(16), bnbnet.WithMetrics(m))
 //
-// Options requesting a capability the family lacks (WithWorkers, WithTrace on
-// non-BNB families; WithDataBits where no width is modeled) fail here rather
-// than degrading silently. If any of WithWorkers, WithTrace or WithMetrics is
-// set the returned Network is a decorator; Unwrap (via the
+// Options requesting a capability the family lacks (WithTrace on non-BNB
+// families; WithDataBits where no width is modeled) fail here rather than
+// degrading silently, as do the serving options (WithWorkers, WithQueue and
+// the rest), which belong to NewEngine. If WithTrace or WithMetrics is set
+// the returned Network is a decorator; Unwrap (via the
 // interface{ Unwrap() Network } assertion) recovers the bare network.
 func New(family string, m int, opts ...Option) (Network, error) {
 	builders.RLock()
@@ -538,6 +539,9 @@ func New(family string, m int, opts ...Option) (Network, error) {
 	o, err := gatherOptions(opts)
 	if err != nil {
 		return nil, err
+	}
+	if o.anySet(optWorkers) {
+		return nil, fmt.Errorf("bnbnet: WithWorkers applies to NewEngine, not New")
 	}
 	if o.anySet(optQueue) {
 		return nil, fmt.Errorf("bnbnet: WithQueue applies to NewEngine, not New")
@@ -565,40 +569,29 @@ func New(family string, m int, opts ...Option) (Network, error) {
 		return nil, err
 	}
 	if o.anySet(optFaults) {
-		if o.anySet(optWorkers | optTrace) {
-			return nil, fmt.Errorf("bnbnet: WithFaults does not compose with WithWorkers or WithTrace")
+		if o.anySet(optTrace) {
+			return nil, fmt.Errorf("bnbnet: WithFaults does not compose with WithTrace")
 		}
 		return newFaulty(n, o.faults, o.metrics)
-	}
-	if o.workers > 0 {
-		if _, ok := n.(parallelNetwork); !ok {
-			return nil, fmt.Errorf("bnbnet: family %q does not support WithWorkers", family)
-		}
 	}
 	if o.trace != nil {
 		if _, ok := n.(TracedRouter); !ok {
 			return nil, fmt.Errorf("bnbnet: family %q does not support WithTrace", family)
 		}
 	}
-	if o.workers > 0 || o.trace != nil || o.metrics != nil {
-		return &instrumented{base: n, workers: o.workers, trace: o.trace, m: o.metrics}, nil
+	if o.trace != nil || o.metrics != nil {
+		return &instrumented{base: n, trace: o.trace, m: o.metrics}, nil
 	}
 	return n, nil
 }
 
-// parallelNetwork is the capability WithWorkers requires of a network.
-type parallelNetwork interface {
-	RouteParallel(words []Word, workers int) ([]Word, error)
-}
-
 // instrumented decorates a Network with the behaviors New's options request:
-// parallel evaluation, stage tracing, and metrics observation. It forwards
-// the structural queries untouched.
+// stage tracing and metrics observation. It forwards the structural queries
+// untouched.
 type instrumented struct {
-	base    Network
-	workers int
-	trace   func(stage int, snapshot []Word)
-	m       *metrics.Metrics
+	base  Network
+	trace func(stage int, snapshot []Word)
+	m     *metrics.Metrics
 }
 
 // Unwrap returns the undecorated network.
@@ -616,8 +609,8 @@ func (x *instrumented) Cost() Cost { return x.base.Cost() }
 // Delay implements Network.
 func (x *instrumented) Delay() Delay { return x.base.Delay() }
 
-// Route implements Network, applying the requested tracing or parallelism
-// and observing the call into the metrics sink.
+// Route implements Network, applying the requested tracing and observing
+// the call into the metrics sink.
 func (x *instrumented) Route(words []Word) ([]Word, error) {
 	start := time.Now()
 	out, err := x.route(words)
@@ -635,9 +628,6 @@ func (x *instrumented) route(words []Word) ([]Word, error) {
 			x.trace(i, snap)
 		}
 		return out, nil
-	}
-	if x.workers > 0 {
-		return x.base.(parallelNetwork).RouteParallel(words, x.workers)
 	}
 	return x.base.Route(words)
 }

@@ -4,7 +4,7 @@ package bnbnet
 // front in the package. Engine, Supervised and Cluster each grew their own
 // accessor sets as the layers landed; Router names the common surface and
 // Stats()/Publish() replace the scattered per-layer snapshot methods with
-// one shape (the old names remain as deprecated veneers in deprecated.go).
+// one shape.
 
 import "context"
 

@@ -36,14 +36,18 @@ func TestSoakBNBLarge(t *testing.T) {
 				t.Fatalf("misrouted at N=4096, output %d", j)
 			}
 		}
-		// Parallel evaluation agrees at scale.
-		par, err := net.RouteParallel(words, 0)
+		// The wire-map replay of the compiled plan agrees at scale.
+		pl, err := net.Compile(p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		replayed := make([]Word, net.Inputs())
+		if err := net.Replay(pl, replayed, words); err != nil {
+			t.Fatal(err)
+		}
 		for j := range out {
-			if out[j] != par[j] {
-				t.Fatalf("parallel disagreement at output %d", j)
+			if out[j] != replayed[j] {
+				t.Fatalf("replay disagreement at output %d", j)
 			}
 		}
 	}
@@ -78,16 +82,16 @@ func TestSoakCircuitLarge(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := RandomPerm(net.Inputs(), rng)
-	circuit, err := net.Connect(p)
+	circuit, err := net.Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	words := make([]Word, net.Inputs())
-	for i := range words {
-		words[i] = Word{Data: rng.Uint64()}
+	for i, d := range p {
+		words[i] = Word{Addr: d, Data: rng.Uint64()}
 	}
-	out, err := circuit.Send(words)
-	if err != nil {
+	out := make([]Word, net.Inputs())
+	if err := net.Replay(circuit, out, words); err != nil {
 		t.Fatal(err)
 	}
 	for i, d := range p {
