@@ -334,6 +334,19 @@ func TestRouteAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("in-place Replay allocates %.1f objects per call, want 0", allocs)
 	}
+
+	// Compile allocates only what the Plan keeps, independent of the order:
+	// the public and core Plan headers, the permutation copy, the column
+	// index, the one backing array of every switch column, the wire map,
+	// the route's word buffer and the recorder hook.
+	allocs = testing.AllocsPerRun(100, func() {
+		if _, err := b.Compile(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 8 {
+		t.Errorf("Compile allocates %.1f objects per call, want 8", allocs)
+	}
 }
 
 // TestConcurrentEngineStress hammers one shared *BNB and one Engine from

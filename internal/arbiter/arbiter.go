@@ -21,6 +21,7 @@ package arbiter
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/wiring"
 )
@@ -106,26 +107,10 @@ func (t *Tree) CriticalPath() int {
 // For A(1) the returned flags are zero: the paper defines sp(1) switch
 // setting directly from the input bit, which corresponds to a constant-zero
 // flag in the XOR switch-setting rule of Algorithm step 5.
+//
+// Flags is the scalar reference, one tree node at a time; FlagWords is the
+// word-parallel evaluation the routing kernel runs.
 func (t *Tree) Flags(bits []uint8) ([]uint8, error) {
-	flags, err := t.FlagsInto(bits, make([]uint8, WorkSize(t.p)))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint8, len(flags))
-	copy(out, flags)
-	return out, nil
-}
-
-// WorkSize returns the scratch length FlagsInto requires for an arbiter of
-// order p: room for every tree level, 2^{p+1} - 1 values.
-func WorkSize(p int) int { return 2<<uint(p) - 1 }
-
-// FlagsInto computes the same flags as Flags without allocating: work
-// provides the storage for the tree levels (len >= WorkSize(p)) and the
-// returned slice aliases work[0:2^p]. bits is not modified and must not
-// alias work. This is the engine hot path: the caller recycles work across
-// routes, so steady-state routing performs no allocation.
-func (t *Tree) FlagsInto(bits, work []uint8) ([]uint8, error) {
 	n := t.Inputs()
 	if len(bits) != n {
 		return nil, fmt.Errorf("arbiter: got %d inputs, want %d", len(bits), n)
@@ -135,52 +120,147 @@ func (t *Tree) FlagsInto(bits, work []uint8) ([]uint8, error) {
 			return nil, fmt.Errorf("arbiter: input %d has non-binary value %d", i, b)
 		}
 	}
+	flags := make([]uint8, n)
 	if t.p < 2 {
-		// A(1): wiring only; flags are identically zero.
-		if len(work) < n {
-			return nil, fmt.Errorf("arbiter: work length %d, need %d", len(work), n)
-		}
-		flags := work[:n]
-		for i := range flags {
-			flags[i] = 0
-		}
-		return flags, nil
+		return flags, nil // A(1): wiring only
 	}
-	if len(work) < WorkSize(t.p) {
-		return nil, fmt.Errorf("arbiter: work length %d, need %d", len(work), WorkSize(t.p))
-	}
-
-	// Level v occupies work[off : off+2^{p-v}], with level 0 (the inputs)
-	// first; consecutive levels are adjacent, totalling 2^{p+1}-1 values.
-	copy(work[:n], bits)
-
-	// Upward pass: each node sends x1 XOR x2 to its parent.
-	off := 0
+	// up[v] holds the states level v sends to its parents; up[0] = inputs.
+	up := make([][]uint8, t.p+1)
+	up[0] = bits
 	for v := 1; v <= t.p; v++ {
-		prev := work[off : off+n>>uint(v-1)]
-		off += len(prev)
-		cur := work[off : off+n>>uint(v)]
-		for i := range cur {
-			cur[i] = NodeUp(prev[2*i], prev[2*i+1])
+		up[v] = make([]uint8, len(up[v-1])/2)
+		for i := range up[v] {
+			up[v][i] = NodeUp(up[v-1][2*i], up[v-1][2*i+1])
 		}
 	}
-
-	// Downward pass, in place: the flags of level v-1 overwrite its up
-	// states (each node reads its two children's states before writing their
-	// flags, so the overwrite is safe). At the root the node's own XOR state
-	// is echoed as the parent flag (Algorithm step 4), which is exactly the
-	// value already stored there.
+	// Downward pass: at the root the node's own XOR state is echoed as the
+	// parent flag (Algorithm step 4); every node hands its children their
+	// flags.
+	down := []uint8{up[t.p][0]}
 	for v := t.p; v >= 1; v-- {
-		childOff := off - n>>uint(v-1)
-		parent := work[off : off+n>>uint(v)]
-		child := work[childOff : childOff+n>>uint(v-1)]
-		for i, zd := range parent {
-			y1, y2 := NodeDown(child[2*i], child[2*i+1], zd)
-			child[2*i], child[2*i+1] = y1, y2
+		child := make([]uint8, len(up[v-1]))
+		for i, zd := range down {
+			child[2*i], child[2*i+1] = NodeDown(up[v-1][2*i], up[v-1][2*i+1], zd)
 		}
-		off = childOff
+		down = child
 	}
-	return work[:n], nil
+	copy(flags, down)
+	return flags, nil
+}
+
+// levelMask[v] marks the bits that hold tree level v in the word-parallel
+// layout: node i of level v sits at bit i<<v (the position of its subtree's
+// first input), so level v occupies the multiples of 2^v.
+var levelMask = [7]uint64{
+	0xFFFFFFFFFFFFFFFF,
+	0x5555555555555555,
+	0x1111111111111111,
+	0x0101010101010101,
+	0x0001000100010001,
+	0x0000000100000001,
+	0x0000000000000001,
+}
+
+// FlagWords computes the flags of every A(p) tiled across a bitset: bit j
+// of x (bit j&63 of x[j>>6]) is input j mod 2^p of tree j/2^p, and the flag
+// delivered to that input is written to the same bit of f. It computes
+// exactly what Flags computes, input for input, for every tree at once
+// (DESIGN.md §7, ALGORITHM.md §2):
+//
+//   - up pass: after u ^= u >> 2^(v-1) for v = 1..p, the bit at each
+//     multiple of 2^v is the XOR of the 2^v inputs from there on — the
+//     state node (v, i) sends up (NodeUp);
+//   - down pass: the root echoes its own state, and level v hands level v-1
+//     the two Fig. 5 gates at once, y1 = z_u AND z_d to the upper child (the
+//     same bit) and y2 = NOT z_u OR z_d to the lower child (2^(v-1) bits
+//     higher), under the level mask (NodeDownGates).
+//
+// Trees of up to 64 inputs are evaluated in their word; a wider tree
+// treats each word as a six-level subtree, runs the same evaluation over
+// the words' parities to find the flag entering each subtree's root, and
+// finishes each word from there, so any order up to wiring.MaxOrder works.
+// When 2^p > 64, len(x) must be a multiple of 2^p/64; when 2^p <= 64 the
+// bits of x past the last tree must be zero, and the matching bits of f are
+// unspecified. f must not alias x, and work must hold WorkWords(len(x))
+// words.
+//
+// The up pass leaves every root's state — the XOR of its tree's inputs —
+// in hand, so FlagWords also returns the index of the first tree whose
+// inputs hold an odd number of 1s, or -1 if there is none. The wiring-only
+// A(1) has no root: its flags are zero and it returns -1.
+func (t *Tree) FlagWords(f, x, work []uint64) int {
+	if t.p < 2 {
+		clear(f[:len(x)])
+		return -1
+	}
+	return treeFlags(f, x, t.p, work)
+}
+
+// WorkWords returns the scratch FlagWords needs for a bitset of the given
+// number of words: two parity words per 64 words at every level of the
+// tree above the word.
+func WorkWords(words int) int {
+	n := 0
+	for words > 1 {
+		words = (words + 63) / 64
+		n += 2 * words
+	}
+	return n
+}
+
+// treeFlags evaluates every order-p tree of x, including p = 1 as a real
+// function node (only the top-level A(1) is wiring), and returns the index
+// of the first tree whose root state is 1, or -1.
+func treeFlags(f, x []uint64, p int, work []uint64) int {
+	odd := -1
+	if p <= 6 {
+		for w, xw := range x {
+			var u [7]uint64
+			up(&u, xw, p)
+			root := u[p] & levelMask[p]
+			if root != 0 && odd < 0 {
+				odd = (w<<6 | bits.TrailingZeros64(root)) >> uint(p)
+			}
+			f[w] = down(&u, p, root)
+		}
+		return odd
+	}
+	// Every word is a six-level subtree; the levels above it form order
+	// p-6 trees over the words' parities, whose roots are the roots of the
+	// order-p trees and whose flags are the flags entering each word's
+	// subtree root.
+	nq := (len(x) + 63) / 64
+	par, into := work[:nq], work[nq:2*nq]
+	clear(par)
+	for w, xw := range x {
+		par[w>>6] |= uint64(bits.OnesCount64(xw)&1) << uint(w&63)
+	}
+	odd = treeFlags(into, par, p-6, work[2*nq:])
+	for w, xw := range x {
+		var u [7]uint64
+		up(&u, xw, 6)
+		f[w] = down(&u, 6, into[w>>6]>>uint(w&63)&1)
+	}
+	return odd
+}
+
+// up runs the XOR-fold of levels 1..p: u[v] holds level v at the multiples
+// of 2^v (other bits are don't-cares).
+func up(u *[7]uint64, x uint64, p int) {
+	u[0] = x
+	for v := 1; v <= p; v++ {
+		u[v] = u[v-1] ^ u[v-1]>>(1<<uint(v-1))
+	}
+}
+
+// down runs the gate pass from level p (whose flags d holds at the
+// multiples of 2^p, zero elsewhere) to the inputs and returns their flags.
+func down(u *[7]uint64, p int, d uint64) uint64 {
+	for v := p; v >= 1; v-- {
+		m := levelMask[v]
+		d = u[v]&d&m | (^u[v]|d)&m<<(1<<uint(v-1))
+	}
+	return d
 }
 
 // FlagsGateLevel computes the same flags as Flags but evaluates every node

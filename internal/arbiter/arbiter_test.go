@@ -311,6 +311,109 @@ func TestFlagsGateLevelValidation(t *testing.T) {
 	}
 }
 
+// packBits packs a 0/1 vector into a bitset, bit j of word j>>6 = bits[j].
+func packBits(in []uint8) []uint64 {
+	x := make([]uint64, (len(in)+63)/64)
+	for j, b := range in {
+		x[j>>6] |= uint64(b) << uint(j&63)
+	}
+	return x
+}
+
+// flagWordsOf runs FlagWords over a packed copy of in, trees of order p
+// tiled across it, and unpacks the flags. It also checks the reported
+// first odd tree against a direct count.
+func flagWordsOf(t *testing.T, tr *Tree, in []uint8) []uint8 {
+	t.Helper()
+	x := packBits(in)
+	f := make([]uint64, len(x))
+	odd := tr.FlagWords(f, x, make([]uint64, WorkWords(len(x))))
+	wantOdd := -1
+	for k := 0; tr.P() >= 2 && wantOdd < 0 && k*tr.Inputs() < len(in); k++ {
+		ones := 0
+		for _, b := range in[k*tr.Inputs() : (k+1)*tr.Inputs()] {
+			ones += int(b)
+		}
+		if ones%2 != 0 {
+			wantOdd = k
+		}
+	}
+	if odd != wantOdd {
+		t.Fatalf("A(%d) over %d inputs: first odd tree %d, want %d", tr.P(), len(in), odd, wantOdd)
+	}
+	out := make([]uint8, len(in))
+	for j := range out {
+		out[j] = uint8(f[j>>6] >> uint(j&63) & 1)
+	}
+	return out
+}
+
+// TestFlagWordsExhaustive proves the word-parallel arbiter equals the
+// scalar reference on every input of every A(p) with p <= 4, parity odd or
+// even: the root echo, the self-generated 0/1 pairs and the forwarded
+// flags all agree bit for bit.
+func TestFlagWordsExhaustive(t *testing.T) {
+	for p := 1; p <= 4; p++ {
+		tr, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := tr.Inputs()
+		in := make([]uint8, n)
+		for v := 0; v < 1<<uint(n); v++ {
+			for j := range in {
+				in[j] = uint8(v >> uint(j) & 1)
+			}
+			want, err := tr.Flags(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := flagWordsOf(t, tr, in)
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("A(%d) input %v: FlagWords flag %d = %d, Flags says %d", p, in, j, got[j], want[j])
+				}
+			}
+		}
+	}
+}
+
+// TestFlagWordsTiledRandom checks FlagWords against Flags on seeded random
+// inputs for every order up to 13, with the trees tiled several to a word,
+// one per word and spanning up to 128 words (where the per-word parities
+// themselves span two words and recurse again).
+func TestFlagWordsTiledRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(1991))
+	for p := 1; p <= 13; p++ {
+		tr, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := tr.Inputs()
+		for _, trees := range []int{1, 2, 4} {
+			for trial := 0; trial < 8; trial++ {
+				in := make([]uint8, size*trees)
+				for j := range in {
+					in[j] = uint8(rng.Intn(2))
+				}
+				got := flagWordsOf(t, tr, in)
+				for k := 0; k < trees; k++ {
+					want, err := tr.Flags(in[k*size : (k+1)*size])
+					if err != nil {
+						t.Fatal(err)
+					}
+					for j, w := range want {
+						if got[k*size+j] != w {
+							t.Fatalf("A(%d) tree %d of %d, trial %d: flag %d = %d, Flags says %d",
+								p, k, trees, trial, j, got[k*size+j], w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkFlags1024(b *testing.B) {
 	tr, err := New(10)
 	if err != nil {
@@ -327,5 +430,24 @@ func BenchmarkFlags1024(b *testing.B) {
 		if _, err := tr.Flags(in); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func BenchmarkFlagWords1024(b *testing.B) {
+	tr, err := New(10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	x := make([]uint64, tr.Inputs()/64)
+	for i := range x {
+		x[i] = rng.Uint64()
+	}
+	f := make([]uint64, len(x))
+	work := make([]uint64, WorkWords(len(x)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.FlagWords(f, x, work)
 	}
 }

@@ -88,18 +88,19 @@ func (n *Network) Route(p perm.Perm) (ok bool, conflicts int, err error) {
 	return true, 0, nil
 }
 
-// tagRouter sets every 2x2 switch of a box from its two packets' address bit
-// for the box's stage, counting the switches where both packets request the
-// same output (the conflict resolves as straight).
+// tagRouter sets every 2x2 switch of a stage from its two packets' address
+// bit for the stage, counting the switches where both packets request the
+// same output (the conflict resolves as straight). A box is one switch
+// column, so the stage's switches are simply its consecutive line pairs.
 type tagRouter struct {
 	m, conflicts int
 }
 
-// RouteBox implements gbn.InPlaceRouter.
-func (r *tagRouter) RouteBox(box gbn.Box, lines []int) error {
+// RouteStage implements gbn.StageRouter.
+func (r *tagRouter) RouteStage(stage int, lines []int) (int, error) {
 	for k := 0; k+1 < len(lines); k += 2 {
-		wantA := wiring.AddrBit(lines[k], box.Stage, r.m)
-		if wantA == wiring.AddrBit(lines[k+1], box.Stage, r.m) {
+		wantA := wiring.AddrBit(lines[k], stage, r.m)
+		if wantA == wiring.AddrBit(lines[k+1], stage, r.m) {
 			r.conflicts++
 			continue
 		}
@@ -107,7 +108,7 @@ func (r *tagRouter) RouteBox(box gbn.Box, lines []int) error {
 			lines[k], lines[k+1] = lines[k+1], lines[k]
 		}
 	}
-	return nil
+	return 0, nil
 }
 
 // Passable reports whether p routes without conflict.

@@ -92,14 +92,22 @@ type sorter struct {
 	controls Controls
 }
 
-// RouteBox implements gbn.InPlaceRouter.
-func (s sorter) RouteBox(box gbn.Box, lines []uint8) error {
-	ctl, err := s.n.sps[box.Stage].Controls(lines)
-	if err != nil {
-		return err
+// RouteStage implements gbn.StageRouter: every splitter of the stage in
+// turn.
+func (s sorter) RouteStage(stage int, lines []uint8) (int, error) {
+	size := s.n.top.BoxSize(stage)
+	for l := range s.controls[stage] {
+		box := lines[l*size : (l+1)*size]
+		ctl, err := s.n.sps[stage].Controls(box)
+		if err != nil {
+			return l, err
+		}
+		s.controls[stage][l] = ctl
+		if err := splitter.ApplyInPlace(ctl, box); err != nil {
+			return l, err
+		}
 	}
-	s.controls[box.Stage][box.Index] = ctl
-	return splitter.ApplyInPlace(ctl, lines)
+	return 0, nil
 }
 
 // Sorted reports whether a bit vector satisfies the Theorem 1 postcondition:

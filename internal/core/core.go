@@ -127,7 +127,7 @@ func (n *Network) RouteTraced(words []Word) ([]Word, [][]Word, error) {
 	for i := range trace {
 		trace[i] = make([]Word, N)
 	}
-	snapshot := func(mainStage, column, switchBase int, _ []bool, box []Word) {
+	snapshot := func(mainStage, column, switchBase int, _ []uint64, box []Word) {
 		if column == 0 {
 			copy(trace[mainStage][2*switchBase:], box)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -467,6 +468,33 @@ func BenchmarkRouteBNB(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := n.Route(words); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCompile measures one Compile — a full self-routing control pass
+// recorded into a fresh Plan — over 256 distinct permutations generated
+// before the timer starts, so the figure is the kernel's control-setup cost
+// without permutation generation.
+func BenchmarkCompile(b *testing.B) {
+	for _, m := range []int{5, 7} {
+		n, err := New(m, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(7))
+		perms := make([]perm.Perm, 256)
+		for i := range perms {
+			perms[i] = perm.Random(n.Inputs(), rng)
+		}
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := n.Compile(perms[i%len(perms)]); err != nil {
 					b.Fatal(err)
 				}
 			}

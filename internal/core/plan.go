@@ -11,10 +11,11 @@ package core
 //
 // The Plan packs the switch decisions 64 per word and carries the wire map
 // so the hot path never walks the stages at all. Compile and ReplayWired
-// both run the one routing kernel through its Override hook: Compile
-// records each column's controls, and ReplayWired loads them back from the
-// bitsets, the slow reference that proves the wire map and the bitset image
-// agree.
+// both run the one routing kernel through its Override hook, whose controls
+// already use the Plan's column layout: Compile copies each nested
+// network's controls into its column, and ReplayWired loads them back from
+// the bitsets, the slow reference that proves the wire map and the bitset
+// image agree.
 
 import (
 	"fmt"
@@ -34,7 +35,8 @@ type Plan struct {
 	p perm.Perm
 	// cols[colIndex(m,i,j)] is the bitset of nested column j in main stage i;
 	// bit k is the exchange state of global switch k of that column
-	// (0 <= k < N/2), packed 64 per word.
+	// (0 <= k < N/2), packed 64 per word. The columns share one backing
+	// array.
 	cols [][]uint64
 	// wire is the end-to-end wire map: wire[j] is the input index whose word
 	// exits on output j (wire[p[i]] == i).
@@ -44,6 +46,28 @@ type Plan struct {
 // colIndex flattens the (main stage, nested column) coordinates: main stage i
 // contributes m-i columns, so stage i starts at i*m - i*(i-1)/2.
 func colIndex(m, i, j int) int { return i*m - i*(i-1)/2 + j }
+
+// The Override hook hands over one nested network's n switches (a power of
+// two) starting at global switch base, a multiple of n: whole words when
+// n >= 64, otherwise n bits inside one word of the column.
+
+// storeControls copies a nested network's controls into its column.
+func storeControls(col []uint64, base, n int, controls []uint64) {
+	if n >= 64 {
+		copy(col[base>>6:], controls[:n>>6])
+		return
+	}
+	col[base>>6] |= controls[0] << uint(base&63)
+}
+
+// loadControls reads a nested network's controls back from its column.
+func loadControls(controls, col []uint64, base, n int) {
+	if n >= 64 {
+		copy(controls[:n>>6], col[base>>6:])
+		return
+	}
+	controls[0] = col[base>>6] >> uint(base&63) & (1<<uint(n) - 1)
+}
 
 // M returns the order of the network the plan was compiled on.
 func (pl *Plan) M() int { return pl.m }
@@ -68,8 +92,7 @@ func (pl *Plan) SwitchCount() int {
 // k (0 <= k < N/2) in nested column j of main stage i — the coordinate
 // system of the kernel's Override hook.
 func (pl *Plan) Control(i, j, k int) bool {
-	col := pl.cols[colIndex(pl.m, i, j)]
-	return col[k>>6]&(1<<uint(k&63)) != 0
+	return pl.cols[colIndex(pl.m, i, j)][k>>6]&(1<<uint(k&63)) != 0
 }
 
 // Compile runs the self-routing control plane once for the permutation and
@@ -88,28 +111,22 @@ func (n *Network) Compile(p perm.Perm) (*Plan, error) {
 		wire: make([]int32, N),
 	}
 	copy(pl.p, p)
-	words := int((uint(N)/2 + 63) / 64)
+	w := (N/2 + 63) / 64
+	backing := make([]uint64, w*len(pl.cols))
 	for c := range pl.cols {
-		pl.cols[c] = make([]uint64, words)
+		pl.cols[c] = backing[c*w : (c+1)*w : (c+1)*w]
 	}
-	src := make([]Word, N)
+	words := make([]Word, N)
 	for i, d := range p {
-		src[i] = Word{Addr: d, Data: uint64(i)}
+		words[i] = Word{Addr: d, Data: uint64(i)}
 	}
-	dst := make([]Word, N)
-	record := func(mainStage, column, switchBase int, controls []bool, _ []Word) {
-		col := pl.cols[colIndex(n.m, mainStage, column)]
-		for t, exchange := range controls {
-			if exchange {
-				k := switchBase + t
-				col[k>>6] |= 1 << uint(k&63)
-			}
-		}
+	record := func(mainStage, column, switchBase int, controls []uint64, lines []Word) {
+		storeControls(pl.cols[colIndex(n.m, mainStage, column)], switchBase, len(lines)/2, controls)
 	}
-	if err := n.routeInto(dst, src, record); err != nil {
+	if err := n.routeInto(words, words, record); err != nil {
 		return nil, err
 	}
-	for j, wd := range dst {
+	for j, wd := range words {
 		if wd.Addr != j {
 			return nil, fmt.Errorf("bnb: internal error: compile pass misdelivered %d to %d", wd.Addr, j)
 		}
@@ -173,10 +190,8 @@ func (n *Network) ReplayWired(pl *Plan, words []Word) ([]Word, error) {
 	if pl.m != n.m {
 		return nil, fmt.Errorf("bnb: plan compiled for order %d, network has order %d: %w", pl.m, n.m, neterr.ErrPlanMismatch)
 	}
-	load := func(mainStage, column, switchBase int, controls []bool, _ []Word) {
-		for t := range controls {
-			controls[t] = pl.Control(mainStage, column, switchBase+t)
-		}
+	load := func(mainStage, column, switchBase int, controls []uint64, lines []Word) {
+		loadControls(controls, pl.cols[colIndex(n.m, mainStage, column)], switchBase, len(lines)/2)
 	}
 	out := make([]Word, n.Inputs())
 	if err := n.routeInto(out, words, load); err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/arbiter"
 	"repro/internal/gbn"
 	"repro/internal/neterr"
 	"repro/internal/splitter"
@@ -12,93 +11,126 @@ import (
 
 // scratch bundles every per-route buffer of the pooled hot path: the main
 // network's rewire buffer, one shared rewire buffer for the nested networks
-// (boxes of a stage are routed serially within one call, so they can share),
-// the splitter bit/control vectors sized for the widest box, the arbiter's
-// level storage, and the destination-validation bitmap. A scratch belongs to
-// exactly one Network (the routers point back at it) and is recycled through
-// the Network's sync.Pool, so steady-state RouteInto calls allocate nothing.
+// (the nested networks of a stage are routed serially, so they can share),
+// the BSN slice of the nested network being routed as a bitset plus its
+// unshuffle buffer, the packed controls of the column being routed, the
+// arbiter's scratch, and the destination-validation bitmap. A scratch
+// belongs to exactly one Network (the routers point back at it) and is
+// recycled through the Network's sync.Pool, so steady-state RouteInto calls
+// allocate nothing.
 type scratch struct {
-	next     []Word  // main-network inter-stage rewire buffer
-	sub      []Word  // nested-network inter-stage rewire buffer
-	bits     []uint8 // BSN-slice input bits of the box being routed
-	controls []bool  // switch settings of the box being routed
-	work     []uint8 // arbiter tree-level storage
-	seen     []bool  // destination-validation bitmap
-	ov       Override
-	main     mainRouter
+	next  []Word   // main-network inter-stage rewire buffer
+	sub   []Word   // nested-network inter-stage rewire buffer
+	slice []uint64 // BSN slice: address bit i of every line, one bit per line
+	spare []uint64 // the slice's unshuffle buffer
+	ctl   []uint64 // packed switch controls of the column being routed
+	work  []uint64 // splitter column scratch
+	seen  []uint64 // destination-validation bitmap
+	ov    Override
+	main  mainRouter
 }
 
 func newScratch(n *Network) *scratch {
 	N := n.Inputs()
+	words := (N + 63) / 64
 	sc := &scratch{
-		next:     make([]Word, N),
-		sub:      make([]Word, N),
-		bits:     make([]uint8, N),
-		controls: make([]bool, N/2),
-		work:     make([]uint8, arbiter.WorkSize(n.m)),
-		seen:     make([]bool, N),
+		next:  make([]Word, N),
+		sub:   make([]Word, N),
+		slice: make([]uint64, words),
+		spare: make([]uint64, words),
+		ctl:   make([]uint64, (N/2+63)/64),
+		work:  make([]uint64, splitter.WorkWords(N)),
+		seen:  make([]uint64, words),
 	}
 	sc.main = mainRouter{n: n, sc: sc, nested: nestedRouter{n: n, sc: sc}}
 	return sc
 }
 
-// mainRouter routes one main-GBN box — an entire nested network — in place.
+// mainRouter routes one main-GBN stage: each box is a whole nested network,
+// routed in place by the nested GBN.
 type mainRouter struct {
 	n      *Network
 	sc     *scratch
 	nested nestedRouter
 }
 
-// RouteBox implements gbn.InPlaceRouter.
-func (r *mainRouter) RouteBox(box gbn.Box, lines []Word) error {
-	r.nested.stage = box.Stage
-	r.nested.mainIndex = box.Index
-	return gbn.RunInPlace[Word](r.n.nested[box.Stage], lines, r.sc.sub, &r.nested)
-}
-
-// nestedRouter routes one splitter box of the nested network for the main
-// stage currently set in stage: the BSN slice decodes address bit `stage`
-// and the derived controls move the whole words.
-type nestedRouter struct {
-	n         *Network
-	sc        *scratch
-	stage     int
-	mainIndex int
-}
-
-// RouteBox implements gbn.InPlaceRouter.
-func (r *nestedRouter) RouteBox(box gbn.Box, lines []Word) error {
-	nt := r.n.nested[r.stage]
-	p := nt.BoxOrder(box.Stage)
-	bits := r.sc.bits[:len(lines)]
-	for j, wd := range lines {
-		bits[j] = uint8(wiring.AddrBit(wd.Addr, r.stage, r.n.m))
+// RouteStage implements gbn.StageRouter. Before a nested network runs, it
+// gathers the network's BSN slice — address bit `stage` of every line —
+// into a bitset, which the nested router then carries through the switch
+// columns and unshuffles alongside the words.
+func (r *mainRouter) RouteStage(stage int, lines []Word) (int, error) {
+	nt := r.n.nested[stage]
+	size := nt.Inputs()
+	shift := uint(r.n.m - 1 - stage)
+	nr := &r.nested
+	nr.stage, nr.order = stage, nt.M()
+	for l := 0; l*size < len(lines); l++ {
+		box := lines[l*size : (l+1)*size]
+		nr.mainIndex = l
+		nr.slice, nr.spare = r.sc.slice[:(size+63)/64], r.sc.spare[:(size+63)/64]
+		clear(nr.slice)
+		for j, wd := range box {
+			nr.slice[j>>6] |= uint64(wd.Addr>>shift&1) << uint(j&63)
+		}
+		if err := gbn.RunInPlace[Word](nt, box, r.sc.sub[:size], nr); err != nil {
+			return l, err
+		}
 	}
-	controls := r.sc.controls[:len(lines)/2]
-	if err := r.n.sps[p].ControlsInto(controls, bits, r.sc.work); err != nil {
-		return fmt.Errorf("splitter sp(%d) on address bit %d: %w", p, r.stage, err)
+	return 0, nil
+}
+
+// nestedRouter routes one switch column of the nested network set up by
+// the main router: the column's splitters read the BSN slice, and their
+// controls move both the whole words and the slice.
+type nestedRouter struct {
+	n            *Network
+	sc           *scratch
+	stage, order int      // main stage i and the nested network's order m-i
+	mainIndex    int      // the nested network's box index in main stage i
+	slice, spare []uint64 // BSN slice of the nested network and its buffer
+}
+
+// RouteStage implements gbn.StageRouter for nested column `column`.
+func (r *nestedRouter) RouteStage(column int, lines []Word) (int, error) {
+	p := r.order - column
+	ctl := r.sc.ctl[:(len(lines)/2+63)/64]
+	if box, err := r.n.sps[p].ColumnControls(ctl, r.slice, r.sc.work, len(lines)); err != nil {
+		return box, fmt.Errorf("splitter sp(%d) on address bit %d: %w", p, r.stage, err)
 	}
 	if r.sc.ov != nil {
-		lineBase := r.mainIndex*nt.Inputs() + box.Index*nt.BoxSize(box.Stage)
-		r.sc.ov(r.stage, box.Stage, lineBase/2, controls, lines)
+		r.sc.ov(r.stage, column, r.mainIndex*len(lines)/2, ctl, lines)
 	}
-	return splitter.ApplyInPlace(controls, lines)
+	splitter.Exchange(ctl, lines)
+	if p > 1 {
+		// The slice follows the words through the switches and through the
+		// unshuffle the runner applies after this column; after the last
+		// column nothing reads it.
+		splitter.ExchangeBits(ctl, r.slice)
+		wiring.UnshuffleBits(r.spare, r.slice, p)
+		r.slice, r.spare = r.spare, r.slice
+	}
+	return 0, nil
 }
 
 // Override is the kernel's one per-column hook. It is called once per
-// splitter box, after the splitter computes the box's controls and before
-// the words move, with the box's address in the Plan.Control coordinate
-// system: mainStage is the main-GBN stage i, column the nested-stage index j
-// within it, and controls[x] is the exchange bit of global switch
-// switchBase+x of that column (0 <= switchBase+x < N/2). words holds the
-// box's 2*len(controls) lines as they enter the switch column, starting at
-// global line 2*switchBase; at column 0 the boxes of main stage i together
-// see that stage's whole input. Mutating controls in place changes how the
-// words move; the self-routing control plane is not re-run, exactly like a
-// hardware fault that corrupts a switch state after arbitration. The hook
-// serves fault injection, Compile's recorder, ReplayWired's plan loader and
-// RouteTraced's stage snapshots; it must not retain or modify words.
-type Override func(mainStage, column, switchBase int, controls []bool, words []Word)
+// nested column of every nested network, after the column's splitters
+// compute their controls and before the words move, with the column's
+// address in the Plan.Control coordinate system: mainStage is the main-GBN
+// stage i, column the nested-stage index j within it, and the nested
+// network's len(words)/2 switches are global switches switchBase to
+// switchBase+len(words)/2-1 of that column (0 <= switchBase < N/2).
+// controls is their exchange bits in the Plan's column layout: bit t of
+// controls[t>>6] is global switch switchBase+t, and the bits at and past
+// len(words)/2 are zero and must stay zero. words holds the nested
+// network's lines as they enter the switch column, starting at global line
+// 2*switchBase; at column 0 the nested networks of main stage i together
+// see that stage's whole input. Setting or clearing bits of controls
+// changes how the words move; the self-routing control plane is not re-run,
+// exactly like a hardware fault that corrupts a switch state after
+// arbitration. The hook serves fault injection, Compile's recorder,
+// ReplayWired's plan loader and RouteTraced's stage snapshots; it must not
+// retain controls or words, nor modify words.
+type Override func(mainStage, column, switchBase int, controls []uint64, words []Word)
 
 // RouteIntoOverride behaves like RouteInto with the override hook installed
 // for the duration of the route. Input validation is unchanged — the offered
@@ -138,19 +170,18 @@ func (n *Network) routeInto(dst, src []Word, ov Override) error {
 		sc.ov = nil
 		n.pool.Put(sc)
 	}()
-	for i := range sc.seen {
-		sc.seen[i] = false
-	}
+	clear(sc.seen)
 	for i, wd := range src {
 		if wd.Addr < 0 || wd.Addr >= N {
 			return fmt.Errorf("bnb: destination addresses are not a permutation: entry %d -> %d out of range [0,%d): %w",
 				i, wd.Addr, N, neterr.ErrNotPermutation)
 		}
-		if sc.seen[wd.Addr] {
+		bit := uint64(1) << uint(wd.Addr&63)
+		if sc.seen[wd.Addr>>6]&bit != 0 {
 			return fmt.Errorf("bnb: destination addresses are not a permutation: destination %d appears more than once: %w",
 				wd.Addr, neterr.ErrNotPermutation)
 		}
-		sc.seen[wd.Addr] = true
+		sc.seen[wd.Addr>>6] |= bit
 	}
 	copy(dst, src)
 	if err := gbn.RunInPlace[Word](n.main, dst, sc.next, &sc.main); err != nil {

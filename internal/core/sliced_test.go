@@ -94,8 +94,8 @@ func (n *Network) wordsOf(cols []column) []Word {
 	return out
 }
 
-// slicedMain routes one main-GBN box, a whole nested network, of the
-// reference model, snapshotting the box's input first.
+// slicedMain routes one main-GBN stage of the reference model, nested
+// network by nested network, snapshotting the stage's input first.
 type slicedMain struct {
 	n   *Network
 	q   int
@@ -103,24 +103,42 @@ type slicedMain struct {
 	sub []column
 }
 
-func (r *slicedMain) RouteBox(box gbn.Box, lines []column) error {
-	base := box.Index * len(lines)
-	copy(r.run.stages[box.Stage][base:], r.n.wordsOf(lines))
-	nested := &slicedNested{main: r, stage: box.Stage, base: base}
-	return gbn.RunInPlace[column](r.n.nested[box.Stage], lines, r.sub, nested)
+func (r *slicedMain) RouteStage(stage int, lines []column) (int, error) {
+	copy(r.run.stages[stage], r.n.wordsOf(lines))
+	nt := r.n.nested[stage]
+	size := nt.Inputs()
+	for l := 0; l*size < len(lines); l++ {
+		nested := &slicedNested{main: r, stage: stage, base: l * size}
+		if err := gbn.RunInPlace[column](nt, lines[l*size:(l+1)*size], r.sub, nested); err != nil {
+			return l, err
+		}
+	}
+	return 0, nil
 }
 
-// slicedNested routes one splitter box of a nested network: the BSN slice
-// (slice stage) computes the controls, which every slice plane then applies
-// to its own bits.
+// slicedNested routes the columns of one nested network splitter box by
+// splitter box: the BSN slice (slice stage) computes each box's controls,
+// which every slice plane then applies to its own bits.
 type slicedNested struct {
 	main        *slicedMain
 	stage, base int
 }
 
-func (r *slicedNested) RouteBox(box gbn.Box, lines []column) error {
+func (r *slicedNested) RouteStage(stage int, lines []column) (int, error) {
+	size := r.main.n.nested[r.stage].BoxSize(stage)
+	for l := 0; l*size < len(lines); l++ {
+		if err := r.routeBox(stage, r.base+l*size, lines[l*size:(l+1)*size]); err != nil {
+			return l, err
+		}
+	}
+	return 0, nil
+}
+
+// routeBox routes the splitter box of nested column `stage` whose first
+// line is global line `first`.
+func (r *slicedNested) routeBox(stage, first int, lines []column) error {
 	n, q := r.main.n, r.main.q
-	p := n.nested[r.stage].BoxOrder(box.Stage)
+	p := n.nested[r.stage].BoxOrder(stage)
 	plane := make([]uint8, len(lines))
 	for x, c := range lines {
 		plane[x] = c[r.stage]
@@ -129,7 +147,7 @@ func (r *slicedNested) RouteBox(box gbn.Box, lines []column) error {
 	if err != nil {
 		return fmt.Errorf("splitter sp(%d) on slice %d: %w", p, r.stage, err)
 	}
-	copy(r.main.run.controls[r.stage][box.Stage][(r.base+box.Index*len(lines))/2:], controls)
+	copy(r.main.run.controls[r.stage][stage][first/2:], controls)
 	moved := make([]column, len(lines))
 	for x := range moved {
 		moved[x] = make(column, q)

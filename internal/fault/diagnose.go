@@ -191,16 +191,7 @@ func (d *Diagnoser) outputs(f Fault, probe perm.Perm) (string, error) {
 	dst := make([]core.Word, n)
 	var ov core.Override
 	if f.Kind == StuckStraight || f.Kind == StuckCross {
-		stuck := f.Kind == StuckCross
-		e := f.Elem
-		ov = func(mainStage, column, switchBase int, controls []bool, _ []core.Word) {
-			if e.MainStage != mainStage || e.Column != column {
-				return
-			}
-			if x := e.Switch - switchBase; x >= 0 && x < len(controls) {
-				controls[x] = stuck
-			}
-		}
+		ov = f.stick
 	}
 	if err := d.ref.RouteIntoOverride(dst, src, ov); err != nil {
 		// A stuck element can unbalance a downstream splitter's input, in
@@ -368,6 +359,22 @@ func (d *Diagnoser) Diagnose(oracle Router) (Diagnosis, error) {
 	if oracle.Inputs() != d.ref.Inputs() {
 		return Diagnosis{}, fmt.Errorf("fault: oracle has %d ports, diagnoser built for %d", oracle.Inputs(), d.ref.Inputs())
 	}
+	sig := d.observe(oracle)
+	diag := Diagnosis{Probes: len(d.probes)}
+	if sig == d.healthy {
+		diag.Healthy = true
+		return diag, nil
+	}
+	if f, ok := d.dict[sig]; ok {
+		diag.Found = true
+		diag.Fault = f
+	}
+	return diag, nil
+}
+
+// observe routes the probe set through the oracle and concatenates one
+// chunk per probe: the delivered addresses, or the canonicalized rejection.
+func (d *Diagnoser) observe(oracle Router) string {
 	n := d.ref.Inputs()
 	src := make([]core.Word, n)
 	dst := make([]core.Word, n)
@@ -388,17 +395,7 @@ func (d *Diagnoser) Diagnose(oracle Router) (Diagnosis, error) {
 		}
 		b.WriteByte(';')
 	}
-	sig := b.String()
-	diag := Diagnosis{Probes: len(d.probes)}
-	if sig == d.healthy {
-		diag.Healthy = true
-		return diag, nil
-	}
-	if f, ok := d.dict[sig]; ok {
-		diag.Found = true
-		diag.Fault = f
-	}
-	return diag, nil
+	return b.String()
 }
 
 // ExhaustiveCheck injects every single stuck-at element fault of an order-m

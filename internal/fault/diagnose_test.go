@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -145,6 +146,64 @@ func TestDiagnoserGoldenSignature(t *testing.T) {
 			if !canon[i].Equal(d.Probes()[i]) {
 				t.Errorf("m=%d: canonical probe %d diverges from the diagnoser's", m, i)
 			}
+		}
+	}
+}
+
+// TestStuckAtSignatureGolden pins what every single stuck-at fault looks
+// like from outside the network: for m = 1..4, both polarities of every
+// element are routed over CanonicalProbes, once through the diagnoser's
+// reference override and once through an Injector, and each probe's
+// outcome — the delivered addresses, or the canonicalized text of the
+// rejection — is folded into one FNV-1a hash. The dictionary is keyed on
+// exactly these chunks, so a kernel change that moves the first rejected
+// box or rewords its error changes the hash. The golden values were
+// recorded on the scalar kernel (one bit per byte), before the
+// word-parallel one replaced it, and must survive any re-implementation of
+// the routing pass.
+func TestStuckAtSignatureGolden(t *testing.T) {
+	golden := map[int]uint64{
+		1: 0xe73da56de716915b,
+		2: 0x263301dc956860e1,
+		3: 0xbe9a8448e172317e,
+		4: 0x365a454daab8f751,
+	}
+	for m := 1; m <= 4; m++ {
+		net, err := core.New(m, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes := CanonicalProbes(m)
+		d := &Diagnoser{m: m, ref: net, probes: probes}
+		h := fnv.New64a()
+		rejections := 0
+		healthy, err := d.signature(Fault{}, probes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "healthy=%s\n", healthy)
+		for _, e := range Elements(m) {
+			for _, cross := range []bool{false, true} {
+				plan := StuckAt(e, cross)
+				sig, err := d.signature(plan.Faults[0], probes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inj, err := New(net, plan, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := d.observe(inj); got != sig {
+					t.Fatalf("m=%d %v: injector signature %q, reference override %q", m, plan.Faults[0], got, sig)
+				}
+				rejections += strings.Count(sig, "E:")
+				fmt.Fprintf(h, "%v %v=%s\n", plan.Faults[0].Kind, e, sig)
+			}
+		}
+		sum := h.Sum64()
+		t.Logf("m=%d stuck-at signature hash %#x (%d rejected passes)", m, sum, rejections)
+		if sum != golden[m] {
+			t.Errorf("m=%d: stuck-at signature hash %#x, golden %#x", m, sum, golden[m])
 		}
 	}
 }

@@ -592,19 +592,31 @@ func (inj *Injector) classify(err error, transientOnly bool, cycle int64) error 
 
 // overrideFor builds the core.Override applying every live stuck element.
 func (inj *Injector) overrideFor(live []Fault) core.Override {
-	return func(mainStage, column, switchBase int, controls []bool, _ []core.Word) {
+	return func(mainStage, column, switchBase int, controls []uint64, words []core.Word) {
 		for _, f := range live {
-			if f.Kind != StuckStraight && f.Kind != StuckCross {
-				continue
-			}
-			e := f.Elem
-			if e.MainStage != mainStage || e.Column != column {
-				continue
-			}
-			if x := e.Switch - switchBase; x >= 0 && x < len(controls) {
-				controls[x] = f.Kind == StuckCross
+			if f.Kind == StuckStraight || f.Kind == StuckCross {
+				f.stick(mainStage, column, switchBase, controls, words)
 			}
 		}
+	}
+}
+
+// stick forces the stuck element's switch state when the Override call
+// covers it: the call spans the len(words)/2 switches from switchBase of
+// one column, with switch switchBase+x at bit x of controls.
+func (f Fault) stick(mainStage, column, switchBase int, controls []uint64, words []core.Word) {
+	e := f.Elem
+	if e.MainStage != mainStage || e.Column != column {
+		return
+	}
+	x := e.Switch - switchBase
+	if x < 0 || x >= len(words)/2 {
+		return
+	}
+	if f.Kind == StuckCross {
+		controls[x>>6] |= 1 << uint(x&63)
+	} else {
+		controls[x>>6] &^= 1 << uint(x&63)
 	}
 }
 

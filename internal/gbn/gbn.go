@@ -134,21 +134,24 @@ func (t Topology) FirstLine(b Box) int {
 	return b.Index * t.BoxSize(b.Stage)
 }
 
-// InPlaceRouter provides the behaviour of the switching boxes for RunInPlace:
-// RouteBox permutes the lines of one switching box in place. Implementations
-// must not grow or shrink the slice.
-type InPlaceRouter[T any] interface {
-	RouteBox(box Box, lines []T) error
+// StageRouter provides the behaviour of the switching boxes for RunInPlace:
+// RouteStage permutes, in place, the lines of every box of one stage — box
+// l of stage i holds lines[l·BoxSize(i) : (l+1)·BoxSize(i)] — so a router
+// can evaluate a whole column in one call. On failure it reports the index
+// of the box that failed, which RunInPlace names in the error.
+// Implementations must not grow or shrink the slice.
+type StageRouter[T any] interface {
+	RouteStage(stage int, lines []T) (failedBox int, err error)
 }
 
-// RunInPlace pushes cur through every stage of the topology: at each stage
-// the vector is partitioned into consecutive box-sized blocks, each block is
-// routed in place by r, and the stage outputs are rewired to the next stage
-// through the unshuffle connection, using tmp (same length) as the rewiring
-// buffer. The final network output is left in cur; tmp's contents are
-// unspecified afterwards. Neither slice is allocated or retained, so callers
-// can recycle both across routes — this is the engine hot path.
-func RunInPlace[T any](t Topology, cur, tmp []T, r InPlaceRouter[T]) error {
+// RunInPlace pushes cur through every stage of the topology: each stage's
+// boxes are routed in place by r, and the stage outputs are rewired to the
+// next stage through the unshuffle connection, using tmp (same length) as
+// the rewiring buffer. The final network output is left in cur; tmp's
+// contents are unspecified afterwards. Neither slice is allocated or
+// retained, so callers can recycle both across routes — this is the engine
+// hot path.
+func RunInPlace[T any](t Topology, cur, tmp []T, r StageRouter[T]) error {
 	n := t.Inputs()
 	if len(cur) != n {
 		return fmt.Errorf("gbn: got %d inputs, want %d", len(cur), n)
@@ -157,26 +160,37 @@ func RunInPlace[T any](t Topology, cur, tmp []T, r InPlaceRouter[T]) error {
 		return fmt.Errorf("gbn: rewire buffer length %d, want %d", len(tmp), n)
 	}
 	a, b := cur, tmp[:n]
-	for i := 0; i < t.Stages(); i++ {
-		size := t.BoxSize(i)
-		for l := 0; l < t.BoxesInStage(i); l++ {
-			lo := l * size
-			if err := r.RouteBox(Box{Stage: i, Index: l}, a[lo:lo+size]); err != nil {
-				return fmt.Errorf("gbn: stage %d box %d: %w", i, l, err)
-			}
+	for i := 0; i < t.m; i++ {
+		if box, err := r.RouteStage(i, a); err != nil {
+			return fmt.Errorf("gbn: stage %d box %d: %w", i, box, err)
 		}
-		if i == t.Stages()-1 {
+		if i == t.m-1 {
 			break
 		}
-		for j := 0; j < n; j++ {
-			b[t.InterStage(i, j)] = a[j]
-		}
+		unshuffle(b, a, t.m-i)
 		a, b = b, a
 	}
 	if &a[0] != &cur[0] {
 		copy(cur, a)
 	}
 	return nil
+}
+
+// unshuffle applies the connection that follows a stage of 2^k-line boxes,
+// the 2^k-unshuffle U_k of every box-sized block: even outputs fill the
+// block's upper half and odd outputs its lower half, in order, so
+// dst[InterStage(i, j)] = src[j].
+func unshuffle[T any](dst, src []T, k int) {
+	half := 1 << uint(k-1)
+	for base := 0; base+2*half <= len(src); base += 2 * half {
+		blk := src[base : base+2*half : base+2*half]
+		out := dst[base : base+2*half : base+2*half]
+		lo, hi := out[:half:half], out[half:]
+		for c := range lo {
+			pair := blk[2*c : 2*c+2 : 2*c+2]
+			lo[c], hi[c] = pair[0], pair[1]
+		}
+	}
 }
 
 // SwitchCount returns the number of 2x2 switches in one one-bit slice of the

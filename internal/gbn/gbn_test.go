@@ -154,12 +154,23 @@ func TestEvenOddSplit(t *testing.T) {
 // identityRouter routes every box straight through.
 type identityRouter[T any] struct{}
 
-func (identityRouter[T]) RouteBox(Box, []T) error { return nil }
+func (identityRouter[T]) RouteStage(int, []T) (int, error) { return 0, nil }
 
-// boxFunc adapts a function to InPlaceRouter.
-type boxFunc func(box Box, lines []int) error
+// boxFunc adapts a per-box function to StageRouter.
+type boxFunc struct {
+	top Topology
+	f   func(box Box, lines []int) error
+}
 
-func (f boxFunc) RouteBox(box Box, lines []int) error { return f(box, lines) }
+func (r boxFunc) RouteStage(stage int, lines []int) (int, error) {
+	size := r.top.BoxSize(stage)
+	for l := 0; l*size < len(lines); l++ {
+		if err := r.f(Box{Stage: stage, Index: l}, lines[l*size:(l+1)*size]); err != nil {
+			return l, err
+		}
+	}
+	return 0, nil
+}
 
 // lineLabels returns the vector 0, 1, ..., n-1.
 func lineLabels(n int) []int {
@@ -240,7 +251,7 @@ func TestRunValidation(t *testing.T) {
 		t.Error("RunInPlace accepted a short rewire buffer")
 	}
 	boom := errors.New("boom")
-	failing := boxFunc(func(b Box, lines []int) error {
+	failing := boxFunc{top, func(b Box, lines []int) error {
 		if len(lines) != top.BoxSize(b.Stage) {
 			t.Errorf("box %+v got %d lines, want %d", b, len(lines), top.BoxSize(b.Stage))
 		}
@@ -248,7 +259,7 @@ func TestRunValidation(t *testing.T) {
 			return boom
 		}
 		return nil
-	})
+	}}
 	err = RunInPlace[int](top, make([]int, 8), make([]int, 8), failing)
 	if !errors.Is(err, boom) {
 		t.Fatalf("RunInPlace returned %v, want the box error", err)

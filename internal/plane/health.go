@@ -62,7 +62,7 @@ func (s *Supervisor) sweep(dst, src []core.Word) {
 			// Opportunistic idle probe: skip planes carrying live traffic —
 			// their routes are verified inline anyway.
 			if p.inflight.Load() == 0 {
-				if err := s.tracedProbePass(p, dst, src); err != nil {
+				if err := s.tracedProbePass(p, p.get(), dst, src); err != nil {
 					s.fail(p, err)
 				}
 			}
@@ -102,20 +102,27 @@ func (s *Supervisor) diagnose(p *planeState) {
 // After rebuildAfter consecutive failed passes the plane is rebuilt from
 // its constructor — the repair for faults that do not heal on their own —
 // and probed again on the next sweep. First admissions (from Admitting)
-// do not count as readmits: the plane was never in service.
+// do not count as readmits: the plane was never in service. A pass whose
+// router SwapPlane replaced while it ran is stale: its failure belongs to
+// the router that is gone, so it neither counts toward the rebuild nor
+// overwrites the new router.
 func (s *Supervisor) tryReadmit(p *planeState, dst, src []core.Word, from State) {
 	begin := time.Now()
-	if err := s.tracedProbePass(p, dst, src); err != nil {
+	box := p.router.Load()
+	if err := s.tracedProbePass(p, box.r, dst, src); err != nil {
+		if p.router.Load() != box {
+			return
+		}
 		e := err
 		p.lastErr.Store(&e)
-		p.failedProbes++
-		if s.rebuild != nil && p.failedProbes >= s.rebuildAfter {
-			if r, rerr := s.rebuild(p.id); rerr == nil && r != nil && r.Inputs() == s.n {
-				p.router.Store(&routerBox{r: r})
+		failed := p.failedProbes.Add(1)
+		if s.rebuild != nil && int(failed) >= s.rebuildAfter {
+			if r, rerr := s.rebuild(p.id); rerr == nil && r != nil && r.Inputs() == s.n &&
+				p.router.CompareAndSwap(box, &routerBox{r: r}) {
 				p.repairs.Add(1)
 				s.repairs.Add(1)
 				s.m.AddRepair()
-				p.failedProbes = 0
+				p.failedProbes.Store(0)
 			}
 		}
 		return
@@ -142,7 +149,7 @@ func (s *Supervisor) tryReadmit(p *planeState, dst, src []core.Word, from State)
 	if !p.state.CompareAndSwap(int32(from), int32(Healthy)) {
 		return // now Draining or Detached: membership owns this plane
 	}
-	p.failedProbes = 0
+	p.failedProbes.Store(0)
 	if p.slow.Load() {
 		// Forget the degraded latency history: a readmitted plane restarts
 		// its EWMA cold, so stale slowness cannot re-trip the detector.
@@ -158,23 +165,19 @@ func (s *Supervisor) tryReadmit(p *planeState, dst, src []core.Word, from State)
 	s.publishGauges()
 }
 
-// tracedProbePass wraps one probe pass in a KindProbe span, so probe traffic
+// tracedProbePass routes the full probe set through the plane's router r
+// and verifies every delivery, wrapped in a KindProbe span so probe traffic
 // shows up in the trace ring alongside the live requests it protects.
-func (s *Supervisor) tracedProbePass(p *planeState, dst, src []core.Word) error {
+func (s *Supervisor) tracedProbePass(p *planeState, r Router, dst, src []core.Word) error {
 	sp := s.tracer.Start(trace.KindProbe, time.Now(), s.n)
 	sp.SetPlane(p.id)
-	err := s.probePass(p, dst, src)
+	err := s.probeRouter(r, p.id, dst, src)
 	s.tracer.Finish(sp, err)
 	return err
 }
 
-// probePass routes the full probe set through the plane and verifies every
-// delivery; the first failing probe aborts the pass.
-func (s *Supervisor) probePass(p *planeState, dst, src []core.Word) error {
-	return s.probeRouter(p.get(), p.id, dst, src)
-}
-
-// probeRouter is probePass against an arbitrary router — SwapPlane uses it
+// probeRouter routes the probe set through an arbitrary router and verifies
+// every delivery; the first failing probe aborts the pass. SwapPlane uses it
 // to verify a replacement offline, before the router serves anything.
 func (s *Supervisor) probeRouter(r Router, id int, dst, src []core.Word) error {
 	for pi, probe := range s.probes {

@@ -158,7 +158,7 @@ func (s *Supervisor) SwapPlane(ctx context.Context, id int, r Router) error {
 	p.router.Store(&routerBox{r: r})
 	// The replacement passed a full probe pass moments ago; any readmit
 	// probation belonged to the old router.
-	p.failedProbes = 0
+	p.failedProbes.Store(0)
 	p.state.Store(int32(Healthy))
 	s.publishGauges()
 	if drainErr != nil {

@@ -329,3 +329,82 @@ func TestDeterministicMidSwapSchedule(t *testing.T) {
 		t.Fatalf("request admitted before the swap completed served %d times by the new router, want 1", got)
 	}
 }
+
+// TestDeterministicSwapReadmitSchedule interleaves SwapPlane's reset of the
+// readmission probation with a readmission pass of the health checker, the
+// two writers of failedProbes, in both orders. The swap parks at the
+// swapYield point (drained, replacement not yet installed) and the
+// quarantined plane's old router parks inside its first probe:
+//
+//   - inside: a whole failed readmission pass lands while the swap is
+//     parked; the swap then resets the probation and installs the
+//     replacement;
+//   - straddling: the readmission pass starts on the old router, the swap
+//     completes, and only then does the stale pass fail. Its failure belongs
+//     to the router that is gone: it must neither count against the
+//     replacement nor let the rebuild overwrite it.
+//
+// Either way the plane ends Healthy on the replacement with no probation.
+// Run under -race, the schedule also pins that the two writes are ordered.
+func TestDeterministicSwapReadmitSchedule(t *testing.T) {
+	const n = 8
+	for _, straddle := range []bool{false, true} {
+		t.Run(map[bool]string{false: "inside", true: "straddling"}[straddle], func(t *testing.T) {
+			old := &funcRouter{n: n, fn: func(dst, src []core.Word) error {
+				check.Yield()
+				return misdeliver(dst, src)
+			}}
+			var rebuilds atomic.Int64
+			s, err := New(Config{
+				Planes:         []Router{old, good(n)},
+				HealthInterval: time.Hour,
+				RebuildAfter:   1,
+				Rebuild: func(int) (Router, error) {
+					rebuilds.Add(1)
+					return good(n), nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stopHealth(s)
+			swapYield = check.Yield
+			defer func() { swapYield = nil }()
+			p := s.plane(0)
+			p.state.Store(int32(Quarantined))
+
+			replacement := good(n)
+			swap := check.GoNamed("swap", func(func()) {
+				if err := s.SwapPlane(context.Background(), 0, replacement); err != nil {
+					t.Errorf("SwapPlane: %v", err)
+				}
+			})
+			readmit := check.GoNamed("readmit", func(func()) {
+				dst := make([]core.Word, n)
+				src := make([]core.Word, n)
+				s.tryReadmit(p, dst, src, Quarantined)
+			})
+			swap.Step() // drained and parked; the old router is still installed
+			if straddle {
+				readmit.Step() // probing the old router
+				swap.Finish()
+				readmit.Finish()
+				if got := rebuilds.Load(); got != 0 {
+					t.Errorf("stale readmission pass rebuilt the plane %d time(s)", got)
+				}
+			} else {
+				readmit.Finish()
+				swap.Finish()
+			}
+			if got := State(p.state.Load()); got != Healthy {
+				t.Errorf("plane 0 state = %v, want healthy", got)
+			}
+			if p.get() != Router(replacement) {
+				t.Error("plane 0 does not run the swapped-in router")
+			}
+			if got := p.failedProbes.Load(); got != 0 {
+				t.Errorf("failedProbes = %d after the swap, want 0", got)
+			}
+		})
+	}
+}

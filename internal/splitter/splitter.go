@@ -15,6 +15,7 @@ package splitter
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/arbiter"
 )
@@ -60,29 +61,12 @@ func (s *Splitter) CriticalPath() int { return s.tree.CriticalPath() }
 // bits must hold exactly 2^p values in {0,1}. An even number of 1s is the
 // splitter's operating precondition for p >= 2 (guaranteed whenever the
 // enclosing network carries a permutation); Controls enforces it so that
-// contract violations surface at the point of failure.
+// contract violations surface at the point of failure. Controls is the
+// scalar reference; ColumnControls is the word-parallel column the routing
+// kernel runs.
 func (s *Splitter) Controls(bits []uint8) ([]bool, error) {
-	controls := make([]bool, s.Switches())
-	if err := s.ControlsInto(controls, bits, make([]uint8, arbiter.WorkSize(s.p))); err != nil {
-		return nil, err
-	}
-	return controls, nil
-}
-
-// WorkSize returns the scratch length ControlsInto requires for sp(p).
-func WorkSize(p int) int { return arbiter.WorkSize(p) }
-
-// ControlsInto computes the same switch settings as Controls without
-// allocating: controls receives one setting per 2x2 switch (len 2^{p-1}) and
-// work supplies the arbiter's level storage (len >= WorkSize(p)). bits must
-// not alias work. This is the routing hot path; callers recycle controls and
-// work across routes.
-func (s *Splitter) ControlsInto(controls []bool, bits, work []uint8) error {
 	if len(bits) != s.Inputs() {
-		return fmt.Errorf("splitter: got %d inputs, want %d", len(bits), s.Inputs())
-	}
-	if len(controls) != s.Switches() {
-		return fmt.Errorf("splitter: got %d control slots, want %d", len(controls), s.Switches())
+		return nil, fmt.Errorf("splitter: got %d inputs, want %d", len(bits), s.Inputs())
 	}
 	if s.p >= 2 {
 		ones := 0
@@ -90,22 +74,147 @@ func (s *Splitter) ControlsInto(controls []bool, bits, work []uint8) error {
 			ones += int(b)
 		}
 		if ones%2 != 0 {
-			return fmt.Errorf("splitter: sp(%d) requires an even number of 1-bits, got %d", s.p, ones)
+			return nil, oddError(s.p, ones)
 		}
-	} else {
+	} else if bits[0]^bits[1] != 1 {
 		// Definition 3 for p = 1: one input 0 and the other 1.
-		if bits[0]^bits[1] != 1 {
-			return fmt.Errorf("splitter: sp(1) requires one 0 and one 1 input, got %d,%d", bits[0], bits[1])
-		}
+		return nil, pairError(bits[0], bits[1])
 	}
-	flags, err := s.tree.FlagsInto(bits, work)
+	flags, err := s.tree.Flags(bits)
 	if err != nil {
-		return fmt.Errorf("splitter: %w", err)
+		return nil, fmt.Errorf("splitter: %w", err)
 	}
+	controls := make([]bool, s.Switches())
 	for t := range controls {
 		controls[t] = bits[2*t]^flags[2*t] == 1
 	}
-	return nil
+	return controls, nil
+}
+
+func oddError(p, ones int) error {
+	return fmt.Errorf("splitter: sp(%d) requires an even number of 1-bits, got %d", p, ones)
+}
+
+func pairError(a, b uint8) error {
+	return fmt.Errorf("splitter: sp(1) requires one 0 and one 1 input, got %d,%d", a, b)
+}
+
+// evenLines marks the upper input of every 2x2 switch in a bitset word.
+const evenLines = 0x5555555555555555
+
+// WorkWords returns the scratch ColumnControls needs for a column of the
+// given number of lines.
+func WorkWords(lines int) int {
+	words := (lines + 63) / 64
+	return words + arbiter.WorkWords(words)
+}
+
+// ColumnControls runs a whole column of sp(p) splitters at once. The
+// column's n lines (n a multiple of 2^p) carry the bit slice x — bit j of
+// x[j>>6] is the bit on line j, and box l holds lines l·2^p to (l+1)·2^p-1
+// — and ctl receives the exchange bit of every 2x2 switch, bit t of
+// ctl[t>>6] for the switch of lines 2t and 2t+1; bits of ctl at and past
+// n/2 are cleared. Every box is checked as Controls checks one — for
+// p >= 2 from the parities the arbiter's up pass leaves at its roots: if
+// any box breaks its precondition, ColumnControls returns the index of the
+// first such box and the error Controls returns for it, and ctl is
+// unspecified. Otherwise the controls equal Controls on every box: the
+// word-parallel arbiter's flag XOR the upper input bit for p >= 2, and the
+// upper input bit itself for the wiring-only sp(1). Bits of x past line n
+// must be zero; work must hold WorkWords(n) words.
+func (s *Splitter) ColumnControls(ctl, x, work []uint64, n int) (int, error) {
+	x = x[:(n+63)/64]
+	cx := work[:len(x)] // the upper-input bit XOR its flag, at the even lines
+	if s.p >= 2 {
+		if odd := s.tree.FlagWords(cx, x, work[len(x):]); odd >= 0 {
+			return odd, oddError(s.p, s.ones(x, odd))
+		}
+		for w, xw := range x {
+			cx[w] ^= xw
+		}
+	} else {
+		// sp(1) takes its upper input bit raw; each pair must differ.
+		for w, xw := range x {
+			pairs := uint64(evenLines)
+			if n < 64 {
+				pairs &= 1<<uint(n) - 1
+			}
+			if bad := pairs &^ (xw ^ xw>>1); bad != 0 {
+				j := uint(bits.TrailingZeros64(bad))
+				return (w<<6 | int(j)) / 2, pairError(uint8(xw>>j&1), uint8(xw>>(j+1)&1))
+			}
+		}
+		copy(cx, x)
+	}
+	if n <= 64 {
+		ctl[0] = evenBits(cx[0]) & (1<<uint(n/2) - 1)
+		return -1, nil
+	}
+	for c := range ctl[:len(x)/2] {
+		ctl[c] = evenBits(cx[2*c]) | evenBits(cx[2*c+1])<<32
+	}
+	return -1, nil
+}
+
+// ones counts the 1-bits of box l of the column.
+func (s *Splitter) ones(x []uint64, l int) int {
+	size := s.Inputs()
+	if size < 64 {
+		return bits.OnesCount64(x[l*size>>6] >> uint(l*size&63) & (1<<uint(size) - 1))
+	}
+	count := 0
+	for _, xw := range x[l*size>>6 : (l+1)*size>>6] {
+		count += bits.OnesCount64(xw)
+	}
+	return count
+}
+
+// evenBits packs the even-numbered bits of x into the low 32 bits, in
+// order: bit 2t of x becomes bit t.
+func evenBits(x uint64) uint64 {
+	x &= evenLines
+	x = (x | x>>1) & 0x3333333333333333
+	x = (x | x>>2) & 0x0F0F0F0F0F0F0F0F
+	x = (x | x>>4) & 0x00FF00FF00FF00FF
+	x = (x | x>>8) & 0x0000FFFF0000FFFF
+	return (x | x>>16) & 0x00000000FFFFFFFF
+}
+
+// spreadBits is the inverse of evenBits: bit t of the low 32 bits of c
+// becomes bit 2t.
+func spreadBits(c uint64) uint64 {
+	c &= 0x00000000FFFFFFFF
+	c = (c | c<<16) & 0x0000FFFF0000FFFF
+	c = (c | c<<8) & 0x00FF00FF00FF00FF
+	c = (c | c<<4) & 0x0F0F0F0F0F0F0F0F
+	c = (c | c<<2) & 0x3333333333333333
+	return (c | c<<1) & evenLines
+}
+
+// Exchange drives a switch column with packed controls, as ColumnControls
+// produces them: lines 2t and 2t+1 are exchanged for every set bit t of
+// ctl. Only the exchanged pairs are touched. len(lines) must cover every
+// set bit.
+func Exchange[T any](ctl []uint64, lines []T) {
+	for c, word := range ctl {
+		for word != 0 {
+			t := c<<6 | bits.TrailingZeros64(word)
+			pair := lines[2*t : 2*t+2 : 2*t+2]
+			pair[0], pair[1] = pair[1], pair[0]
+			word &= word - 1
+		}
+	}
+}
+
+// ExchangeBits drives the same switch column on a one-bit slice held as a
+// bitset (bit j of x[j>>6] on line j): a delta swap per word exchanges the
+// two bits of every switch whose control is set.
+func ExchangeBits(ctl, x []uint64) {
+	for w := range x {
+		e := spreadBits(ctl[w>>1] >> uint(32*(w&1)))
+		d := (x[w] ^ x[w]>>1) & e
+		x[w] ^= d | d<<1
+	}
 }
 
 // RouteBits routes the input bit vector through the splitter and returns the

@@ -1,6 +1,8 @@
 package splitter
 
 import (
+	"bytes"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -295,6 +297,178 @@ func BenchmarkRouteBits256(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := s.RouteBits(in); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// columnOf runs ColumnControls over boxes of sp(p) laid side by side and
+// unpacks the controls.
+func columnOf(s *Splitter, in []uint8) ([]bool, int, error) {
+	n := len(in)
+	x := make([]uint64, (n+63)/64)
+	for j, b := range in {
+		x[j>>6] |= uint64(b) << uint(j&63)
+	}
+	ctl := make([]uint64, (n/2+63)/64)
+	box, err := s.ColumnControls(ctl, x, make([]uint64, WorkWords(n)), n)
+	if err != nil {
+		return nil, box, err
+	}
+	out := make([]bool, n/2)
+	for t := range out {
+		out[t] = ctl[t>>6]>>uint(t&63)&1 == 1
+	}
+	for t := n / 2; t < len(ctl)*64; t++ {
+		if ctl[t>>6]>>uint(t&63)&1 == 1 {
+			return nil, -1, fmt.Errorf("control bit %d set past the %d switches", t, n/2)
+		}
+	}
+	return out, box, nil
+}
+
+// TestColumnControlsExhaustive proves the word-parallel column equals the
+// scalar splitter on every input of sp(p) for p <= 4: the same controls on
+// every valid input, and on every invalid one the same error text.
+func TestColumnControlsExhaustive(t *testing.T) {
+	for p := 1; p <= 4; p++ {
+		s, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := s.Inputs()
+		in := make([]uint8, n)
+		for v := 0; v < 1<<uint(n); v++ {
+			for j := range in {
+				in[j] = uint8(v >> uint(j) & 1)
+			}
+			want, wantErr := s.Controls(in)
+			got, box, err := columnOf(s, in)
+			if wantErr != nil {
+				if err == nil || err.Error() != wantErr.Error() || box != 0 {
+					t.Fatalf("sp(%d) input %v: column returned box %d, %v; Controls rejects with %v", p, in, box, err, wantErr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("sp(%d) input %v: column rejected valid input: %v", p, in, err)
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("sp(%d) input %v: column control %d = %v, Controls says %v", p, in, k, got[k], want[k])
+				}
+			}
+		}
+	}
+}
+
+// TestColumnControlsRandom checks seeded random even-parity columns of
+// sp(p) for p = 1..13 — up to 16 boxes of up to 8192 lines, so the
+// arbiter's word-parity recursion runs twice — against Controls box by box,
+// then plants one invalid box and requires the column to reject exactly it
+// with Controls' error.
+func TestColumnControlsRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for p := 1; p <= 13; p++ {
+		s, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := s.Inputs()
+		for _, boxes := range []int{1, 3, 16} {
+			if size*boxes > 1<<14 {
+				continue
+			}
+			for trial := 0; trial < 4; trial++ {
+				in := make([]uint8, size*boxes)
+				for l := 0; l < boxes; l++ {
+					box := in[l*size : (l+1)*size]
+					if p == 1 {
+						box[rng.Intn(2)] = 1
+						continue
+					}
+					for j := range box {
+						box[j] = uint8(rng.Intn(2))
+					}
+					if ones := bytes.Count(box, []byte{1}); ones%2 != 0 {
+						box[rng.Intn(size)] ^= 1
+					}
+				}
+				// Odd box counts leave a ragged tail of lines; pad to the
+				// next power of two with valid boxes so n stays a power of
+				// two, as it is in the network.
+				for len(in)&(len(in)-1) != 0 {
+					pad := make([]uint8, size)
+					if p == 1 {
+						pad[1] = 1
+					}
+					in = append(in, pad...)
+				}
+				got, _, err := columnOf(s, in)
+				if err != nil {
+					t.Fatalf("sp(%d) x%d: column rejected valid input: %v", p, len(in)/size, err)
+				}
+				for l := 0; l < len(in)/size; l++ {
+					want, err := s.Controls(in[l*size : (l+1)*size])
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k, w := range want {
+						if got[l*size/2+k] != w {
+							t.Fatalf("sp(%d) box %d trial %d: control %d = %v, Controls says %v", p, l, trial, k, got[l*size/2+k], w)
+						}
+					}
+				}
+				bad := rng.Intn(len(in) / size)
+				in[bad*size+rng.Intn(size)] ^= 1
+				if p == 1 {
+					in[bad*size] = in[bad*size+1]
+				}
+				_, wantErr := s.Controls(in[bad*size : (bad+1)*size])
+				if _, box, err := columnOf(s, in); err == nil || box != bad || err.Error() != wantErr.Error() {
+					t.Fatalf("sp(%d) with box %d broken: column returned box %d, %v; Controls rejects with %v", p, bad, box, err, wantErr)
+				}
+			}
+		}
+	}
+}
+
+// TestExchangeMatchesApplyInPlace drives words and a bit slice through the
+// packed-control switch column and compares both with ApplyInPlace.
+func TestExchangeMatchesApplyInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{2, 8, 64, 128, 512} {
+		controls := make([]bool, n/2)
+		ctl := make([]uint64, (n/2+63)/64)
+		for k := range controls {
+			controls[k] = rng.Intn(2) == 1
+			if controls[k] {
+				ctl[k>>6] |= 1 << uint(k&63)
+			}
+		}
+		lines := make([]int, n)
+		slice := make([]uint8, n)
+		x := make([]uint64, (n+63)/64)
+		for j := range lines {
+			lines[j] = j
+			slice[j] = uint8(rng.Intn(2))
+			x[j>>6] |= uint64(slice[j]) << uint(j&63)
+		}
+		want := append([]int(nil), lines...)
+		if err := ApplyInPlace(controls, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := ApplyInPlace(controls, slice); err != nil {
+			t.Fatal(err)
+		}
+		Exchange(ctl, lines)
+		ExchangeBits(ctl, x)
+		for j := range lines {
+			if lines[j] != want[j] {
+				t.Fatalf("n=%d: Exchange line %d = %d, ApplyInPlace %d", n, j, lines[j], want[j])
+			}
+			if got := uint8(x[j>>6] >> uint(j&63) & 1); got != slice[j] {
+				t.Fatalf("n=%d: ExchangeBits line %d = %d, ApplyInPlace %d", n, j, got, slice[j])
+			}
 		}
 	}
 }

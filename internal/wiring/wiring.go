@@ -122,6 +122,63 @@ func checkUnshuffleArgs(i, k, m int) {
 	}
 }
 
+// unshuffleSteps are the delta swaps of the in-word unshuffle: step s
+// exchanges the bit groups that the mask selects with the groups 2^s
+// positions above them. Applying steps 0..k-2 unshuffles every aligned
+// 2^k-bit block of a word (Hacker's Delight §7-2).
+var unshuffleSteps = [5]uint64{
+	0x2222222222222222,
+	0x0C0C0C0C0C0C0C0C,
+	0x00F000F000F000F0,
+	0x0000FF000000FF00,
+	0x00000000FFFF0000,
+}
+
+// UnshuffleBits applies the 2^k-unshuffle U_k to every aligned 2^k-line
+// block of a one-bit slice held as a bitset: bit j of src (bit j&63 of
+// src[j>>6]) moves to bit Unshuffle(j, k, m) of dst, so each block's even
+// lines land in its lower half and its odd lines in its upper half. Blocks
+// of up to 64 lines are permuted inside their word by k-1 delta swaps;
+// wider blocks unshuffle every word and then interleave the words' halves.
+// len(dst) must be at least len(src), and the two must not overlap. Lines
+// past the end of a partial word stay zero only if they are zero in src.
+func UnshuffleBits(dst, src []uint64, k int) {
+	steps := k - 1
+	if steps > len(unshuffleSteps) {
+		steps = len(unshuffleSteps)
+	}
+	if k <= 6 {
+		for w, x := range src {
+			for s := 0; s < steps; s++ {
+				t := (x ^ x>>(1<<uint(s))) & unshuffleSteps[s]
+				x ^= t ^ t<<(1<<uint(s))
+			}
+			dst[w] = x
+		}
+		return
+	}
+	// Each 2^k-line block spans W = 2^(k-6) words. After the in-word
+	// unshuffle, word 2a of a block holds the even lines of its 64 in the
+	// low half and the odd lines in the high half; output word a gathers
+	// the even halves of input words 2a and 2a+1, output word W/2+a their
+	// odd halves.
+	half := 1 << uint(k-7)
+	for base := 0; base < len(src); base += 2 * half {
+		for a := 0; a < half; a++ {
+			lo, hi := src[base+2*a], src[base+2*a+1]
+			for s := 0; s < steps; s++ {
+				sh := uint(1) << uint(s)
+				t := (lo ^ lo>>sh) & unshuffleSteps[s]
+				lo ^= t ^ t<<sh
+				t = (hi ^ hi>>sh) & unshuffleSteps[s]
+				hi ^= t ^ t<<sh
+			}
+			dst[base+a] = lo&0xFFFFFFFF | hi<<32
+			dst[base+half+a] = lo>>32 | hi&^0xFFFFFFFF
+		}
+	}
+}
+
 // Pattern is an explicit inter-stage connection pattern: Map[j] gives the
 // stage-(i+1) input line that stage-i output line j drives. A Pattern is a
 // bijection on [0, len(Map)).

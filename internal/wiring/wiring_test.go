@@ -395,3 +395,31 @@ func TestShuffleUnshuffleAreMutualInversesAsPatterns(t *testing.T) {
 		}
 	}
 }
+
+// TestUnshuffleBitsMatchesUnshuffle checks the bitset unshuffle line by
+// line against Unshuffle for every block order up to 9 (blocks of one
+// partial word, of whole words and spanning several words) over seeded
+// random slices.
+func TestUnshuffleBitsMatchesUnshuffle(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for m := 1; m <= 9; m++ {
+		n := 1 << uint(m)
+		words := (n + 63) / 64
+		for k := 1; k <= m; k++ {
+			for trial := 0; trial < 20; trial++ {
+				src := make([]uint64, words)
+				for j := 0; j < n; j++ {
+					src[j>>6] |= uint64(rng.Intn(2)) << uint(j&63)
+				}
+				dst := make([]uint64, words)
+				UnshuffleBits(dst, src, k)
+				for j := 0; j < n; j++ {
+					to := Unshuffle(j, k, m)
+					if got, want := dst[to>>6]>>uint(to&63)&1, src[j>>6]>>uint(j&63)&1; got != want {
+						t.Fatalf("m=%d k=%d: line %d -> %d carries %d, want %d", m, k, j, to, got, want)
+					}
+				}
+			}
+		}
+	}
+}
