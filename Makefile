@@ -9,8 +9,9 @@ all: build vet test
 # Full pre-merge gate: vet (plus staticcheck when installed), the
 # race-detector suite, a 32-bit cross-compile (pins int-width bugs like the
 # rotor truncation) and a 32-bit run of the packages whose word-parallel
-# kernel is shift-and-mask code (amd64 hosts run 386 test binaries
-# natively), the zero-allocation pin on the pooled routing hot path,
+# kernel is shift-and-mask code, plus gbn's side-by-side runner and fault's
+# rejection goldens (amd64 hosts run 386 test binaries natively), the
+# zero-allocation pin on the pooled routing hot path,
 # a short fuzz smoke of the fault-injected pooled path, the differential
 # verification battery up to m=4, and the benchmark module: perfbench is its
 # own Go module (replace repro => ../), so the root ./... never compiles it
@@ -19,7 +20,7 @@ check:
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 	GOARCH=386 $(GO) build ./...
-	GOARCH=386 $(GO) test ./internal/arbiter ./internal/splitter ./internal/core ./internal/wiring
+	GOARCH=386 $(GO) test ./internal/arbiter ./internal/splitter ./internal/core ./internal/wiring ./internal/gbn ./internal/fault
 	$(GO) test -race ./...
 	$(GO) test -run=TestRouteAllocs .
 	$(GO) test -run='^$$' -fuzz FuzzPooledPathUnderFault -fuzztime 10s .

@@ -89,6 +89,12 @@ func main() {
 	}
 }
 
+// readHeaderTimeout bounds how long the HTTP front waits for a request's
+// headers, so a client that never finishes them cannot hold a connection
+// and its goroutine forever. Real clients send a few hundred bytes of
+// headers at once.
+const readHeaderTimeout = 5 * time.Second
+
 type config struct {
 	family            string
 	m, shards, planes int
@@ -139,7 +145,7 @@ func newServer(cfg config) (*server, error) {
 	if cfg.debug {
 		mux.Handle("/debug/", bnbnet.DebugHandler(s.sink, s.tracer))
 	}
-	s.httpSrv = &http.Server{Handler: mux}
+	s.httpSrv = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 
 	if s.httpLn, err = net.Listen("tcp", cfg.httpAddr); err != nil {
 		c.Close()

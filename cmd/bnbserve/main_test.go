@@ -356,6 +356,33 @@ func TestLiveMembership(t *testing.T) {
 		routed.Load(), conflicts.Load())
 }
 
+// TestSlowHeadersDisconnected opens an HTTP connection, sends the start of
+// a request and never finishes its headers: the server must hang up once
+// readHeaderTimeout has passed instead of holding the connection forever.
+func TestSlowHeadersDisconnected(t *testing.T) {
+	t.Parallel()
+	s := startTestServer(t, config{m: 3, shards: 1})
+	start := time.Now() // before the server can start the header clock
+	conn, err := net.Dial("tcp", s.HTTPAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /v1/info HTTP/1.1\r\nHost: bnbserve\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := conn.Read(make([]byte, 1))
+	if err != io.EOF {
+		t.Fatalf("read %d bytes, %v after %v; want the server to close the connection", n, err, time.Since(start))
+	}
+	if elapsed := time.Since(start); elapsed < readHeaderTimeout {
+		t.Errorf("connection closed after %v, before the %v header timeout", elapsed, readHeaderTimeout)
+	}
+}
+
 func TestServerRejectsBadConfig(t *testing.T) {
 	if _, err := newServer(config{family: "nope", m: 3, shards: 2, httpAddr: "127.0.0.1:0"}); err == nil {
 		t.Fatal("newServer accepted an unknown family")

@@ -120,16 +120,16 @@ func (n *Network) Route(words []Word) ([]Word, error) {
 // it appears at the input of every main stage plus the final output
 // (Stages()+1 snapshots), for stage-by-stage inspection. The snapshots are
 // taken by the kernel's Override hook: column 0 of main stage i sees that
-// stage's whole input, box by box.
+// stage's whole input.
 func (n *Network) RouteTraced(words []Word) ([]Word, [][]Word, error) {
 	N := n.Inputs()
 	trace := make([][]Word, n.m+1)
 	for i := range trace {
 		trace[i] = make([]Word, N)
 	}
-	snapshot := func(mainStage, column, switchBase int, _ []uint64, box []Word) {
+	snapshot := func(mainStage, column int, _ []uint64, words []Word) {
 		if column == 0 {
-			copy(trace[mainStage][2*switchBase:], box)
+			copy(trace[mainStage], words)
 		}
 	}
 	out := make([]Word, N)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/perm"
 )
@@ -242,6 +243,99 @@ func TestRouteTraced(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOverrideOncePerColumn pins the shape of the kernel's hook: the
+// nested networks of a main stage are routed side by side, so a route makes
+// one Override call per (main stage, nested column) — m(m+1)/2 in all, in
+// Plan column order — and each call covers the whole column: N/2 switches
+// in columnWords(m) words with the bits past N/2 clear, and all N lines.
+func TestOverrideOncePerColumn(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for m := 1; m <= 9; m++ {
+		n, err := New(m, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		N := n.Inputs()
+		calls := 0
+		ov := func(mainStage, column int, controls []uint64, words []Word) {
+			if c := colIndex(m, mainStage, column); c != calls {
+				t.Fatalf("m=%d: call %d is for column %d (stage %d, column %d)", m, calls, c, mainStage, column)
+			}
+			calls++
+			if len(controls) != columnWords(m) || len(words) != N {
+				t.Fatalf("m=%d stage %d column %d: %d control words and %d lines, want %d and %d",
+					m, mainStage, column, len(controls), len(words), columnWords(m), N)
+			}
+			if N/2 < 64 && controls[0]>>uint(N/2) != 0 {
+				t.Fatalf("m=%d stage %d column %d: control bits set past switch %d", m, mainStage, column, N/2)
+			}
+		}
+		src := make([]Word, N)
+		for i, d := range perm.Random(N, rng) {
+			src[i] = Word{Addr: d}
+		}
+		dst := make([]Word, N)
+		if err := n.RouteIntoOverride(dst, src, ov); err != nil {
+			t.Fatal(err)
+		}
+		if !Delivered(dst) {
+			t.Fatalf("m=%d: misrouted under a pass-through override", m)
+		}
+		if calls != m*(m+1)/2 {
+			t.Errorf("m=%d: %d Override calls, want %d", m, calls, m*(m+1)/2)
+		}
+	}
+}
+
+// TestRejectionInLastNestedNetwork sticks the last switch of column 0 of
+// main stage 5 at m=7 in the cross state. That stage's 32 nested networks
+// have 4 lines each, so the switch belongs to the last of them, and
+// whenever it crosses a straight switch whose two bits differ, the sp(1)
+// column after it sees two equal bits. Of 100 seeded permutations the same 26 are rejected, each
+// with the text that routing the nested networks one at a time gave (both
+// recorded on that kernel). The routes run under a watchdog: a rejection
+// this far down the stage must not leave the pass looping.
+func TestRejectionInLastNestedNetwork(t *testing.T) {
+	const want = "bnb: gbn: stage 5 box 31: gbn: stage 1 box 0: splitter sp(1) on address bit 5: splitter: sp(1) requires one 0 and one 1 input, got 0,0"
+	rejected := []int{2, 4, 13, 16, 23, 24, 25, 28, 42, 43, 47, 51, 58, 59, 61, 64, 72, 74, 78, 84, 86, 90, 92, 93, 97, 98}
+	n, err := New(7, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stuck := func(mainStage, column int, controls []uint64, _ []Word) {
+		if mainStage == 5 && column == 0 {
+			controls[0] |= 1 << 63 // switch 63: lines 126 and 127
+		}
+	}
+	done := make(chan []int, 1)
+	go func() {
+		rng := rand.New(rand.NewSource(1))
+		src := make([]Word, n.Inputs())
+		dst := make([]Word, n.Inputs())
+		var got []int
+		for try := 0; try < 100; try++ {
+			for i, d := range perm.Random(n.Inputs(), rng) {
+				src[i] = Word{Addr: d, Data: uint64(i)}
+			}
+			if err := n.RouteIntoOverride(dst, src, stuck); err != nil {
+				got = append(got, try)
+				if err.Error() != want {
+					t.Errorf("permutation %d rejected with %q, want %q", try, err, want)
+				}
+			}
+		}
+		done <- got
+	}()
+	select {
+	case got := <-done:
+		if fmt.Sprint(got) != fmt.Sprint(rejected) {
+			t.Errorf("rejected permutations %v, want %v", got, rejected)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("routes under the fault did not return within 30s")
 	}
 }
 

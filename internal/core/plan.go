@@ -11,11 +11,10 @@ package core
 //
 // The Plan packs the switch decisions 64 per word and carries the wire map
 // so the hot path never walks the stages at all. Compile and ReplayWired
-// both run the one routing kernel through its Override hook, whose controls
-// already use the Plan's column layout: Compile copies each nested
-// network's controls into its column, and ReplayWired loads them back from
-// the bitsets, the slow reference that proves the wire map and the bitset
-// image agree.
+// both run the one routing kernel through its Override hook, whose
+// controls already are one whole column in the Plan's layout: Compile
+// copies each column into the plan, and ReplayWired loads it back — the
+// slow reference that proves the wire map and the bitset image agree.
 
 import (
 	"fmt"
@@ -33,11 +32,11 @@ type Plan struct {
 	m int
 	// p is the compiled permutation: input i exits on output p[i].
 	p perm.Perm
-	// cols[colIndex(m,i,j)] is the bitset of nested column j in main stage i;
-	// bit k is the exchange state of global switch k of that column
-	// (0 <= k < N/2), packed 64 per word. The columns share one backing
-	// array.
-	cols [][]uint64
+	// cols is the bitset image of every switch column, columnWords(m)
+	// words each, column colIndex(m,i,j) holding nested column j of main
+	// stage i: bit k is the exchange state of global switch k of that
+	// column (0 <= k < N/2), packed 64 per word.
+	cols []uint64
 	// wire is the end-to-end wire map: wire[j] is the input index whose word
 	// exits on output j (wire[p[i]] == i).
 	wire []int32
@@ -47,26 +46,15 @@ type Plan struct {
 // contributes m-i columns, so stage i starts at i*m - i*(i-1)/2.
 func colIndex(m, i, j int) int { return i*m - i*(i-1)/2 + j }
 
-// The Override hook hands over one nested network's n switches (a power of
-// two) starting at global switch base, a multiple of n: whole words when
-// n >= 64, otherwise n bits inside one word of the column.
+// columnWords returns the words one packed switch column of an order-m
+// network takes: its N/2 switches, 64 per word.
+func columnWords(m int) int { return (1<<uint(m)/2 + 63) / 64 }
 
-// storeControls copies a nested network's controls into its column.
-func storeControls(col []uint64, base, n int, controls []uint64) {
-	if n >= 64 {
-		copy(col[base>>6:], controls[:n>>6])
-		return
-	}
-	col[base>>6] |= controls[0] << uint(base&63)
-}
-
-// loadControls reads a nested network's controls back from its column.
-func loadControls(controls, col []uint64, base, n int) {
-	if n >= 64 {
-		copy(controls[:n>>6], col[base>>6:])
-		return
-	}
-	controls[0] = col[base>>6] >> uint(base&63) & (1<<uint(n) - 1)
+// column returns the bitset of nested column j of main stage i.
+func (pl *Plan) column(i, j int) []uint64 {
+	w := columnWords(pl.m)
+	c := colIndex(pl.m, i, j)
+	return pl.cols[c*w : (c+1)*w]
 }
 
 // M returns the order of the network the plan was compiled on.
@@ -92,7 +80,7 @@ func (pl *Plan) SwitchCount() int {
 // k (0 <= k < N/2) in nested column j of main stage i — the coordinate
 // system of the kernel's Override hook.
 func (pl *Plan) Control(i, j, k int) bool {
-	return pl.cols[colIndex(pl.m, i, j)][k>>6]&(1<<uint(k&63)) != 0
+	return pl.column(i, j)[k>>6]&(1<<uint(k&63)) != 0
 }
 
 // Compile runs the self-routing control plane once for the permutation and
@@ -107,26 +95,20 @@ func (n *Network) Compile(p perm.Perm) (*Plan, error) {
 	pl := &Plan{
 		m:    n.m,
 		p:    make(perm.Perm, N),
-		cols: make([][]uint64, n.m*(n.m+1)/2),
+		cols: make([]uint64, columnWords(n.m)*n.m*(n.m+1)/2),
 		wire: make([]int32, N),
 	}
 	copy(pl.p, p)
-	w := (N/2 + 63) / 64
-	backing := make([]uint64, w*len(pl.cols))
-	for c := range pl.cols {
-		pl.cols[c] = backing[c*w : (c+1)*w : (c+1)*w]
-	}
-	words := make([]Word, N)
+	sc := n.pool.Get().(*scratch)
+	defer n.release(sc)
 	for i, d := range p {
-		words[i] = Word{Addr: d, Data: uint64(i)}
+		sc.words[i] = Word{Addr: d, Data: uint64(i)}
 	}
-	record := func(mainStage, column, switchBase int, controls []uint64, lines []Word) {
-		storeControls(pl.cols[colIndex(n.m, mainStage, column)], switchBase, len(lines)/2, controls)
-	}
-	if err := n.routeInto(words, words, record); err != nil {
+	sc.cols = pl.cols
+	if err := n.route(sc, sc.words, sc.words, sc.record); err != nil {
 		return nil, err
 	}
-	for j, wd := range words {
+	for j, wd := range sc.words {
 		if wd.Addr != j {
 			return nil, fmt.Errorf("bnb: internal error: compile pass misdelivered %d to %d", wd.Addr, j)
 		}
@@ -190,8 +172,8 @@ func (n *Network) ReplayWired(pl *Plan, words []Word) ([]Word, error) {
 	if pl.m != n.m {
 		return nil, fmt.Errorf("bnb: plan compiled for order %d, network has order %d: %w", pl.m, n.m, neterr.ErrPlanMismatch)
 	}
-	load := func(mainStage, column, switchBase int, controls []uint64, lines []Word) {
-		loadControls(controls, pl.cols[colIndex(n.m, mainStage, column)], switchBase, len(lines)/2)
+	load := func(mainStage, column int, controls []uint64, _ []Word) {
+		copy(controls, pl.column(mainStage, column))
 	}
 	out := make([]Word, n.Inputs())
 	if err := n.routeInto(out, words, load); err != nil {

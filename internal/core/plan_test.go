@@ -172,7 +172,12 @@ func TestReplayWiredReadsEveryBit(t *testing.T) {
 			if err != nil {
 				t.Fatalf("m=%d Compile(%v): %v", m, p, err)
 			}
-			for c, col := range pl.cols {
+			w := columnWords(m)
+			if len(pl.cols) != w*m*(m+1)/2 {
+				t.Fatalf("m=%d: plan stores %d words, want %d columns of %d", m, len(pl.cols), m*(m+1)/2, w)
+			}
+			for c := 0; c < m*(m+1)/2; c++ {
+				col := pl.cols[c*w : (c+1)*w]
 				for k := 0; k < N/2; k++ {
 					col[k>>6] ^= 1 << uint(k&63)
 					out, err := n.ReplayWired(pl, src)

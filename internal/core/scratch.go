@@ -10,17 +10,17 @@ import (
 )
 
 // scratch bundles every per-route buffer of the pooled hot path: the main
-// network's rewire buffer, one shared rewire buffer for the nested networks
-// (the nested networks of a stage are routed serially, so they can share),
-// the BSN slice of the nested network being routed as a bitset plus its
-// unshuffle buffer, the packed controls of the column being routed, the
-// arbiter's scratch, and the destination-validation bitmap. A scratch
-// belongs to exactly one Network (the routers point back at it) and is
-// recycled through the Network's sync.Pool, so steady-state RouteInto calls
-// allocate nothing.
+// network's rewire buffer, the nested networks' rewire buffer, the BSN
+// slice of the main stage being routed as a bitset plus its unshuffle
+// buffer, the packed controls of the column being routed, the splitter
+// column's scratch, the destination-validation bitmap, and Compile's word
+// vector and recorder. A scratch belongs to exactly one Network (the
+// routers point back at it) and is recycled through the Network's
+// sync.Pool, so steady-state RouteInto calls allocate nothing.
 type scratch struct {
 	next  []Word   // main-network inter-stage rewire buffer
 	sub   []Word   // nested-network inter-stage rewire buffer
+	words []Word   // Compile's word vector
 	slice []uint64 // BSN slice: address bit i of every line, one bit per line
 	spare []uint64 // the slice's unshuffle buffer
 	ctl   []uint64 // packed switch controls of the column being routed
@@ -28,6 +28,11 @@ type scratch struct {
 	seen  []uint64 // destination-validation bitmap
 	ov    Override
 	main  mainRouter
+	// cols is the switch-column image of the plan being compiled, and
+	// record the recorder writing it, bound to this scratch once so that
+	// Compile creates no closure.
+	cols   []uint64
+	record Override
 }
 
 func newScratch(n *Network) *scratch {
@@ -36,76 +41,96 @@ func newScratch(n *Network) *scratch {
 	sc := &scratch{
 		next:  make([]Word, N),
 		sub:   make([]Word, N),
+		words: make([]Word, N),
 		slice: make([]uint64, words),
 		spare: make([]uint64, words),
-		ctl:   make([]uint64, (N/2+63)/64),
+		ctl:   make([]uint64, columnWords(n.m)),
 		work:  make([]uint64, splitter.WorkWords(N)),
 		seen:  make([]uint64, words),
 	}
 	sc.main = mainRouter{n: n, sc: sc, nested: nestedRouter{n: n, sc: sc}}
+	sc.record = sc.recordColumn
 	return sc
 }
 
-// mainRouter routes one main-GBN stage: each box is a whole nested network,
-// routed in place by the nested GBN.
+// recordColumn is Compile's recorder: it copies every column's controls
+// into the plan's image.
+func (sc *scratch) recordColumn(mainStage, column int, controls []uint64, _ []Word) {
+	copy(sc.cols[colIndex(sc.main.n.m, mainStage, column)*len(controls):], controls)
+}
+
+// mainRouter routes one main-GBN stage, whose boxes are the stage's 2^i
+// nested networks: all of them in one pass, side by side, as copies of one
+// nested GBN.
 type mainRouter struct {
 	n      *Network
 	sc     *scratch
 	nested nestedRouter
 }
 
-// RouteStage implements gbn.StageRouter. Before a nested network runs, it
-// gathers the network's BSN slice — address bit `stage` of every line —
-// into a bitset, which the nested router then carries through the switch
-// columns and unshuffles alongside the words.
+// RouteStage implements gbn.StageRouter. It gathers the stage's BSN slice
+// — address bit `stage` of every line — into a bitset, which the nested
+// router then carries through the switch columns and unshuffles alongside
+// the words, and runs the nested GBN over all N lines, so each nested
+// column is one pass over the whole vector. A rejection names the same
+// nested network, column and box as routing the networks one at a time:
+// the lowest-numbered failing network, at its first failing column.
 func (r *mainRouter) RouteStage(stage int, lines []Word) (int, error) {
 	nt := r.n.nested[stage]
-	size := nt.Inputs()
 	shift := uint(r.n.m - 1 - stage)
 	nr := &r.nested
 	nr.stage, nr.order = stage, nt.M()
-	for l := 0; l*size < len(lines); l++ {
-		box := lines[l*size : (l+1)*size]
-		nr.mainIndex = l
-		nr.slice, nr.spare = r.sc.slice[:(size+63)/64], r.sc.spare[:(size+63)/64]
-		clear(nr.slice)
-		for j, wd := range box {
-			nr.slice[j>>6] |= uint64(wd.Addr>>shift&1) << uint(j&63)
-		}
-		if err := gbn.RunInPlace[Word](nt, box, r.sc.sub[:size], nr); err != nil {
-			return l, err
-		}
+	nr.slice, nr.spare = r.sc.slice, r.sc.spare
+	nr.failed, nr.err = len(lines)/nt.Inputs(), nil
+	clear(nr.slice)
+	for j, wd := range lines {
+		nr.slice[j>>6] |= uint64(wd.Addr>>shift&1) << uint(j&63)
 	}
-	return 0, nil
+	err := gbn.RunInPlace[Word](nt, lines, r.sc.sub, nr)
+	if nr.err != nil {
+		return nr.failed, nr.err
+	}
+	return 0, err
 }
 
-// nestedRouter routes one switch column of the nested network set up by
-// the main router: the column's splitters read the BSN slice, and their
-// controls move both the whole words and the slice.
+// nestedRouter routes one switch column of every nested network of the
+// main stage set up by the main router: the column's splitters read the BSN
+// slice, and their controls move both the whole words and the slice.
 type nestedRouter struct {
 	n            *Network
 	sc           *scratch
-	stage, order int      // main stage i and the nested network's order m-i
-	mainIndex    int      // the nested network's box index in main stage i
-	slice, spare []uint64 // BSN slice of the nested network and its buffer
+	stage, order int      // main stage i and the nested networks' order m-i
+	slice, spare []uint64 // BSN slice of the main stage and its buffer
+	// failed is the lowest-numbered nested network a splitter has rejected
+	// so far (the stage's network count while none has), and err that
+	// network's rejection at its first failing column.
+	failed int
+	err    error
 }
 
 // RouteStage implements gbn.StageRouter for nested column `column`.
 func (r *nestedRouter) RouteStage(column int, lines []Word) (int, error) {
 	p := r.order - column
-	ctl := r.sc.ctl[:(len(lines)/2+63)/64]
-	if box, err := r.n.sps[p].ColumnControls(ctl, r.slice, r.sc.work, len(lines)); err != nil {
-		return box, fmt.Errorf("splitter sp(%d) on address bit %d: %w", p, r.stage, err)
+	if box, err := r.n.sps[p].ColumnControls(r.sc.ctl, r.slice, r.sc.work, len(lines)); err != nil {
+		// Column j of a nested network holds 2^j boxes. The networks below
+		// the rejected one still get their controls, so the pass goes on,
+		// and a lower network failing at a later column takes over. The
+		// text is the one the runner gave each network routed alone.
+		if l := box >> uint(column); l < r.failed {
+			r.failed = l
+			r.err = fmt.Errorf("gbn: stage %d box %d: splitter sp(%d) on address bit %d: %w",
+				column, box&(1<<uint(column)-1), p, r.stage, err)
+		}
 	}
 	if r.sc.ov != nil {
-		r.sc.ov(r.stage, column, r.mainIndex*len(lines)/2, ctl, lines)
+		r.sc.ov(r.stage, column, r.sc.ctl, lines)
 	}
-	splitter.Exchange(ctl, lines)
+	splitter.Exchange(r.sc.ctl, lines)
 	if p > 1 {
 		// The slice follows the words through the switches and through the
 		// unshuffle the runner applies after this column; after the last
 		// column nothing reads it.
-		splitter.ExchangeBits(ctl, r.slice)
+		splitter.ExchangeBits(r.sc.ctl, r.slice)
 		wiring.UnshuffleBits(r.spare, r.slice, p)
 		r.slice, r.spare = r.spare, r.slice
 	}
@@ -113,24 +138,25 @@ func (r *nestedRouter) RouteStage(column int, lines []Word) (int, error) {
 }
 
 // Override is the kernel's one per-column hook. It is called once per
-// nested column of every nested network, after the column's splitters
-// compute their controls and before the words move, with the column's
-// address in the Plan.Control coordinate system: mainStage is the main-GBN
-// stage i, column the nested-stage index j within it, and the nested
-// network's len(words)/2 switches are global switches switchBase to
-// switchBase+len(words)/2-1 of that column (0 <= switchBase < N/2).
-// controls is their exchange bits in the Plan's column layout: bit t of
-// controls[t>>6] is global switch switchBase+t, and the bits at and past
-// len(words)/2 are zero and must stay zero. words holds the nested
-// network's lines as they enter the switch column, starting at global line
-// 2*switchBase; at column 0 the nested networks of main stage i together
-// see that stage's whole input. Setting or clearing bits of controls
+// (main stage, nested column) — m(m+1)/2 times per route — after the
+// column's splitters compute their controls and before the words move:
+// mainStage is the main-GBN stage i and column the nested-stage index j
+// within it, the coordinates of Plan.Control. The nested networks of a main
+// stage are routed side by side, so one call covers the column in all of
+// them: controls holds the exchange bits of the column's N/2 switches in
+// the Plan's column layout — bit k of controls[k>>6] is switch k, joining
+// lines 2k and 2k+1 — with the bits at and past N/2 zero, and words holds
+// the N lines as they enter the column; at column 0 that is the main
+// stage's whole input. Setting or clearing bits of controls below N/2
 // changes how the words move; the self-routing control plane is not re-run,
 // exactly like a hardware fault that corrupts a switch state after
-// arbitration. The hook serves fault injection, Compile's recorder,
+// arbitration. When a splitter rejects its input the pass still finishes
+// the main stage, so that the route can name the lowest-numbered failing
+// nested network; the controls of a network from its rejection on are
+// meaningless. The hook serves fault injection, Compile's recorder,
 // ReplayWired's plan loader and RouteTraced's stage snapshots; it must not
 // retain controls or words, nor modify words.
-type Override func(mainStage, column, switchBase int, controls []uint64, words []Word)
+type Override func(mainStage, column int, controls []uint64, words []Word)
 
 // RouteIntoOverride behaves like RouteInto with the override hook installed
 // for the duration of the route. Input validation is unchanged — the offered
@@ -165,11 +191,22 @@ func (n *Network) routeInto(dst, src []Word, ov Override) error {
 		return fmt.Errorf("bnb: got %d output slots, want %d: %w", len(dst), N, neterr.ErrBadSize)
 	}
 	sc := n.pool.Get().(*scratch)
+	defer n.release(sc)
+	return n.route(sc, dst, src, ov)
+}
+
+// release clears what a route left in sc for its caller and returns sc to
+// the pool.
+func (n *Network) release(sc *scratch) {
+	sc.ov, sc.cols = nil, nil
+	n.pool.Put(sc)
+}
+
+// route runs the kernel on the scratch sc with the hook ov installed; dst
+// and src have length N.
+func (n *Network) route(sc *scratch, dst, src []Word, ov Override) error {
+	N := n.Inputs()
 	sc.ov = ov
-	defer func() {
-		sc.ov = nil
-		n.pool.Put(sc)
-	}()
 	clear(sc.seen)
 	for i, wd := range src {
 		if wd.Addr < 0 || wd.Addr >= N {

@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -204,6 +205,74 @@ func TestStuckAtSignatureGolden(t *testing.T) {
 		t.Logf("m=%d stuck-at signature hash %#x (%d rejected passes)", m, sum, rejections)
 		if sum != golden[m] {
 			t.Errorf("m=%d: stuck-at signature hash %#x, golden %#x", m, sum, golden[m])
+		}
+	}
+}
+
+// TestMultiStuckRejectionGolden pins which rejection a route reports when
+// several stuck-at elements are live at once: for m = 3..7, 3,000 seeded
+// random permutations per order are each routed through an Injector
+// carrying 1-3 random StuckStraight/StuckCross elements, and each route's
+// delivered addresses — or its rejection text, canonicalized as errChunk
+// canonicalizes it — are folded into one FNV-1a hash per order. Several
+// faults can make several nested networks of one main stage reject; the
+// route must name the lowest-numbered of them, at that network's first
+// failing column, as routing the nested networks one at a time does. The
+// golden values were recorded on the kernel that routed the nested
+// networks of a main stage one at a time, before it routed them side by
+// side.
+func TestMultiStuckRejectionGolden(t *testing.T) {
+	golden := map[int]uint64{
+		3: 0x08fdb90e220c39fd,
+		4: 0x7b16a533f8be56bf,
+		5: 0xa3dc9e54748ad22f,
+		6: 0xb87710ed33facb0c,
+		7: 0xf5a62f2b68eced4b,
+	}
+	const routes = 3000
+	for m := 3; m <= 7; m++ {
+		net, err := core.New(m, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := net.Inputs()
+		rng := rand.New(rand.NewSource(int64(m)))
+		src := make([]core.Word, n)
+		dst := make([]core.Word, n)
+		h := fnv.New64a()
+		rejections := 0
+		for r := 0; r < routes; r++ {
+			for i, d := range perm.Random(n, rng) {
+				src[i] = core.Word{Addr: d, Data: uint64(i)}
+			}
+			plan := &Plan{}
+			for f := 1 + rng.Intn(3); f > 0; f-- {
+				i := rng.Intn(m)
+				e := Element{MainStage: i, Column: rng.Intn(m - i), Switch: rng.Intn(n / 2)}
+				kind := StuckStraight
+				if rng.Intn(2) == 1 {
+					kind = StuckCross
+				}
+				plan.Faults = append(plan.Faults, Fault{Kind: kind, Elem: e})
+			}
+			inj, err := New(net, plan, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := inj.RouteInto(dst, src); err != nil {
+				rejections++
+				fmt.Fprint(h, errChunk(err))
+				continue
+			}
+			for _, wd := range dst {
+				fmt.Fprintf(h, "%d,", wd.Addr)
+			}
+			fmt.Fprint(h, ";")
+		}
+		sum := h.Sum64()
+		t.Logf("m=%d multi-fault route hash %#x (%d of %d routes rejected)", m, sum, rejections, routes)
+		if sum != golden[m] {
+			t.Errorf("m=%d: multi-fault route hash %#x, golden %#x", m, sum, golden[m])
 		}
 	}
 }

@@ -90,9 +90,10 @@ func (k Kind) String() string {
 }
 
 // Element addresses one 2x2 switching element of a BNB network in the
-// coordinate system of core.Override and Plan.Control: MainStage is the main-GBN stage i, Column the
-// nested-stage index j within it (0 <= j < m-i), and Switch the global
-// switch index k within that column (0 <= k < N/2).
+// coordinate system of core.Override and Plan.Control: MainStage is the
+// main-GBN stage i, Column the nested-stage index j within it
+// (0 <= j < m-i), and Switch the global switch index k within that column
+// (0 <= k < N/2), bit k of the column's controls.
 type Element struct {
 	MainStage int
 	Column    int
@@ -592,31 +593,27 @@ func (inj *Injector) classify(err error, transientOnly bool, cycle int64) error 
 
 // overrideFor builds the core.Override applying every live stuck element.
 func (inj *Injector) overrideFor(live []Fault) core.Override {
-	return func(mainStage, column, switchBase int, controls []uint64, words []core.Word) {
+	return func(mainStage, column int, controls []uint64, words []core.Word) {
 		for _, f := range live {
 			if f.Kind == StuckStraight || f.Kind == StuckCross {
-				f.stick(mainStage, column, switchBase, controls, words)
+				f.stick(mainStage, column, controls, words)
 			}
 		}
 	}
 }
 
-// stick forces the stuck element's switch state when the Override call
-// covers it: the call spans the len(words)/2 switches from switchBase of
-// one column, with switch switchBase+x at bit x of controls.
-func (f Fault) stick(mainStage, column, switchBase int, controls []uint64, words []core.Word) {
+// stick forces the stuck element's switch state when the Override call is
+// for its column. Each call covers a whole column — all N/2 switches, the
+// element's at bit Switch of controls — so no other check is needed.
+func (f Fault) stick(mainStage, column int, controls []uint64, _ []core.Word) {
 	e := f.Elem
 	if e.MainStage != mainStage || e.Column != column {
 		return
 	}
-	x := e.Switch - switchBase
-	if x < 0 || x >= len(words)/2 {
-		return
-	}
 	if f.Kind == StuckCross {
-		controls[x>>6] |= 1 << uint(x&63)
+		controls[e.Switch>>6] |= 1 << uint(e.Switch&63)
 	} else {
-		controls[x>>6] &^= 1 << uint(x&63)
+		controls[e.Switch>>6] &^= 1 << uint(e.Switch&63)
 	}
 }
 

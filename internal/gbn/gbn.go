@@ -136,25 +136,30 @@ func (t Topology) FirstLine(b Box) int {
 
 // StageRouter provides the behaviour of the switching boxes for RunInPlace:
 // RouteStage permutes, in place, the lines of every box of one stage — box
-// l of stage i holds lines[l·BoxSize(i) : (l+1)·BoxSize(i)] — so a router
-// can evaluate a whole column in one call. On failure it reports the index
-// of the box that failed, which RunInPlace names in the error.
-// Implementations must not grow or shrink the slice.
+// l of stage i holds lines[l·BoxSize(i) : (l+1)·BoxSize(i)], counting the
+// boxes of side-by-side copies in line order — so a router can evaluate a
+// whole column in one call. On failure it reports the index of the box
+// that failed, which RunInPlace names in the error. Implementations must
+// not grow or shrink the slice.
 type StageRouter[T any] interface {
 	RouteStage(stage int, lines []T) (failedBox int, err error)
 }
 
 // RunInPlace pushes cur through every stage of the topology: each stage's
 // boxes are routed in place by r, and the stage outputs are rewired to the
-// next stage through the unshuffle connection, using tmp (same length) as
-// the rewiring buffer. The final network output is left in cur; tmp's
-// contents are unspecified afterwards. Neither slice is allocated or
-// retained, so callers can recycle both across routes — this is the engine
-// hot path.
+// next stage through the unshuffle connection, using tmp (at least as long)
+// as the rewiring buffer. cur may hold several copies of the network side
+// by side — len(cur) any positive multiple of Inputs() — and each copy is
+// then routed exactly as it would be alone: the unshuffle of a stage of
+// 2^k-line boxes rewires each 2^k-line block within itself, so copies never
+// exchange lines, and each call to r covers that stage in every copy. The
+// final output is left in cur; tmp's contents are unspecified afterwards.
+// Neither slice is allocated or retained, so callers can recycle both
+// across routes — this is the engine hot path.
 func RunInPlace[T any](t Topology, cur, tmp []T, r StageRouter[T]) error {
-	n := t.Inputs()
-	if len(cur) != n {
-		return fmt.Errorf("gbn: got %d inputs, want %d", len(cur), n)
+	n := len(cur)
+	if n == 0 || n%t.Inputs() != 0 {
+		return fmt.Errorf("gbn: got %d inputs, want a positive multiple of %d", n, t.Inputs())
 	}
 	if len(tmp) < n {
 		return fmt.Errorf("gbn: rewire buffer length %d, want %d", len(tmp), n)

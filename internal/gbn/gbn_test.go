@@ -2,6 +2,7 @@ package gbn
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -236,19 +237,25 @@ func TestRunBaselineWiringIsBitReversal(t *testing.T) {
 	}
 }
 
-// TestRunValidation covers every refusal of RunInPlace: a wrong input
-// length, a short rewire buffer, and a box error, which must come back
+// TestRunValidation covers every refusal of RunInPlace: an input length
+// that is not a positive multiple of Inputs() (side-by-side copies must be
+// whole), a short rewire buffer, and a box error, which must come back
 // wrapped with the failing box's stage and index.
 func TestRunValidation(t *testing.T) {
 	top, err := New(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RunInPlace[int](top, make([]int, 7), make([]int, 8), identityRouter[int]{}); err == nil {
-		t.Error("RunInPlace accepted wrong input length")
+	for _, n := range []int{0, 7, 12, 20} {
+		if err := RunInPlace[int](top, make([]int, n), make([]int, 32), identityRouter[int]{}); err == nil {
+			t.Errorf("RunInPlace accepted %d inputs on an 8-input network", n)
+		}
 	}
 	if err := RunInPlace[int](top, make([]int, 8), make([]int, 7), identityRouter[int]{}); err == nil {
 		t.Error("RunInPlace accepted a short rewire buffer")
+	}
+	if err := RunInPlace[int](top, make([]int, 16), make([]int, 8), identityRouter[int]{}); err == nil {
+		t.Error("RunInPlace accepted a rewire buffer shorter than two copies")
 	}
 	boom := errors.New("boom")
 	failing := boxFunc{top, func(b Box, lines []int) error {
@@ -266,6 +273,69 @@ func TestRunValidation(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "stage 1 box 1") {
 		t.Errorf("box error %q lacks its stage 1 box 1 context", err)
+	}
+}
+
+// rotateRouter rotates every box of a stage by an amount drawn from its
+// first line's label, so the output depends on every stage and rewire; a
+// label listed in fail makes its box fail.
+type rotateRouter struct {
+	top  Topology
+	fail map[int]bool
+}
+
+func (r rotateRouter) RouteStage(stage int, lines []int) (int, error) {
+	size := r.top.BoxSize(stage)
+	for l := 0; l*size < len(lines); l++ {
+		box := lines[l*size : (l+1)*size]
+		if r.fail[box[0]] {
+			return l, fmt.Errorf("label %d", box[0])
+		}
+		k := (box[0]*7 + stage) % size
+		rot := append(append([]int(nil), box[k:]...), box[:k]...)
+		copy(box, rot)
+	}
+	return 0, nil
+}
+
+// TestRunSideBySideCopies routes several copies of a network side by side
+// and requires each copy's output to equal a run of that copy alone, and a
+// failing box to be named by its index across the copies.
+func TestRunSideBySideCopies(t *testing.T) {
+	for m := 1; m <= 6; m++ {
+		top, err := New(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := top.Inputs()
+		for _, copies := range []int{1, 2, 3, 8} {
+			r := rotateRouter{top: top}
+			all := lineLabels(copies * n)
+			if err := RunInPlace[int](top, all, make([]int, copies*n), r); err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c < copies; c++ {
+				alone := lineLabels(copies * n)[c*n : (c+1)*n]
+				if err := RunInPlace[int](top, alone, make([]int, n), r); err != nil {
+					t.Fatal(err)
+				}
+				for j, v := range alone {
+					if all[c*n+j] != v {
+						t.Fatalf("m=%d %d copies: copy %d line %d = %d side by side, %d alone", m, copies, c, j, all[c*n+j], v)
+					}
+				}
+			}
+		}
+	}
+	// Four 8-line copies: stage 0 has one box per copy, and label 16 opens
+	// copy 2's, so the runner must name box 2.
+	top, err := New(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = RunInPlace[int](top, lineLabels(32), make([]int, 32), rotateRouter{top: top, fail: map[int]bool{16: true}})
+	if err == nil || err.Error() != "gbn: stage 0 box 2: label 16" {
+		t.Fatalf("failing copy reported as %v, want stage 0 box 2", err)
 	}
 }
 

@@ -117,17 +117,22 @@ func WorkWords(lines int) int {
 // n/2 are cleared. Every box is checked as Controls checks one — for
 // p >= 2 from the parities the arbiter's up pass leaves at its roots: if
 // any box breaks its precondition, ColumnControls returns the index of the
-// first such box and the error Controls returns for it, and ctl is
-// unspecified. Otherwise the controls equal Controls on every box: the
-// word-parallel arbiter's flag XOR the upper input bit for p >= 2, and the
-// upper input bit itself for the wiring-only sp(1). Bits of x past line n
-// must be zero; work must hold WorkWords(n) words.
+// first such box and the error Controls returns for it, and -1 and nil
+// otherwise. Either way every box that meets its precondition gets in ctl
+// what Controls returns for it — the word-parallel arbiter's flag XOR the
+// upper input bit for p >= 2, and the upper input bit itself for the
+// wiring-only sp(1) — so a caller routing independent groups of boxes side
+// by side can carry on with the groups a rejection does not touch; a
+// failing box's own controls are whatever the gates compute. Bits of x
+// past line n must be zero; n must be at most 64 or a multiple of 64, and
+// work must hold WorkWords(n) words.
 func (s *Splitter) ColumnControls(ctl, x, work []uint64, n int) (int, error) {
 	x = x[:(n+63)/64]
 	cx := work[:len(x)] // the upper-input bit XOR its flag, at the even lines
+	failed, err := -1, error(nil)
 	if s.p >= 2 {
 		if odd := s.tree.FlagWords(cx, x, work[len(x):]); odd >= 0 {
-			return odd, oddError(s.p, s.ones(x, odd))
+			failed, err = odd, oddError(s.p, s.ones(x, odd))
 		}
 		for w, xw := range x {
 			cx[w] ^= xw
@@ -139,21 +144,21 @@ func (s *Splitter) ColumnControls(ctl, x, work []uint64, n int) (int, error) {
 			if n < 64 {
 				pairs &= 1<<uint(n) - 1
 			}
-			if bad := pairs &^ (xw ^ xw>>1); bad != 0 {
+			if bad := pairs &^ (xw ^ xw>>1); bad != 0 && err == nil {
 				j := uint(bits.TrailingZeros64(bad))
-				return (w<<6 | int(j)) / 2, pairError(uint8(xw>>j&1), uint8(xw>>(j+1)&1))
+				failed, err = (w<<6|int(j))/2, pairError(uint8(xw>>j&1), uint8(xw>>(j+1)&1))
 			}
 		}
 		copy(cx, x)
 	}
 	if n <= 64 {
 		ctl[0] = evenBits(cx[0]) & (1<<uint(n/2) - 1)
-		return -1, nil
+		return failed, err
 	}
 	for c := range ctl[:len(x)/2] {
 		ctl[c] = evenBits(cx[2*c]) | evenBits(cx[2*c+1])<<32
 	}
-	return -1, nil
+	return failed, err
 }
 
 // ones counts the 1-bits of box l of the column.
