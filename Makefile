@@ -9,8 +9,9 @@ all: build vet test
 # Full pre-merge gate: vet (plus staticcheck when installed), the
 # race-detector suite, a 32-bit cross-compile (pins int-width bugs like the
 # rotor truncation) and a 32-bit run of the packages whose word-parallel
-# kernel is shift-and-mask code, plus gbn's side-by-side runner and fault's
-# rejection goldens (amd64 hosts run 386 test binaries natively), the
+# kernel is shift-and-mask code, plus gbn's side-by-side runner, fault's
+# rejection goldens and the cluster's looping decomposition (XOR and shift
+# index math; amd64 hosts run 386 test binaries natively), the
 # zero-allocation pin on the pooled routing hot path,
 # a short fuzz smoke of the fault-injected pooled path, the differential
 # verification battery up to m=4, and the benchmark module: perfbench is its
@@ -20,7 +21,7 @@ check:
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 	GOARCH=386 $(GO) build ./...
-	GOARCH=386 $(GO) test ./internal/arbiter ./internal/splitter ./internal/core ./internal/wiring ./internal/gbn ./internal/fault
+	GOARCH=386 $(GO) test ./internal/arbiter ./internal/splitter ./internal/core ./internal/wiring ./internal/gbn ./internal/fault ./internal/cluster
 	$(GO) test -race ./...
 	$(GO) test -run=TestRouteAllocs .
 	$(GO) test -run='^$$' -fuzz FuzzPooledPathUnderFault -fuzztime 10s .
@@ -122,8 +123,8 @@ soak-tail:
 # nonzero — and the bnbserve membership test hammering the HTTP and TCP
 # fronts during shard churn.
 soak-cluster:
-	$(GO) test -race -run 'Cluster|Membership|Coloring|Decompose' ./...
-	$(GO) test -race -run 'TestLiveMembership|TestHTTPRoute|TestTCPRoute' ./cmd/bnbserve
+	$(GO) test -race -run 'Cluster|Membership|Coloring|Decompose|Looping|Konig' ./...
+	$(GO) test -race -run 'TestLiveMembership|TestHTTPRoute|TestTCPRoute|TestTCPWrongSizeFrame' ./cmd/bnbserve
 	$(GO) run -race ./cmd/fabricsim -net bnb -m 4 -cluster 4 -requests 2000
 
 clean:

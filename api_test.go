@@ -347,6 +347,34 @@ func TestRouteAllocs(t *testing.T) {
 	if allocs != 5 {
 		t.Errorf("Compile allocates %.1f objects per call, want 5", allocs)
 	}
+
+	// A cluster route of a repeated permutation allocates nothing once every
+	// shard plane has its local plan cached: the decomposition and both
+	// exchanges use the coordinator's pooled scratch, and each shard routes
+	// on this goroutine. The idle health checker stays quiet for the hour.
+	cl, err := NewCluster("bnb", 5, WithShards(4), WithHealthInterval(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	csrc := make([]Word, cl.Inputs())
+	for i, d := range RandomPerm(cl.Inputs(), rng) {
+		csrc[i] = Word{Addr: d, Data: uint64(i)}
+	}
+	cdst := make([]Word, cl.Inputs())
+	for rep := 0; rep < 4; rep++ { // compile on both planes of every shard
+		if err := cl.RouteInto(cdst, csrc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if err := cl.RouteInto(cdst, csrc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("cluster RouteInto of a cached permutation allocates %.1f objects per call, want 0", allocs)
+	}
 }
 
 // TestConcurrentEngineStress hammers one shared *BNB and one Engine from

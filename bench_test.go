@@ -10,6 +10,7 @@ package bnbnet
 //	BenchmarkRoute*          — routing throughput of all five networks
 //	BenchmarkBenesSelfRoute  — intro claim C2 (self-routing success rate)
 //	BenchmarkFabric*         — system-level throughput (figure-style series)
+//	BenchmarkClusterRoute    — a 4-shard cluster route, two callers
 //	BenchmarkFigures         — figure regeneration cost
 //
 // Absolute nanoseconds depend on the host; the reproduced artifacts are the
@@ -18,6 +19,8 @@ package bnbnet
 import (
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -200,6 +203,43 @@ func BenchmarkEngineThroughput(b *testing.B) {
 			})
 		})
 	}
+}
+
+// BenchmarkClusterRoute measures a 4-shard cluster of m=5 shards routing
+// distinct permutations from two goroutines, so nearly every shard route
+// compiles its local plan; one op is one cluster route, decomposition and
+// both exchanges included.
+func BenchmarkClusterRoute(b *testing.B) {
+	const callers = 2
+	c, err := NewCluster("bnb", 5, WithShards(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	n := c.Inputs()
+	rng := rand.New(rand.NewSource(1))
+	srcs := make([][]Word, 4096)
+	for i := range srcs {
+		srcs[i] = permWords(RandomPerm(n, rng))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst := make([]Word, n)
+			for i := next.Add(1) - 1; i < int64(b.N); i = next.Add(1) - 1 {
+				if err := c.RouteInto(dst, srcs[i%int64(len(srcs))]); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // BenchmarkRouteBatcher measures the Batcher baseline.

@@ -384,6 +384,20 @@ func TestClusterOptionRejections(t *testing.T) {
 	if _, err := NewCluster("bnb", 3, WithShards(0)); err == nil {
 		t.Fatal("NewCluster accepted WithShards(0)")
 	}
+	// The engine options configured only the shard engines a cluster no
+	// longer has.
+	for name, opt := range map[string]Option{
+		"WithWorkers":  WithWorkers(2),
+		"WithQueue":    WithQueue(8),
+		"WithBatch":    WithBatch(2),
+		"WithTimeout":  WithTimeout(time.Second),
+		"WithRetry":    WithRetry(2, time.Millisecond),
+		"WithShedding": WithShedding(),
+	} {
+		if _, err := NewCluster("bnb", 3, opt); err == nil {
+			t.Fatalf("NewCluster accepted %s", name)
+		}
+	}
 	if _, err := NewCluster("nope", 3); err == nil {
 		t.Fatal("NewCluster accepted an unknown family")
 	}
@@ -430,6 +444,89 @@ func TestClusterShardOptionsPropagate(t *testing.T) {
 		}
 		if len(sh.PlanCaches) != 3 {
 			t.Fatalf("shard %d has %d plan caches, want 3", sh.Index, len(sh.PlanCaches))
+		}
+	}
+}
+
+// TestClusterObservability pins the observability contract of inline
+// shards: every shard route is observed once into the shared sink and
+// recorded as one request span that never queued.
+func TestClusterObservability(t *testing.T) {
+	const shards = 4
+	sink := NewMetrics()
+	tr := NewTracer(256)
+	c, err := NewCluster("bnb", 3, WithShards(shards), WithMetrics(sink), WithTracer(tr), WithHealthInterval(time.Hour))
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	defer c.Close()
+	start := time.Now()
+	if _, err := c.RoutePerm(RandomPerm(c.Inputs(), rand.New(rand.NewSource(4)))); err != nil {
+		t.Fatalf("RoutePerm: %v", err)
+	}
+	if got := sink.Snapshot().Routes; got != shards {
+		t.Fatalf("one cluster route counted %d routes, want %d (one per shard)", got, shards)
+	}
+	var requests int
+	for _, sp := range tr.Snapshot(0) {
+		if sp.Kind != "request" || sp.Start.Before(start) {
+			continue
+		}
+		requests++
+		if sp.QueueWait != 0 || sp.Words != 8 || sp.Err != "" || sp.Attempts != 1 {
+			t.Fatalf("shard span = %+v, want an 8-word request with no queue wait served on its first plane", sp)
+		}
+	}
+	if requests != shards {
+		t.Fatalf("one cluster route left %d request spans, want %d", requests, shards)
+	}
+	if st := c.Stats(); st.Workers != 0 || st.Shards[0].InFlight != 0 {
+		t.Fatalf("idle cluster stats = %+v, want no workers and nothing in flight", st)
+	}
+}
+
+// TestClusterCancelledRoutesNoShard pins that RouteIntoCtx checks its
+// context before every shard: a cancelled route reaches none of them.
+func TestClusterCancelledRoutesNoShard(t *testing.T) {
+	sink := NewMetrics()
+	c, err := NewCluster("bnb", 3, WithShards(4), WithMetrics(sink), WithHealthInterval(time.Hour))
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	defer c.Close()
+	src := permWords(RandomPerm(c.Inputs(), rand.New(rand.NewSource(8))))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := c.RouteIntoCtx(ctx, make([]Word, c.Inputs()), src); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled RouteIntoCtx: got %v, want context.Canceled", err)
+	}
+	if snap := sink.Snapshot(); snap.Routes != 0 || snap.Errors != 0 {
+		t.Fatalf("cancelled route reached a shard: routes=%d errors=%d", snap.Routes, snap.Errors)
+	}
+	if c.InFlight() != 0 {
+		t.Fatalf("InFlight = %d after the cancelled route", c.InFlight())
+	}
+}
+
+// TestClusterSharesDiagnoser pins that the m <= 5 fault dictionary is
+// built once per cluster: every shard, including one AddShard builds,
+// holds the same diagnoser.
+func TestClusterSharesDiagnoser(t *testing.T) {
+	c, err := NewCluster("bnb", 3, WithShards(3))
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	defer c.Close()
+	if _, err := c.AddShard(context.Background()); err != nil {
+		t.Fatalf("AddShard: %v", err)
+	}
+	shards := c.fab.Load().shards
+	if len(shards) != 4 || shards[0].diag == nil {
+		t.Fatalf("want 4 shards with a diagnoser, got %d (diagnoser %p)", len(shards), shards[0].diag)
+	}
+	for i, sh := range shards {
+		if sh.diag != shards[0].diag {
+			t.Fatalf("shard %d has its own diagnoser", i)
 		}
 	}
 }

@@ -362,20 +362,27 @@ func (s *server) acceptTCP() {
 	}
 }
 
+// serveTCPConn serves one connection's frames in order. The frame, word
+// and response buffers live as long as the connection and are sized to the
+// fabric, so a route frame allocates nothing; a frame of any other length
+// is read in full into a discard sink and answered tcpBadSize, so it never
+// grows them.
 func (s *server) serveTCPConn(conn net.Conn) {
 	var opcode [1]byte
 	var u32 [4]byte
+	var info [9]byte
+	var raw, resp []byte
+	var src, out []bnbnet.Word
 	for {
 		if _, err := io.ReadFull(conn, opcode[:]); err != nil {
 			return // client hung up
 		}
 		switch opcode[0] {
 		case opInfo:
-			resp := make([]byte, 9)
-			resp[0] = tcpOK
-			binary.BigEndian.PutUint32(resp[1:5], uint32(s.cluster.Inputs()))
-			binary.BigEndian.PutUint32(resp[5:9], uint32(s.cluster.Shards()))
-			if _, err := conn.Write(resp); err != nil {
+			info[0] = tcpOK
+			binary.BigEndian.PutUint32(info[1:5], uint32(s.cluster.Inputs()))
+			binary.BigEndian.PutUint32(info[5:9], uint32(s.cluster.Shards()))
+			if _, err := conn.Write(info[:]); err != nil {
 				return
 			}
 		case opRoute:
@@ -387,22 +394,33 @@ func (s *server) serveTCPConn(conn net.Conn) {
 				conn.Write([]byte{tcpBadRequest})
 				return
 			}
-			raw := make([]byte, 4*n)
+			if int(n) != s.cluster.Inputs() {
+				if _, err := io.CopyN(io.Discard, conn, 4*int64(n)); err != nil {
+					return
+				}
+				if _, err := conn.Write([]byte{tcpBadSize}); err != nil {
+					return
+				}
+				continue
+			}
+			if len(src) != int(n) {
+				raw, resp = make([]byte, 4*n), make([]byte, 1+4*n)
+				src, out = make([]bnbnet.Word, n), make([]bnbnet.Word, n)
+			}
 			if _, err := io.ReadFull(conn, raw); err != nil {
 				return
 			}
-			p := make([]int, n)
-			for i := range p {
-				p[i] = int(binary.BigEndian.Uint32(raw[4*i:]))
+			for i := range src {
+				src[i] = bnbnet.Word{Addr: int(binary.BigEndian.Uint32(raw[4*i:])), Data: uint64(i)}
 			}
-			out, err := s.cluster.RoutePerm(p)
-			if err != nil {
+			// A membership change since the length check surfaces here as
+			// ErrBadSize, answered like any other stale-size frame.
+			if err := s.cluster.RouteInto(out, src); err != nil {
 				if _, werr := conn.Write([]byte{tcpErrStatus(err)}); werr != nil {
 					return
 				}
 				continue
 			}
-			resp := make([]byte, 1+4*len(out))
 			resp[0] = tcpOK
 			for j, word := range out {
 				binary.BigEndian.PutUint32(resp[1+4*j:], uint32(word.Data))

@@ -234,6 +234,34 @@ func TestTCPRoute(t *testing.T) {
 	}
 }
 
+// TestTCPWrongSizeFrame pins the stale-size path of the TCP front: a
+// route frame of another length than the fabric's is read in full and
+// answered tcpBadSize, and the connection (and its buffers, which stay
+// sized to the fabric) keeps serving right-sized frames afterwards.
+func TestTCPWrongSizeFrame(t *testing.T) {
+	s := startTestServer(t, config{m: 3, shards: 2, tcpAddr: "127.0.0.1:0"})
+	c := dialTCP(t, s.TCPAddr())
+	inputs, _, err := c.info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	for i, n := range []int{inputs / 2, inputs + 8, 4 * inputs} {
+		status, _, err := c.route(bnbnet.RandomPerm(n, rng))
+		if err != nil || status != tcpBadSize {
+			t.Fatalf("%d-port frame: status %d err %v, want %d", n, status, err, tcpBadSize)
+		}
+		p := bnbnet.RandomPerm(inputs, rng)
+		status, sources, err := c.route(p)
+		if err != nil || status != tcpOK {
+			t.Fatalf("route %d after a wrong-size frame: status %d err %v", i, status, err)
+		}
+		if err := checkDelivery(p, sources); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestLiveMembership is the serving acceptance: HTTP and TCP clients hammer
 // the fabric while shards are added and drained over the admin API. Every
 // accepted request must deliver word-for-word; stale-size conflicts are the

@@ -17,9 +17,9 @@
 // itself a permutation — stage A and C never collide and every shard
 // receives exactly one word per local port.
 //
-// The Coordinator owns the decomposition and the scatter-gather; shards
-// are asynchronous Submit/Wait routers (the supervised BNB stack at the
-// root package satisfies the interface via a one-line adapter).
+// The Coordinator owns the decomposition and both exchanges, and routes
+// every shard on the caller's goroutine: a shard is a synchronous router
+// (the root package's supervised planes satisfy the interface).
 package cluster
 
 import (
@@ -31,18 +31,12 @@ import (
 	"repro/internal/neterr"
 )
 
-// Pending is an in-flight shard routing request. *engine.Ticket satisfies
-// it structurally; tests use synchronous fakes.
-type Pending interface {
-	Wait() ([]core.Word, error)
-}
-
-// Shard is one routing backend serving L local ports. Submit enqueues the
-// local batch and returns a Pending that settles when dst is filled with
-// the routed words (dst[j] carries the word addressed to local port j).
+// Shard is one routing backend serving L local ports. RouteInto routes the
+// local batch on the caller's goroutine: on success dst[j] carries the
+// word addressed to local port j.
 type Shard interface {
 	Inputs() int
-	Submit(ctx context.Context, dst, src []core.Word) (Pending, error)
+	RouteInto(dst, src []core.Word) error
 }
 
 // Assignment is a compiled product decomposition of one global
@@ -68,11 +62,27 @@ type Assignment struct {
 // Inputs returns the aggregate port count S·L.
 func (a *Assignment) Inputs() int { return a.S * a.L }
 
+// newAssignment allocates an assignment of s shards by l ports in four
+// objects: the struct, P, one int32 slab behind Mid and every row, and one
+// header slab behind Local and Final.
+func newAssignment(s, l int) *Assignment {
+	n := s * l
+	slab := make([]int32, 3*n)
+	rows := make([][]int32, 2*s)
+	for g := 0; g < s; g++ {
+		rows[g] = slab[n+g*l : n+(g+1)*l]
+		rows[s+g] = slab[2*n+g*l : 2*n+(g+1)*l]
+	}
+	return &Assignment{S: s, L: l, P: make([]int, n), Mid: slab[:n], Local: rows[:s], Final: rows[s:]}
+}
+
 // scratch is the reusable per-route buffer set: one src and one dst slab
-// per shard plus the pending-ticket slice.
+// per shard, the live route's decomposition, and the matching stage's
+// working buffers.
 type scratch struct {
 	src, dst [][]core.Word
-	pend     []Pending
+	a        *Assignment
+	m        matcher
 }
 
 // Coordinator scatters global permutations over a fixed set of shards.
@@ -85,14 +95,15 @@ type Coordinator struct {
 }
 
 // New builds a Coordinator over the given shards. All shards must serve
-// the same number of local ports.
+// the same number of local ports, and that number must be a power of two
+// (every family serves 2^m ports), so port arithmetic is shift and mask.
 func New(shards []Shard) (*Coordinator, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("cluster: no shards")
 	}
 	l := shards[0].Inputs()
-	if l <= 0 {
-		return nil, fmt.Errorf("cluster: shard reports %d ports", l)
+	if l <= 0 || l&(l-1) != 0 {
+		return nil, fmt.Errorf("cluster: shard serves %d ports, want a power of two", l)
 	}
 	for i, sh := range shards {
 		if sh.Inputs() != l {
@@ -100,12 +111,17 @@ func New(shards []Shard) (*Coordinator, error) {
 		}
 	}
 	s := len(shards)
+	lbits := uint(0)
+	for 1<<lbits < l {
+		lbits++
+	}
 	c := &Coordinator{shards: append([]Shard(nil), shards...), s: s, l: l, n: s * l}
 	c.pool.New = func() any {
 		sc := &scratch{
-			src:  make([][]core.Word, s),
-			dst:  make([][]core.Word, s),
-			pend: make([]Pending, s),
+			src: make([][]core.Word, s),
+			dst: make([][]core.Word, s),
+			a:   newAssignment(s, l),
+			m:   newMatcher(s, l, lbits),
 		}
 		for g := 0; g < s; g++ {
 			sc.src[g] = make([]core.Word, l)
@@ -126,68 +142,60 @@ func (c *Coordinator) Shards() int { return c.s }
 func (c *Coordinator) ShardPorts() int { return c.l }
 
 // Decompose computes the product decomposition of the permutation p
-// (p[i] = destination of global port i): the intermediate-shard choice via
-// bipartite edge coloring plus the per-shard local permutations.
+// (p[i] = destination of global port i): the intermediate-shard choice
+// (see coloring.go) plus the per-shard local permutations. Only the
+// returned Assignment is allocated; the working buffers are pooled.
 func (c *Coordinator) Decompose(p []int) (*Assignment, error) {
 	if len(p) != c.n {
 		return nil, fmt.Errorf("%w: got %d entries, want %d", neterr.ErrBadSize, len(p), c.n)
 	}
-	seen := make([]bool, c.n)
-	for i, d := range p {
-		if d < 0 || d >= c.n || seen[d] {
-			return nil, fmt.Errorf("%w: entry %d maps to %d", neterr.ErrNotPermutation, i, d)
-		}
-		seen[d] = true
-	}
-	a := &Assignment{
-		S:     c.s,
-		L:     c.l,
-		P:     append([]int(nil), p...),
-		Mid:   make([]int32, c.n),
-		Local: make([][]int32, c.s),
-		Final: make([][]int32, c.s),
-	}
-	slab := make([]int32, 2*c.n)
-	for g := 0; g < c.s; g++ {
-		a.Local[g] = slab[2*g*c.l : (2*g+1)*c.l]
-		a.Final[g] = slab[(2*g+1)*c.l : (2*g+2)*c.l]
-	}
-	ec := newEdgeColorer(c.l, c.s, c.n)
-	for i, d := range p {
-		if err := ec.insert(int32(i%c.l), int32(d%c.l)); err != nil {
-			return nil, err
-		}
-	}
-	for i, d := range p {
-		col := ec.color[i]
-		a.Mid[i] = col
-		a.Local[col][i%c.l] = int32(d % c.l)
-		a.Final[col][d%c.l] = int32(d)
+	a := newAssignment(c.s, c.l)
+	copy(a.P, p)
+	sc := c.pool.Get().(*scratch)
+	err := c.decompose(sc, a)
+	c.pool.Put(sc)
+	if err != nil {
+		return nil, err
 	}
 	return a, nil
 }
 
+// decompose fills a.Mid, a.Local and a.Final from a.P.
+func (c *Coordinator) decompose(sc *scratch, a *Assignment) error {
+	if err := sc.m.color(a.Mid, a.P); err != nil {
+		return err
+	}
+	lmask := c.l - 1
+	for i, d := range a.P {
+		mid := a.Mid[i]
+		a.Local[mid][i&lmask] = int32(d & lmask)
+		a.Final[mid][d&lmask] = int32(d)
+	}
+	return nil
+}
+
 // Route decomposes the permutation carried by the src addresses and routes
 // it: dst[j] receives the word addressed to global port j, with its Data
-// payload intact. dst may alias src. It blocks until every shard settles.
+// payload intact. dst may alias src. Every shard routes on the caller's
+// goroutine, and the whole route allocates nothing.
 func (c *Coordinator) Route(ctx context.Context, dst, src []core.Word) error {
 	if len(dst) != c.n || len(src) != c.n {
 		return fmt.Errorf("%w: got %d/%d words, want %d", neterr.ErrBadSize, len(src), len(dst), c.n)
 	}
-	p := make([]int, c.n)
+	sc := c.pool.Get().(*scratch)
+	defer c.pool.Put(sc)
 	for i, w := range src {
-		p[i] = w.Addr
+		sc.a.P[i] = w.Addr
 	}
-	a, err := c.Decompose(p)
-	if err != nil {
+	if err := c.decompose(sc, sc.a); err != nil {
 		return err
 	}
-	return c.routeWith(ctx, dst, src, a)
+	return c.routeWith(ctx, dst, src, sc.a, sc)
 }
 
 // RouteAssigned replays a previously computed Assignment. The src
 // addresses must carry exactly the assignment's permutation; a mismatch
-// returns ErrPlanMismatch without submitting anything.
+// returns ErrPlanMismatch without routing anything.
 func (c *Coordinator) RouteAssigned(ctx context.Context, dst, src []core.Word, a *Assignment) error {
 	if a == nil || a.S != c.s || a.L != c.l {
 		return fmt.Errorf("%w: assignment shape %dx%d, cluster %dx%d", neterr.ErrPlanMismatch, shapeS(a), shapeL(a), c.s, c.l)
@@ -200,7 +208,9 @@ func (c *Coordinator) RouteAssigned(ctx context.Context, dst, src []core.Word, a
 			return fmt.Errorf("%w: src[%d] addressed to %d, assignment expects %d", neterr.ErrPlanMismatch, i, w.Addr, a.P[i])
 		}
 	}
-	return c.routeWith(ctx, dst, src, a)
+	sc := c.pool.Get().(*scratch)
+	defer c.pool.Put(sc)
+	return c.routeWith(ctx, dst, src, a, sc)
 }
 
 func shapeS(a *Assignment) int {
@@ -218,55 +228,28 @@ func shapeL(a *Assignment) int {
 }
 
 // routeWith runs the three stages: scatter (stage A reshuffle into
-// per-shard batches), shard routing (stage B, asynchronous scatter-gather
-// over Submit/Wait), and the final exchange (stage C) into dst.
-func (c *Coordinator) routeWith(ctx context.Context, dst, src []core.Word, a *Assignment) error {
-	sc := c.pool.Get().(*scratch)
-	defer c.pool.Put(sc)
-
+// per-shard batches), shard routing (stage B, shard g then shard g+1 on
+// this goroutine), and the final exchange (stage C) into dst.
+func (c *Coordinator) routeWith(ctx context.Context, dst, src []core.Word, a *Assignment, sc *scratch) error {
 	// Stage A: the word sourced at global port i = (g0,h0) lands in its
 	// intermediate shard's batch at the same column h0, readdressed to its
 	// stage-B local destination. Reads of src complete before any write to
 	// dst, so dst may alias src.
-	l := c.l
+	lmask := c.l - 1
 	for i := range src {
 		mid := a.Mid[i]
-		h0 := i % l
+		h0 := i & lmask
 		sc.src[mid][h0] = core.Word{Addr: int(a.Local[mid][h0]), Data: src[i].Data}
 	}
 
-	// Stage B: submit every shard batch, then settle every ticket. A
-	// submit failure stops further submits but already-submitted tickets
-	// are still waited so shard buffers are quiescent on return.
-	var firstErr error
-	for g := range sc.pend {
-		sc.pend[g] = nil
-	}
-	for g := 0; g < c.s; g++ {
-		t, err := c.shards[g].Submit(ctx, sc.dst[g], sc.src[g])
-		if err != nil {
-			firstErr = fmt.Errorf("cluster: shard %d: %w", g, err)
-			break
+	// Stage B: a cancelled context stops the route before the next shard.
+	for g, sh := range c.shards {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("cluster: before shard %d: %w", g, err)
 		}
-		sc.pend[g] = t
-	}
-	for g, t := range sc.pend {
-		if t == nil {
-			continue
+		if err := sh.RouteInto(sc.dst[g], sc.src[g]); err != nil {
+			return fmt.Errorf("cluster: shard %d: %w", g, err)
 		}
-		out, err := t.Wait()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: shard %d: %w", g, err)
-			}
-			continue
-		}
-		if out != nil {
-			sc.dst[g] = out
-		}
-	}
-	if firstErr != nil {
-		return firstErr
 	}
 
 	// Stage C: the word leaving shard c at column h1 belongs at global
@@ -274,15 +257,12 @@ func (c *Coordinator) routeWith(ctx context.Context, dst, src []core.Word, a *As
 	for g := 0; g < c.s; g++ {
 		fin := a.Final[g]
 		sd := sc.dst[g]
-		if len(sd) != l {
-			return fmt.Errorf("%w: shard %d returned %d words, want %d", neterr.ErrMisrouted, g, len(sd), l)
-		}
-		for h1 := 0; h1 < l; h1++ {
-			if sd[h1].Addr != h1 {
-				return fmt.Errorf("%w: shard %d delivered address %d at port %d", neterr.ErrMisrouted, g, sd[h1].Addr, h1)
+		for h1, w := range sd {
+			if w.Addr != h1 {
+				return fmt.Errorf("%w: shard %d delivered address %d at port %d", neterr.ErrMisrouted, g, w.Addr, h1)
 			}
 			d := int(fin[h1])
-			dst[d] = core.Word{Addr: d, Data: sd[h1].Data}
+			dst[d] = core.Word{Addr: d, Data: w.Data}
 		}
 	}
 	return nil

@@ -11,26 +11,14 @@ import (
 	"repro/internal/perm"
 )
 
-// syncShard routes synchronously through a real BNB network on Submit.
+// syncShard routes through a real BNB network.
 type syncShard struct {
 	net *core.Network
 }
 
-type donePending struct {
-	out []core.Word
-	err error
-}
-
-func (p donePending) Wait() ([]core.Word, error) { return p.out, p.err }
-
 func (s *syncShard) Inputs() int { return s.net.Inputs() }
 
-func (s *syncShard) Submit(_ context.Context, dst, src []core.Word) (Pending, error) {
-	if err := s.net.RouteInto(dst, src); err != nil {
-		return nil, err
-	}
-	return donePending{out: dst}, nil
-}
+func (s *syncShard) RouteInto(dst, src []core.Word) error { return s.net.RouteInto(dst, src) }
 
 func newTestCoordinator(t *testing.T, shards, m int) *Coordinator {
 	t.Helper()
@@ -223,7 +211,7 @@ func TestRouteAssigned(t *testing.T) {
 	}
 }
 
-// failShard fails Submit after a given number of successes.
+// failShard fails every route.
 type failShard struct {
 	l    int
 	boom error
@@ -231,9 +219,7 @@ type failShard struct {
 
 func (s *failShard) Inputs() int { return s.l }
 
-func (s *failShard) Submit(context.Context, []core.Word, []core.Word) (Pending, error) {
-	return nil, s.boom
-}
+func (s *failShard) RouteInto([]core.Word, []core.Word) error { return s.boom }
 
 func TestRouteShardFailure(t *testing.T) {
 	boom := errors.New("shard down")
@@ -261,9 +247,9 @@ type misShard struct{ l int }
 
 func (s *misShard) Inputs() int { return s.l }
 
-func (s *misShard) Submit(_ context.Context, dst, src []core.Word) (Pending, error) {
+func (s *misShard) RouteInto(dst, src []core.Word) error {
 	copy(dst, src) // no routing: addresses land at the wrong ports
-	return donePending{out: dst}, nil
+	return nil
 }
 
 func TestRouteMisdelivery(t *testing.T) {
@@ -292,6 +278,9 @@ func TestNewRejectsMismatchedShards(t *testing.T) {
 	}
 	if _, err := New(nil); err == nil {
 		t.Fatal("empty shard set accepted")
+	}
+	if _, err := New([]Shard{&failShard{l: 6}, &failShard{l: 6}}); err == nil {
+		t.Fatal("6-port shards accepted; local port counts must be powers of two")
 	}
 }
 

@@ -10,14 +10,125 @@ package cluster
 // between columns, and the color assigned to an element is the intermediate
 // shard it transits (Baumslag & Annexstein, Math. Systems Theory 24, 1991).
 //
-// The implementation is König's constructive proof: edges are inserted one
-// at a time, and when the two endpoints have no common free color the
-// two-color alternating path from the source endpoint is flipped to create
-// one. The path walk is linear in its length and each edge is recolored at
-// most once per insertion, so the whole coloring runs in O(E·(H+S)) worst
-// case and far less in practice.
+// Two constructions share the matcher:
+//
+//   - S a power of two: log2 S rounds of the Beneš looping algorithm, the
+//     set-up of internal/benes generalised from 2 to S colors. Round k sets
+//     color bit k and splits every color class of the previous rounds in
+//     two, Euler-style, so the whole coloring is O(N log S) index
+//     arithmetic over p, its inverse and the colors — no adjacency lists,
+//     no alternating paths.
+//   - Any other S (AddShard can grow a cluster to 5 shards): König's
+//     constructive proof. Edges are inserted one at a time, and when the
+//     two endpoints have no common free color the two-color alternating
+//     path from the source endpoint is flipped to create one. The whole
+//     coloring runs in O(E·(H+S)) worst case and far less in practice.
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/neterr"
+)
+
+// matcher holds the matching stage's working buffers for one shape; a
+// Coordinator pools them per route, so the stage allocates nothing.
+type matcher struct {
+	s     int
+	lbits uint // log2 of the local port count
+	// byDst[key] and bySrc[key] index the elements by destination and by
+	// source port, with the shard bits a looping round has colored
+	// replaced by the element's color bits. Before the first round byDst
+	// is the plain inverse of p, and -1 marks an unseen destination while
+	// p is validated.
+	byDst, bySrc []int32
+	// done marks the elements whose bit the current looping round has set.
+	done []bool
+	// ec is König's colorer, nil when S is a power of two.
+	ec *edgeColorer
+}
+
+func newMatcher(s, l int, lbits uint) matcher {
+	m := matcher{s: s, lbits: lbits, byDst: make([]int32, s*l)}
+	if s&(s-1) == 0 {
+		m.bySrc = make([]int32, s*l)
+		m.done = make([]bool, s*l)
+	} else {
+		m.ec = newEdgeColorer(l, s, s*l)
+	}
+	return m
+}
+
+// color validates the permutation p and writes every element's
+// intermediate shard into col.
+func (m *matcher) color(col []int32, p []int) error {
+	n := len(p)
+	for i := range m.byDst {
+		m.byDst[i] = -1
+	}
+	for i, d := range p {
+		if d < 0 || d >= n || m.byDst[d] >= 0 {
+			return fmt.Errorf("%w: entry %d maps to %d", neterr.ErrNotPermutation, i, d)
+		}
+		m.byDst[d] = int32(i)
+	}
+	if m.ec == nil {
+		m.loop(col, p)
+		return nil
+	}
+	m.ec.reset()
+	lmask := 1<<m.lbits - 1
+	for i, d := range p {
+		if err := m.ec.insert(int32(i&lmask), int32(d&lmask)); err != nil {
+			return err
+		}
+	}
+	copy(col, m.ec.color)
+	return nil
+}
+
+// loop colors by looping rounds. Element i = (g0, h0) is destined for
+// p[i] = (g1, h1). Before round k, within every source column and every
+// aligned block of 2^k source shards the color bits 0..k-1 are distinct,
+// and the same holds per destination column. So replacing the low k bits
+// of g0 by the element's low color bits keys the elements one-to-one
+// (bySrc), and likewise for g1 (byDst). Flipping bit k of a key names the
+// element in the sibling block of the same column with the same low
+// colors: the source-side key gives the left partner, the
+// destination-side key the right partner. Each pair must differ in bit k;
+// the pairs form even alternating cycles, so walking each cycle and
+// alternating the bit keeps the invariant for blocks of 2^(k+1).
+func (m *matcher) loop(col []int32, p []int) {
+	clear(col)
+	for k := uint(0); 1<<k < m.s; k++ {
+		low := 1<<k - 1
+		keep := ^(low << m.lbits)  // clears shard bits 0..k-1
+		flip := 1 << (k + m.lbits) // shard bit k
+		for i, d := range p {
+			c := (int(col[i]) & low) << m.lbits
+			m.bySrc[i&keep|c] = int32(i)
+			m.byDst[d&keep|c] = int32(i)
+		}
+		clear(m.done)
+		for start, done := range m.done {
+			if done {
+				continue
+			}
+			// Partners share their low color bits, so a whole cycle does.
+			// i takes bit k = 0, its left partner j takes 1, and j's right
+			// partner continues the cycle at 0 until it closes on start.
+			c := (int(col[start]) & low) << m.lbits
+			for i := start; ; {
+				m.done[i] = true
+				j := int(m.bySrc[(i&keep|c)^flip])
+				m.done[j] = true
+				col[j] |= 1 << k
+				if i = int(m.byDst[(p[j]&keep|c)^flip]); i == start {
+					break
+				}
+			}
+		}
+	}
+}
 
 // edgeColorer colors an s-regular bipartite multigraph with h vertices per
 // side using exactly s colors. Vertices 0..h-1 are the left side, h..2h-1
@@ -42,10 +153,17 @@ func newEdgeColorer(h, colors, edges int) *edgeColorer {
 		at:     make([]int32, 2*h*colors),
 		color:  make([]int32, 0, edges),
 	}
+	ec.reset()
+	return ec
+}
+
+// reset empties the colorer for another graph of the same shape.
+func (ec *edgeColorer) reset() {
+	ec.ends = ec.ends[:0]
+	ec.color = ec.color[:0]
 	for i := range ec.at {
 		ec.at[i] = -1
 	}
-	return ec
 }
 
 // freeColor returns the smallest color unused at vertex v.

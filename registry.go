@@ -185,10 +185,12 @@ func WithDataBits(w int) Option {
 	return func(o *options) { o.set |= optDataBits; o.dataBits = w }
 }
 
-// WithWorkers sets the worker-pool size of NewEngine and NewSupervised (and
-// of each cluster shard under NewCluster); zero keeps the default of 4 and
-// negative counts are rejected. New rejects it: one route is one serial
-// kernel pass, and the engine runs requests in parallel instead.
+// WithWorkers sets the worker-pool size of NewEngine and NewSupervised;
+// zero keeps the default of 4 and negative counts are rejected. New rejects
+// it: one route is one serial kernel pass, and the engine runs requests in
+// parallel instead. NewCluster rejects it too, with the other engine
+// options (WithQueue, WithBatch, WithTimeout, WithRetry, WithShedding): a
+// cluster has no engine, and routes every shard on the caller's goroutine.
 func WithWorkers(n int) Option {
 	return func(o *options) {
 		if n < 0 {

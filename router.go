@@ -51,7 +51,8 @@ type Stats struct {
 	// Inputs is the served port count.
 	Inputs int
 	// Workers is the serving goroutine count (engine and supervised; zero
-	// for a cluster, whose shards each report their own).
+	// for a cluster, which has no workers: its shards route on the
+	// caller's goroutine).
 	Workers int
 	// InFlight counts admitted, uncompleted requests.
 	InFlight int64
@@ -75,7 +76,8 @@ type ShardStats struct {
 	Index int
 	// Inputs is the shard's local port count.
 	Inputs int
-	// InFlight counts the shard engine's admitted, uncompleted requests.
+	// InFlight counts the routes currently on the shard's planes, summed
+	// over its planes (a hedged route counts once per plane it runs on).
 	InFlight int64
 	// Planes holds the shard's per-plane counters.
 	Planes []PlaneStats
@@ -116,20 +118,17 @@ func (s *Supervised) Stats() Stats {
 		Inputs:   s.Inputs(),
 		Workers:  s.Workers(),
 		InFlight: s.InFlight(),
-		Planes:   s.sup.PlaneStats(),
 	}
+	st.Planes, st.PlanCaches = s.planeStats()
 	if m := s.Metrics(); m != nil {
 		snap := m.Snapshot()
 		st.Metrics = &snap
-	}
-	if s.pcs != nil {
-		st.PlanCaches = s.pcs.statsFor(s.sup.PlaneIDs())
 	}
 	return st
 }
 
 // Stats implements Router; see Stats for the populated fields. Shard
-// entries snapshot each supervised shard of the current membership.
+// entries snapshot each shard of the current membership.
 func (c *Cluster) Stats() Stats {
 	f := c.fab.Load()
 	st := Stats{
@@ -143,14 +142,12 @@ func (c *Cluster) Stats() Stats {
 		st.Metrics = &snap
 	}
 	for i, sh := range f.shards {
-		shs := sh.Stats()
-		st.Shards[i] = ShardStats{
-			Index:      i,
-			Inputs:     shs.Inputs,
-			InFlight:   shs.InFlight,
-			Planes:     shs.Planes,
-			PlanCaches: shs.PlanCaches,
+		shs := ShardStats{Index: i, Inputs: sh.sup.Inputs()}
+		shs.Planes, shs.PlanCaches = sh.planeStats()
+		for _, p := range shs.Planes {
+			shs.InFlight += p.InFlight
 		}
+		st.Shards[i] = shs
 	}
 	return st
 }

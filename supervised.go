@@ -103,17 +103,13 @@ func (r *planeCacheRegistry) statsFor(ids []int) []PlanCacheStats {
 	return out
 }
 
-// Supervised is a self-healing serving front over K redundant router
-// planes: requests are admitted by the engine (worker pool, deadlines,
-// optional shedding), routed on a healthy plane with every delivery
-// verified, and failed over transparently when a plane misbehaves, while
-// the supervisor's health checker quarantines, repairs and readmits the
-// faulty plane in the background. Construct with NewSupervised; all methods
-// are safe for concurrent use.
-type Supervised struct {
-	e   *engine.Engine
+// planeSet is the redundant-planes half of a supervised stack: the plane
+// supervisor with its health checker, the per-plane plan-cache registry,
+// and the builder every runtime plane comes from. Supervised runs an
+// engine in front of one; a cluster shard routes through one directly, on
+// the caller's goroutine.
+type planeSet struct {
 	sup *plane.Supervisor
-	dbg *DebugServer        // nil unless WithDebugAddr was set
 	pcs *planeCacheRegistry // nil when plan caching is disabled
 
 	// build constructs one fresh, fault-free plane of the configured family,
@@ -123,8 +119,25 @@ type Supervised struct {
 	// built exactly like the originals.
 	build func() (plane.Router, *cachedPlanRouter, error)
 
+	// diag is the health checker's exact fault dictionary, nil above
+	// diagMaxOrder. It is immutable, so one serves every shard of a cluster.
+	diag *fault.Diagnoser
+
 	m      *Metrics // nil unless WithMetrics was set
 	tracer *Tracer  // nil unless WithTracer was set
+}
+
+// Supervised is a self-healing serving front over K redundant router
+// planes: requests are admitted by the engine (worker pool, deadlines,
+// optional shedding), routed on a healthy plane with every delivery
+// verified, and failed over transparently when a plane misbehaves, while
+// the supervisor's health checker quarantines, repairs and readmits the
+// faulty plane in the background. Construct with NewSupervised; all methods
+// are safe for concurrent use.
+type Supervised struct {
+	*planeSet
+	e   *engine.Engine
+	dbg *DebugServer // nil unless WithDebugAddr was set
 
 	// reconfigMu serializes membership operations — AddPlane, RemovePlane,
 	// Reconfigure — at the supervised level, keeping the cache registry and
@@ -151,20 +164,6 @@ func NewSupervised(family string, m int, opts ...Option) (*Supervised, error) {
 	if o.anySet(optShards) {
 		return nil, fmt.Errorf("bnbnet: WithShards applies to NewCluster, not NewSupervised")
 	}
-	return newSupervisedFromOptions(family, m, o)
-}
-
-// newSupervisedFromOptions is NewSupervised after option gathering; it is
-// shared with NewCluster, which builds every shard from one filtered
-// options set (shard count and debug address stripped — the cluster owns
-// the debug endpoint, and the remaining serving options apply per shard).
-func newSupervisedFromOptions(family string, m int, o options) (*Supervised, error) {
-	builders.RLock()
-	b := builders.m[family]
-	builders.RUnlock()
-	if b == nil {
-		return nil, fmt.Errorf("bnbnet: unknown network family %q (have %v)", family, Families())
-	}
 	if o.anySet(optTrace) {
 		return nil, fmt.Errorf("bnbnet: WithTrace applies to New, not NewSupervised")
 	}
@@ -176,6 +175,63 @@ func newSupervisedFromOptions(family string, m int, o options) (*Supervised, err
 	}
 	if o.anySet(optFabric) {
 		return nil, fmt.Errorf("bnbnet: WithVOQ and WithDegraded apply to NewFabric, not NewSupervised")
+	}
+	diag, err := newDiagnoser(family, m)
+	if err != nil {
+		return nil, err
+	}
+	ps, err := newPlaneSet(family, m, o, diag)
+	if err != nil {
+		return nil, err
+	}
+	e, err := engine.New(ps.sup, engine.Config{
+		Workers: o.workers,
+		Queue:   o.queue,
+		Batch:   o.batch,
+		Metrics: o.metrics,
+		Timeout: o.timeout,
+		Retry:   engine.RetryPolicy{MaxAttempts: o.retryAttempts, Backoff: o.retryBackoff},
+		Shed:    o.shed,
+		Tracer:  o.tracer,
+	})
+	if err != nil {
+		ps.sup.Close()
+		return nil, err
+	}
+	var dbg *DebugServer
+	if o.debugAddr != "" {
+		if dbg, err = Serve(o.debugAddr, o.metrics, o.tracer); err != nil {
+			e.Close()
+			ps.sup.Close()
+			return nil, err
+		}
+	}
+	return &Supervised{planeSet: ps, e: e, dbg: dbg}, nil
+}
+
+// newDiagnoser builds the exact fault dictionary the health checker uses
+// for a BNB plane of order 1..diagMaxOrder, and nil otherwise. It is the
+// costliest part of building a small supervised stack, so a cluster builds
+// it once for all its shards.
+func newDiagnoser(family string, m int) (*fault.Diagnoser, error) {
+	if family != "bnb" || m < 1 || m > diagMaxOrder {
+		return nil, nil
+	}
+	return fault.NewDiagnoser(m)
+}
+
+// newPlaneSet builds the planes of a supervised stack and starts their
+// supervisor: NewSupervised puts an engine in front of it, NewCluster
+// routes each shard through one. Option validation is the caller's; only
+// the plane options (WithPlanes, WithPlaneFaults, WithPlaneCap,
+// WithHealthInterval, WithHedge, WithPlanCache, WithDataBits) and the
+// sinks are read here.
+func newPlaneSet(family string, m int, o options, diag *fault.Diagnoser) (*planeSet, error) {
+	builders.RLock()
+	b := builders.m[family]
+	builders.RUnlock()
+	if b == nil {
+		return nil, fmt.Errorf("bnbnet: unknown network family %q (have %v)", family, Families())
 	}
 	k := o.planes
 	if k == 0 {
@@ -256,14 +312,6 @@ func newSupervisedFromOptions(family string, m int, o options) (*Supervised, err
 		}
 		planes[i] = r
 	}
-	var diag *fault.Diagnoser
-	if family == "bnb" && m <= diagMaxOrder {
-		d, err := fault.NewDiagnoser(m)
-		if err != nil {
-			return nil, err
-		}
-		diag = d
-	}
 	sup, err := plane.New(plane.Config{
 		Planes:         planes,
 		Rebuild:        rebuildPlane,
@@ -278,37 +326,16 @@ func newSupervisedFromOptions(family string, m int, o options) (*Supervised, err
 	if err != nil {
 		return nil, err
 	}
-	e, err := engine.New(sup, engine.Config{
-		Workers: o.workers,
-		Queue:   o.queue,
-		Batch:   o.batch,
-		Metrics: o.metrics,
-		Timeout: o.timeout,
-		Retry:   engine.RetryPolicy{MaxAttempts: o.retryAttempts, Backoff: o.retryBackoff},
-		Shed:    o.shed,
-		Tracer:  o.tracer,
-	})
-	if err != nil {
-		sup.Close()
-		return nil, err
+	return &planeSet{sup: sup, pcs: pcs, build: build, diag: diag, m: o.metrics, tracer: o.tracer}, nil
+}
+
+// planeStats snapshots the set's per-plane serving and plan-cache counters.
+func (ps *planeSet) planeStats() ([]PlaneStats, []PlanCacheStats) {
+	planes := ps.sup.PlaneStats()
+	if ps.pcs == nil {
+		return planes, nil
 	}
-	var dbg *DebugServer
-	if o.debugAddr != "" {
-		if dbg, err = Serve(o.debugAddr, o.metrics, o.tracer); err != nil {
-			e.Close()
-			sup.Close()
-			return nil, err
-		}
-	}
-	return &Supervised{
-		e:      e,
-		sup:    sup,
-		dbg:    dbg,
-		pcs:    pcs,
-		build:  build,
-		m:      o.metrics,
-		tracer: o.tracer,
-	}, nil
+	return planes, ps.pcs.statsFor(ps.sup.PlaneIDs())
 }
 
 // Submit enqueues one routing request; see Engine.Submit.
