@@ -8,8 +8,8 @@ all: build vet test
 
 # Full pre-merge gate: vet (plus staticcheck when installed), the
 # race-detector suite, a 32-bit cross-compile (pins int-width bugs like the
-# rotor truncation) and a 32-bit run of the packages whose word-parallel
-# kernel is shift-and-mask code, plus gbn's side-by-side runner, fault's
+# rotor truncation) and a 32-bit run of the packages whose bit-plane
+# kernel is shift-and-mask code, plus gbn's runner, fault's
 # rejection goldens and the cluster's looping decomposition (XOR and shift
 # index math; amd64 hosts run 386 test binaries natively), the
 # zero-allocation pin on the pooled routing hot path,
@@ -56,7 +56,7 @@ race:
 	$(GO) test -race ./...
 
 # Perf-trajectory smoke: run the bnbbench harness with quick sample counts
-# into a scratch dir and validate the output against the bnbbench/v6
+# into a scratch dir and validate the output against the bnbbench/v7
 # schema. The committed BENCH_<m>.json files are full runs; refresh them
 # after perf work with `$(GO) run ./cmd/bnbbench -m 3,5,7 -out .`.
 bench:
@@ -124,7 +124,7 @@ soak-tail:
 # fronts during shard churn.
 soak-cluster:
 	$(GO) test -race -run 'Cluster|Membership|Coloring|Decompose|Looping|Konig' ./...
-	$(GO) test -race -run 'TestLiveMembership|TestHTTPRoute|TestTCPRoute|TestTCPWrongSizeFrame' ./cmd/bnbserve
+	$(GO) test -race -run 'TestLiveMembership|TestHTTPRoute|TestTCPRoute|TestTCPWrongSizeFrame|TestShutdownReleasesIdleTCPClient' ./cmd/bnbserve
 	$(GO) run -race ./cmd/fabricsim -net bnb -m 4 -cluster 4 -requests 2000
 
 clean:

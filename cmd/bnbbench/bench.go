@@ -17,11 +17,11 @@ import (
 )
 
 // Report is the machine-readable result of one bnbbench run at one order —
-// the BENCH_<m>.json payload. Schema "bnbbench/v6" (v2 added the compiled
+// the BENCH_<m>.json payload. Schema "bnbbench/v7" (v2 added the compiled
 // route-plan section; v3 the hitless-reconfiguration profile; v4 the
 // tail-tolerance profile; v5 the sharded-queue engine counters; v6 the
-// multi-shard cluster fabric sweep); Validate checks an emitted file
-// against it.
+// multi-shard cluster fabric sweep; v7 the host reference); Validate
+// checks an emitted file against it.
 type Report struct {
 	Schema string `json:"schema"`
 	M      int    `json:"m"`
@@ -31,6 +31,8 @@ type Report struct {
 	GOARCH string `json:"goarch"`
 	CPUs   int    `json:"cpus"`
 	Quick  bool   `json:"quick"`
+	// HostRef times the host before and after the measurements.
+	HostRef HostRef `json:"host_ref_us"`
 
 	Networks []NetworkResult `json:"networks"`
 	Engine   []EngineResult  `json:"engine"`
@@ -40,6 +42,40 @@ type Report struct {
 	Tail     TailResult      `json:"tail"`
 	Cluster  ClusterResult   `json:"cluster"`
 }
+
+// HostRef times a fixed pure-Go loop that calls no repository code —
+// perfbench's host.ref_us, the median of 15 timings in microseconds —
+// before and after the measurements. Where two BENCH files' host
+// references differ, their untouched rows (Batcher, Beneš) move with them.
+type HostRef struct {
+	Before float64 `json:"before"`
+	After  float64 `json:"after"`
+}
+
+func hostRef() float64 {
+	buf := make([]uint64, 1024)
+	times := make([]int64, 15)
+	for k := range times {
+		t0 := time.Now()
+		x := uint64(0x9e3779b97f4a7c15)
+		for pass := 0; pass < 64; pass++ {
+			for i := range buf {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				buf[i] += x
+			}
+		}
+		sort.Slice(buf[:256], func(i, j int) bool { return buf[i] < buf[j] })
+		times[k] = time.Since(t0).Nanoseconds()
+		refSink += buf[0]
+	}
+	_, p50, _ := summarize(times)
+	return float64(p50) / 1e3
+}
+
+// refSink keeps the compiler from discarding hostRef's loop.
+var refSink uint64
 
 // ClusterResult profiles the multi-shard cluster fabric added by
 // bnbbench/v6: a shard-count sweep at fixed shard order m, so the
@@ -226,7 +262,7 @@ func defaultConfig(m int, families []string, workers []int, quick bool) benchCon
 // runBench measures every configured family and sweep at order cfg.m.
 func runBench(cfg benchConfig) (Report, error) {
 	rep := Report{
-		Schema: "bnbbench/v6",
+		Schema: "bnbbench/v7",
 		M:      cfg.m,
 		N:      1 << uint(cfg.m),
 		Go:     runtime.Version(),
@@ -235,6 +271,7 @@ func runBench(cfg benchConfig) (Report, error) {
 		CPUs:   runtime.NumCPU(),
 		Quick:  cfg.quick,
 	}
+	rep.HostRef.Before = hostRef()
 	for _, family := range cfg.families {
 		nr, err := benchNetwork(family, cfg)
 		if err != nil {
@@ -274,6 +311,7 @@ func runBench(cfg benchConfig) (Report, error) {
 		return Report{}, err
 	}
 	rep.Cluster = cr
+	rep.HostRef.After = hostRef()
 	return rep, nil
 }
 

@@ -56,8 +56,9 @@ func run(ms, nets, workers string, quick bool, out, validate string, minScale fl
 				return fmt.Errorf("%s: %w", validate, err)
 			}
 		}
-		fmt.Printf("%s: valid bnbbench/v6 report (m=%d, %d families, %d engine points, %d plan sweep points, %d cluster points, reconfig blackout %dns)\n",
-			validate, rep.M, len(rep.Networks), len(rep.Engine), len(rep.Plan.HitSweep), len(rep.Cluster.Sweep), rep.Reconfig.SwapBlackoutNs)
+		fmt.Printf("%s: valid bnbbench/v7 report (m=%d, %d families, %d engine points, %d plan sweep points, %d cluster points, reconfig blackout %dns, host reference %.1f/%.1fus)\n",
+			validate, rep.M, len(rep.Networks), len(rep.Engine), len(rep.Plan.HitSweep), len(rep.Cluster.Sweep), rep.Reconfig.SwapBlackoutNs,
+			rep.HostRef.Before, rep.HostRef.After)
 		return nil
 	}
 	if minScale > 0 {

@@ -133,7 +133,7 @@ func TestValidateRejections(t *testing.T) {
 		payload []byte
 		want    string
 	}{
-		{"unknown field", []byte(`{"schema":"bnbbench/v6","bogus":1}`), "decode"},
+		{"unknown field", []byte(`{"schema":"bnbbench/v7","bogus":1}`), "decode"},
 		{"wrong schema", marshal(func() Report { r := rep; r.Schema = "bnbbench/v2"; return r }()), "schema"},
 		{"n mismatch", marshal(func() Report { r := rep; r.N = 7; return r }()), "2^m"},
 		{"missing family", marshal(func() Report {
@@ -149,6 +149,7 @@ func TestValidateRejections(t *testing.T) {
 			return r
 		}()), "out of order"},
 		{"empty stamp", marshal(func() Report { r := rep; r.Go = ""; return r }()), "machine stamp"},
+		{"missing host reference", marshal(func() Report { r := rep; r.HostRef.After = 0; return r }()), "host reference"},
 		{"replay above compile", marshal(func() Report {
 			r := rep
 			r.Plan.ReplayNsPerOp = r.Plan.CompileNsPerOp + 1

@@ -30,8 +30,8 @@ func Validate(r io.Reader) (Report, error) {
 }
 
 func checkReport(rep Report) error {
-	if rep.Schema != "bnbbench/v6" {
-		return fmt.Errorf("schema %q, want bnbbench/v6", rep.Schema)
+	if rep.Schema != "bnbbench/v7" {
+		return fmt.Errorf("schema %q, want bnbbench/v7", rep.Schema)
 	}
 	if rep.M < 1 || rep.N != 1<<uint(rep.M) {
 		return fmt.Errorf("m = %d with n = %d; want n = 2^m", rep.M, rep.N)
@@ -39,6 +39,10 @@ func checkReport(rep Report) error {
 	if rep.Go == "" || rep.GOOS == "" || rep.GOARCH == "" || rep.CPUs < 1 {
 		return fmt.Errorf("incomplete machine stamp: go=%q goos=%q goarch=%q cpus=%d",
 			rep.Go, rep.GOOS, rep.GOARCH, rep.CPUs)
+	}
+	if rep.HostRef.Before <= 0 || rep.HostRef.After <= 0 {
+		return fmt.Errorf("host reference %v/%v us: both the before and after timings must be positive",
+			rep.HostRef.Before, rep.HostRef.After)
 	}
 	seen := map[string]bool{}
 	for _, nr := range rep.Networks {

@@ -92,8 +92,9 @@ func main() {
 // readHeaderTimeout bounds how long the HTTP front waits for a request's
 // headers, so a client that never finishes them cannot hold a connection
 // and its goroutine forever. Real clients send a few hundred bytes of
-// headers at once.
-const readHeaderTimeout = 5 * time.Second
+// headers at once. idleTimeout bounds how long it keeps an idle keep-alive
+// connection open for the client's next request.
+const readHeaderTimeout, idleTimeout = 5 * time.Second, 2 * time.Minute
 
 type config struct {
 	family            string
@@ -116,12 +117,16 @@ type server struct {
 	httpSrv *http.Server
 	tcpLn   net.Listener // nil when the TCP front is disabled
 
-	wg       sync.WaitGroup
-	shutdown chan struct{}
+	wg sync.WaitGroup
+	// closing is cancelled when Shutdown begins; it cuts short the pending
+	// read of every TCP connection.
+	closing context.Context
+	shut    context.CancelFunc
 }
 
 func newServer(cfg config) (*server, error) {
-	s := &server{sink: bnbnet.NewMetrics(), shutdown: make(chan struct{})}
+	s := &server{sink: bnbnet.NewMetrics()}
+	s.closing, s.shut = context.WithCancel(context.Background())
 	opts := []bnbnet.Option{bnbnet.WithShards(cfg.shards), bnbnet.WithMetrics(s.sink)}
 	if cfg.planes > 0 {
 		opts = append(opts, bnbnet.WithPlanes(cfg.planes))
@@ -145,7 +150,7 @@ func newServer(cfg config) (*server, error) {
 	if cfg.debug {
 		mux.Handle("/debug/", bnbnet.DebugHandler(s.sink, s.tracer))
 	}
-	s.httpSrv = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
+	s.httpSrv = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 
 	if s.httpLn, err = net.Listen("tcp", cfg.httpAddr); err != nil {
 		c.Close()
@@ -189,15 +194,29 @@ func (s *server) TCPAddr() string {
 }
 
 // Shutdown stops admission, drains every in-flight request and closes the
-// fabric: listeners first (no new connections), then the cluster's own
-// drain (every accepted request lands), then teardown.
+// fabric: listeners first (no new connections), then every TCP
+// connection's pending read is cut short — a frame already read is still
+// answered, and a client idling between frames is let go — then the
+// cluster's own drain (every accepted request lands), then teardown. If
+// the fronts outlive ctx, Shutdown closes the fabric and returns ctx's
+// error.
 func (s *server) Shutdown(ctx context.Context) error {
-	close(s.shutdown)
+	s.shut()
 	s.httpSrv.Close()
 	if s.tcpLn != nil {
 		s.tcpLn.Close()
 	}
-	s.wg.Wait()
+	fronts := make(chan struct{})
+	go func() {
+		s.wg.Wait()
+		close(fronts)
+	}()
+	select {
+	case <-fronts:
+	case <-ctx.Done():
+		s.cluster.Close()
+		return ctx.Err()
+	}
 	if err := s.cluster.Drain(ctx); err != nil {
 		s.cluster.Close()
 		return err
@@ -343,12 +362,7 @@ func (s *server) acceptTCP() {
 	for {
 		conn, err := s.tcpLn.Accept()
 		if err != nil {
-			select {
-			case <-s.shutdown:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
+			if s.closing.Err() != nil || errors.Is(err, net.ErrClosed) {
 				return
 			}
 			continue
@@ -357,6 +371,8 @@ func (s *server) acceptTCP() {
 		go func() {
 			defer s.wg.Done()
 			defer conn.Close()
+			stop := context.AfterFunc(s.closing, func() { conn.SetReadDeadline(time.Now()) })
+			defer stop()
 			s.serveTCPConn(conn)
 		}()
 	}
@@ -375,7 +391,7 @@ func (s *server) serveTCPConn(conn net.Conn) {
 	var src, out []bnbnet.Word
 	for {
 		if _, err := io.ReadFull(conn, opcode[:]); err != nil {
-			return // client hung up
+			return // client hung up, or the server is shutting down
 		}
 		switch opcode[0] {
 		case opInfo:

@@ -384,6 +384,40 @@ func TestLiveMembership(t *testing.T) {
 		routed.Load(), conflicts.Load())
 }
 
+// TestShutdownReleasesIdleTCPClient leaves a TCP client connected and idle
+// after an info frame: Shutdown must cut the connection's pending read short
+// and return inside its deadline, and the client must see the server hang
+// up.
+func TestShutdownReleasesIdleTCPClient(t *testing.T) {
+	s, err := newServer(config{family: "bnb", m: 3, shards: 2, httpAddr: "127.0.0.1:0", tcpAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.start()
+	c := dialTCP(t, s.TCPAddr())
+	if _, _, err := c.info(); err != nil {
+		t.Fatalf("info: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- s.Shutdown(ctx) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown still blocked 5s after it began, 3s past its deadline")
+	}
+	if err := c.conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("idle client read %d bytes, %v; want the server to have hung up", n, err)
+	}
+}
+
 // TestSlowHeadersDisconnected opens an HTTP connection, sends the start of
 // a request and never finishes its headers: the server must hang up once
 // readHeaderTimeout has passed instead of holding the connection forever.

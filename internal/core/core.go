@@ -12,10 +12,14 @@
 // and the 1-half to NB(i+1,2l+1) — an MSB-first binary radix sort that
 // self-routes every one of the N! permutations (Theorem 2).
 //
-// The simulation routes whole words (address plus data) through each switch
-// column; this is exactly the behaviour of the hardware's q parallel one-bit
-// slices because every slice's sw(1) follows the identical control bit
-// computed by the BSN slice. Hardware and delay accounting are performed
+// The simulation carries the m address slices as bit planes, one N-bit
+// bitset per address bit, through every switch column: the BSN slice of
+// main stage i is simply plane m-1-i, and every other plane follows its
+// switch controls, as the hardware's slaved sw(1)s do. The w data slices
+// follow the same controls too, so instead of moving them column by column
+// the kernel moves each word once, at the end: the word on output j is the
+// one that offered the address the planes delivered there. Hardware and
+// delay accounting are performed
 // structurally (component counting over the constructed geometry) in the
 // same C_SW/C_FN/D_SW/D_FN units as the paper's Section 5 and are reconciled
 // against the closed forms in package cost.
@@ -37,7 +41,8 @@ const MaxDataBits = 64
 
 // Word is one network input: an m-bit destination address and a w-bit data
 // payload. In the hardware each word occupies q = m + w one-bit slices; the
-// simulator carries it as a unit.
+// simulator carries the address slices as bit planes and moves the word as
+// a unit once its output is known.
 type Word struct {
 	// Addr is the destination output index in [0, N).
 	Addr int
@@ -50,8 +55,8 @@ type Word struct {
 // for concurrent use by multiple goroutines.
 type Network struct {
 	m, w int
-	main gbn.Topology
-	// nested[i] is the topology of the stage-i nested networks (order m-i).
+	// nested[i] is the topology of the stage-i nested networks (order m-i);
+	// nested[0] has the main network's order.
 	nested []gbn.Topology
 	// sps[p] is the shared splitter instance sp(p), 1 <= p <= m.
 	sps []*splitter.Splitter
@@ -69,10 +74,6 @@ func New(m, w int) (*Network, error) {
 	if w < 0 || w > MaxDataBits {
 		return nil, fmt.Errorf("bnb: data width w=%d out of range [0,%d]", w, MaxDataBits)
 	}
-	main, err := gbn.New(m)
-	if err != nil {
-		return nil, fmt.Errorf("bnb: %w", err)
-	}
 	nested := make([]gbn.Topology, m)
 	for i := 0; i < m; i++ {
 		nt, err := gbn.New(m - i)
@@ -89,7 +90,7 @@ func New(m, w int) (*Network, error) {
 		}
 		sps[p] = sp
 	}
-	net := &Network{m: m, w: w, main: main, nested: nested, sps: sps}
+	net := &Network{m: m, w: w, nested: nested, sps: sps}
 	net.pool.New = func() any { return newScratch(net) }
 	return net, nil
 }
@@ -119,21 +120,27 @@ func (n *Network) Route(words []Word) ([]Word, error) {
 // RouteTraced behaves like Route and additionally returns the word vector as
 // it appears at the input of every main stage plus the final output
 // (Stages()+1 snapshots), for stage-by-stage inspection. The snapshots are
-// taken by the kernel's Override hook: column 0 of main stage i sees that
-// stage's whole input.
+// taken by the kernel's Override hook: at column 0 of main stage i it
+// unpacks the address planes, which then hold that stage's input, and
+// gathers the word offering each address.
 func (n *Network) RouteTraced(words []Word) ([]Word, [][]Word, error) {
 	N := n.Inputs()
 	trace := make([][]Word, n.m+1)
 	for i := range trace {
 		trace[i] = make([]Word, N)
 	}
-	snapshot := func(mainStage, column int, _ []uint64, words []Word) {
+	out := make([]Word, N)
+	if err := n.checkSizes(out, words); err != nil {
+		return nil, nil, err
+	}
+	sc := n.pool.Get().(*scratch)
+	defer n.release(sc)
+	snapshot := func(mainStage, column int, _ []uint64) {
 		if column == 0 {
-			copy(trace[mainStage], words)
+			applyWire(trace[mainStage], words, sc.wire())
 		}
 	}
-	out := make([]Word, N)
-	if err := n.routeInto(out, words, snapshot); err != nil {
+	if err := n.route(sc, out, words, snapshot); err != nil {
 		return nil, nil, err
 	}
 	copy(trace[n.m], out)

@@ -250,7 +250,7 @@ func TestRouteTraced(t *testing.T) {
 // nested networks of a main stage are routed side by side, so a route makes
 // one Override call per (main stage, nested column) — m(m+1)/2 in all, in
 // Plan column order — and each call covers the whole column: N/2 switches
-// in columnWords(m) words with the bits past N/2 clear, and all N lines.
+// in columnWords(m) words with the bits past N/2 clear.
 func TestOverrideOncePerColumn(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for m := 1; m <= 9; m++ {
@@ -260,14 +260,14 @@ func TestOverrideOncePerColumn(t *testing.T) {
 		}
 		N := n.Inputs()
 		calls := 0
-		ov := func(mainStage, column int, controls []uint64, words []Word) {
+		ov := func(mainStage, column int, controls []uint64) {
 			if c := colIndex(m, mainStage, column); c != calls {
 				t.Fatalf("m=%d: call %d is for column %d (stage %d, column %d)", m, calls, c, mainStage, column)
 			}
 			calls++
-			if len(controls) != columnWords(m) || len(words) != N {
-				t.Fatalf("m=%d stage %d column %d: %d control words and %d lines, want %d and %d",
-					m, mainStage, column, len(controls), len(words), columnWords(m), N)
+			if len(controls) != columnWords(m) {
+				t.Fatalf("m=%d stage %d column %d: %d control words, want %d",
+					m, mainStage, column, len(controls), columnWords(m))
 			}
 			if N/2 < 64 && controls[0]>>uint(N/2) != 0 {
 				t.Fatalf("m=%d stage %d column %d: control bits set past switch %d", m, mainStage, column, N/2)
@@ -305,7 +305,7 @@ func TestRejectionInLastNestedNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stuck := func(mainStage, column int, controls []uint64, _ []Word) {
+	stuck := func(mainStage, column int, controls []uint64) {
 		if mainStage == 5 && column == 0 {
 			controls[0] |= 1 << 63 // switch 63: lines 126 and 127
 		}

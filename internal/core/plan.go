@@ -70,6 +70,24 @@ func (pl *Plan) Perm() perm.Perm {
 	return out
 }
 
+// Dest returns the output input i exits on under the compiled
+// permutation, without copying the permutation.
+func (pl *Plan) Dest(i int) int { return pl.p[i] }
+
+// Matches reports whether src offers the compiled permutation: N words
+// with src[i].Addr == Dest(i) for every input i. It copies nothing.
+func (pl *Plan) Matches(src []Word) bool {
+	if len(src) != len(pl.p) {
+		return false
+	}
+	for i, d := range pl.p {
+		if src[i].Addr != d {
+			return false
+		}
+	}
+	return true
+}
+
 // SwitchCount returns the number of recorded switch decisions,
 // (N/2)·(1/2)m(m+1): one per 2x2 switch of the one-bit control plane.
 func (pl *Plan) SwitchCount() int {
@@ -102,18 +120,22 @@ func (n *Network) Compile(p perm.Perm) (*Plan, error) {
 	sc := n.pool.Get().(*scratch)
 	defer n.release(sc)
 	for i, d := range p {
-		sc.words[i] = Word{Addr: d, Data: uint64(i)}
+		sc.words[i] = Word{Addr: d}
 	}
-	sc.cols = pl.cols
-	if err := n.route(sc, sc.words, sc.words, sc.record); err != nil {
+	if err := sc.load(sc.words); err != nil {
 		return nil, err
 	}
-	for j, wd := range sc.words {
-		if wd.Addr != j {
-			return nil, fmt.Errorf("bnb: internal error: compile pass misdelivered %d to %d", wd.Addr, j)
-		}
-		pl.wire[j] = int32(wd.Data)
+	sc.cols = pl.cols
+	if err := n.pass(sc, sc.record); err != nil {
+		return nil, err
 	}
+	sc.unpack()
+	for j, a := range sc.addr[:N] {
+		if int(a) != j {
+			return nil, fmt.Errorf("bnb: internal error: compile pass misdelivered %d to %d", a, j)
+		}
+	}
+	copy(pl.wire, sc.inv)
 	return pl, nil
 }
 
@@ -130,31 +152,25 @@ func (n *Network) Replay(pl *Plan, dst, src []Word) error {
 	if pl.m != n.m {
 		return fmt.Errorf("bnb: plan compiled for order %d, network has order %d: %w", pl.m, n.m, neterr.ErrPlanMismatch)
 	}
-	N := n.Inputs()
-	if len(src) != N {
-		return fmt.Errorf("bnb: got %d words, want %d: %w", len(src), N, neterr.ErrBadSize)
+	if err := n.checkSizes(dst, src); err != nil {
+		return err
 	}
-	if len(dst) != N {
-		return fmt.Errorf("bnb: got %d output slots, want %d: %w", len(dst), N, neterr.ErrBadSize)
-	}
-	for i, wd := range src {
-		if wd.Addr != pl.p[i] {
-			return fmt.Errorf("bnb: input %d addressed to %d, plan expects %d: %w",
-				i, wd.Addr, pl.p[i], neterr.ErrPlanMismatch)
+	if !pl.Matches(src) {
+		for i, wd := range src {
+			if wd.Addr != pl.p[i] {
+				return fmt.Errorf("bnb: input %d addressed to %d, plan expects %d: %w",
+					i, wd.Addr, pl.p[i], neterr.ErrPlanMismatch)
+			}
 		}
 	}
 	if &dst[0] == &src[0] {
 		sc := n.pool.Get().(*scratch)
-		copy(sc.next, src)
-		for j, w := range pl.wire {
-			dst[j] = sc.next[w]
-		}
+		copy(sc.words, src)
+		applyWire(dst, sc.words, pl.wire)
 		n.pool.Put(sc)
 		return nil
 	}
-	for j, w := range pl.wire {
-		dst[j] = src[w]
-	}
+	applyWire(dst, src, pl.wire)
 	return nil
 }
 
@@ -172,7 +188,7 @@ func (n *Network) ReplayWired(pl *Plan, words []Word) ([]Word, error) {
 	if pl.m != n.m {
 		return nil, fmt.Errorf("bnb: plan compiled for order %d, network has order %d: %w", pl.m, n.m, neterr.ErrPlanMismatch)
 	}
-	load := func(mainStage, column int, controls []uint64, _ []Word) {
+	load := func(mainStage, column int, controls []uint64) {
 		copy(controls, pl.column(mainStage, column))
 	}
 	out := make([]Word, n.Inputs())

@@ -33,9 +33,12 @@ type column []uint8
 // through its own plane of sw(1) columns, and within each nested network only
 // the BSN slice computes controls — the other q-1 planes are slaved to them,
 // exactly as the hardware wires the control broadcast. It shares only the
-// topology, the GBN runner and the splitters with routeInto, so agreeing
-// with it shows that moving whole words is faithful to the sliced hardware
-// and that Compile records the switch states the hardware would set.
+// topology and the splitters' scalar Controls with the kernel — it runs on
+// gbn.RunInPlace, moves every slice, data slices included, column by
+// column, and routes one nested network at a time — so agreeing with it
+// shows that carrying the address planes and moving each word once at the
+// end is faithful to the sliced hardware, and that Compile records the
+// switch states the hardware would set.
 func (n *Network) RouteSliced(words []Word) (*slicedRoute, error) {
 	N := n.Inputs()
 	if len(words) != N {
@@ -69,7 +72,7 @@ func (n *Network) RouteSliced(words []Word) (*slicedRoute, error) {
 		}
 	}
 	main := &slicedMain{n: n, q: q, run: run, sub: make([]column, N)}
-	if err := gbn.RunInPlace[column](n.main, cols, make([]column, N), main); err != nil {
+	if err := gbn.RunInPlace[column](n.nested[0], cols, make([]column, N), main); err != nil {
 		return nil, fmt.Errorf("bnb: %w", err)
 	}
 	run.out = n.wordsOf(cols)
@@ -167,8 +170,8 @@ func (r *slicedNested) routeBox(stage, first int, lines []column) error {
 	return nil
 }
 
-// TestRouteSlicedMatchesRoute proves the atomic-word kernel is faithful to
-// the q-plane sliced hardware: Route produces bit-identical outputs, and
+// TestRouteSlicedMatchesRoute proves the bit-plane kernel is faithful to the
+// q-plane sliced hardware: Route produces bit-identical outputs, and
 // RouteTraced's snapshot of every main stage's input matches the reference
 // model's word for word.
 func TestRouteSlicedMatchesRoute(t *testing.T) {
@@ -253,5 +256,96 @@ func TestRouteSlicedValidation(t *testing.T) {
 	}
 	if _, err := n.RouteSliced(make([]Word, 8)); err == nil {
 		t.Error("RouteSliced accepted duplicate destinations")
+	}
+}
+
+// TestKernelSweepAgreesWithSliced checks the bit-plane kernel against the
+// bit-sliced reference at every order from 1 to 12: N < 8 (a partial
+// 8-line group in the address transposes), m = 8 and 9 (the first order
+// whose addresses need a second byte), and orders whose boxes span several
+// words (the multi-word plane unshuffle). Live RouteInto, into a separate
+// buffer and in place, must deliver the reference's words — payloads are
+// distinct, so every word's movement is checked — and Compile must record
+// the reference's switch states and wire map.
+func TestKernelSweepAgreesWithSliced(t *testing.T) {
+	rng := rand.New(rand.NewSource(1212))
+	for m := 1; m <= 12; m++ {
+		n, err := New(m, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		N := n.Inputs()
+		for _, p := range []perm.Perm{perm.Random(N, rng), perm.BitReversal(m), perm.Random(N, rng)} {
+			src := make([]Word, N)
+			for i, d := range p {
+				src[i] = Word{Addr: d, Data: uint64(i)}
+			}
+			ref, err := n.RouteSliced(src)
+			if err != nil {
+				t.Fatalf("m=%d: RouteSliced: %v", m, err)
+			}
+			live := make([]Word, N)
+			if err := n.RouteInto(live, src); err != nil {
+				t.Fatalf("m=%d: RouteInto: %v", m, err)
+			}
+			inPlace := append([]Word(nil), src...)
+			if err := n.RouteInto(inPlace, inPlace); err != nil {
+				t.Fatalf("m=%d: in-place RouteInto: %v", m, err)
+			}
+			for j := range live {
+				if live[j] != ref.out[j] || inPlace[j] != ref.out[j] {
+					t.Fatalf("m=%d: output %d: kernel %+v, in place %+v, sliced %+v", m, j, live[j], inPlace[j], ref.out[j])
+				}
+			}
+			pl, err := n.Compile(p)
+			if err != nil {
+				t.Fatalf("m=%d: Compile: %v", m, err)
+			}
+			for i, stage := range ref.controls {
+				for j, col := range stage {
+					for k, want := range col {
+						if got := pl.Control(i, j, k); got != want {
+							t.Fatalf("m=%d: control (%d,%d,%d) = %v, reference says %v", m, i, j, k, got, want)
+						}
+					}
+				}
+			}
+			for j, wd := range ref.out {
+				if got := pl.wire[j]; got != int32(wd.Data) {
+					t.Fatalf("m=%d: wire[%d] = %d, reference delivers input %d", m, j, got, wd.Data)
+				}
+			}
+		}
+	}
+}
+
+// TestPlaneTransposeRoundTrip packs 30-bit addresses — four address bytes,
+// the widest order wiring.MaxOrder allows — into planes and back: every
+// plane bit must be its line's address bit, and unpacking must restore
+// every address.
+func TestPlaneTransposeRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	const m, lines = 30, 128
+	w := lines / 64
+	sc := &scratch{m: m, planes: make([]uint64, m*w), addr: make([]int32, lines)}
+	want := make([]int32, lines)
+	for x := range want {
+		want[x] = int32(rng.Intn(1 << m))
+		sc.addr[x] = want[x]
+	}
+	sc.pack()
+	for b := 0; b < m; b++ {
+		for x := 0; x < lines; x++ {
+			if got := sc.planes[b*w+x>>6] >> uint(x&63) & 1; got != uint64(want[x]>>uint(b)&1) {
+				t.Fatalf("plane %d line %d = %d, address %#x", b, x, got, want[x])
+			}
+		}
+	}
+	clear(sc.addr)
+	sc.unpack()
+	for x, a := range sc.addr {
+		if a != want[x] {
+			t.Fatalf("line %d unpacked to %#x, want %#x", x, a, want[x])
+		}
 	}
 }

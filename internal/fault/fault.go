@@ -593,10 +593,10 @@ func (inj *Injector) classify(err error, transientOnly bool, cycle int64) error 
 
 // overrideFor builds the core.Override applying every live stuck element.
 func (inj *Injector) overrideFor(live []Fault) core.Override {
-	return func(mainStage, column int, controls []uint64, words []core.Word) {
+	return func(mainStage, column int, controls []uint64) {
 		for _, f := range live {
 			if f.Kind == StuckStraight || f.Kind == StuckCross {
-				f.stick(mainStage, column, controls, words)
+				f.stick(mainStage, column, controls)
 			}
 		}
 	}
@@ -605,7 +605,7 @@ func (inj *Injector) overrideFor(live []Fault) core.Override {
 // stick forces the stuck element's switch state when the Override call is
 // for its column. Each call covers a whole column — all N/2 switches, the
 // element's at bit Switch of controls — so no other check is needed.
-func (f Fault) stick(mainStage, column int, controls []uint64, _ []core.Word) {
+func (f Fault) stick(mainStage, column int, controls []uint64) {
 	e := f.Elem
 	if e.MainStage != mainStage || e.Column != column {
 		return

@@ -3,11 +3,13 @@
 // switching boxes of size 2^{m-i} x 2^{m-i}, and stage-i outputs feed
 // stage-(i+1) inputs through the 2^{m-i}-unshuffle connection U_{m-i}^m.
 //
-// The package supplies the pure topology — box geometry, inter-stage wiring,
-// and the one evaluator, RunInPlace, that pushes a payload vector through the
-// stages with caller-provided switching-box behaviour. The bit-sorter network
-// instantiates the boxes with splitters; the BNB main network instantiates
-// them with whole nested GBNs.
+// The package supplies the pure topology — box geometry and inter-stage
+// wiring — and the one evaluator, RunInPlace, that pushes a payload vector
+// through the stages with caller-provided switching-box behaviour. The
+// bit-sorter network instantiates the boxes with splitters and the
+// baseline network with tag-routed switches. The BNB kernel takes only the
+// topology from here: it routes its address slices as bit planes, with the
+// bitset unshuffle of package wiring as the inter-stage connection.
 package gbn
 
 import (
@@ -74,92 +76,27 @@ func (t Topology) InterStage(i, j int) int {
 	return wiring.Unshuffle(j, t.m-i, t.m)
 }
 
-// ChildBoxes returns the indices of the two stage-(i+1) boxes fed by stage-i
-// box l: the even outputs of box l go to the upper child (2l), the odd
-// outputs to the lower child (2l+1). This is the recursion of the baseline
-// construction.
-func (t Topology) ChildBoxes(i, l int) (upper, lower int) {
-	t.checkStage(i)
-	if i == t.m-1 {
-		panic("gbn: final stage has no children")
-	}
-	if l < 0 || l >= t.BoxesInStage(i) {
-		panic(fmt.Sprintf("gbn: box %d out of range in stage %d", l, i))
-	}
-	return 2 * l, 2*l + 1
-}
-
-// LocalRoute maps a local output port of a stage-i box to its destination
-// within the stage's child boxes: port offset o (0 <= o < BoxSize(i)) of any
-// stage-i box lands in child 0 (upper) at offset o/2 when o is even, and in
-// child 1 (lower) at offset (o-1)/2 when o is odd. This is the block-local
-// view of the unshuffle connection.
-func (t Topology) LocalRoute(i, o int) (child, offset int) {
-	t.checkStage(i)
-	if i == t.m-1 {
-		panic("gbn: final stage has no children")
-	}
-	size := t.BoxSize(i)
-	if o < 0 || o >= size {
-		panic(fmt.Sprintf("gbn: port offset %d out of range [0,%d)", o, size))
-	}
-	if o%2 == 0 {
-		return 0, o / 2
-	}
-	return 1, (o - 1) / 2
-}
-
-// Box identifies a switching box within the topology.
-type Box struct {
-	// Stage is the stage index, 0 <= Stage < m.
-	Stage int
-	// Index is the box position within the stage, 0 <= Index < 2^Stage.
-	Index int
-}
-
-// Boxes enumerates every switching box of the topology, stage by stage.
-func (t Topology) Boxes() []Box {
-	var boxes []Box
-	for i := 0; i < t.m; i++ {
-		for l := 0; l < t.BoxesInStage(i); l++ {
-			boxes = append(boxes, Box{Stage: i, Index: l})
-		}
-	}
-	return boxes
-}
-
-// FirstLine returns the global line index of the first port of the given box.
-func (t Topology) FirstLine(b Box) int {
-	t.checkStage(b.Stage)
-	return b.Index * t.BoxSize(b.Stage)
-}
-
 // StageRouter provides the behaviour of the switching boxes for RunInPlace:
 // RouteStage permutes, in place, the lines of every box of one stage — box
-// l of stage i holds lines[l·BoxSize(i) : (l+1)·BoxSize(i)], counting the
-// boxes of side-by-side copies in line order — so a router can evaluate a
-// whole column in one call. On failure it reports the index of the box
-// that failed, which RunInPlace names in the error. Implementations must
-// not grow or shrink the slice.
+// l of stage i holds lines[l·BoxSize(i) : (l+1)·BoxSize(i)] — so a router
+// can evaluate a whole stage in one call. On failure it reports the index
+// of the box that failed, which RunInPlace names in the error.
+// Implementations must not grow or shrink the slice.
 type StageRouter[T any] interface {
 	RouteStage(stage int, lines []T) (failedBox int, err error)
 }
 
-// RunInPlace pushes cur through every stage of the topology: each stage's
-// boxes are routed in place by r, and the stage outputs are rewired to the
-// next stage through the unshuffle connection, using tmp (at least as long)
-// as the rewiring buffer. cur may hold several copies of the network side
-// by side — len(cur) any positive multiple of Inputs() — and each copy is
-// then routed exactly as it would be alone: the unshuffle of a stage of
-// 2^k-line boxes rewires each 2^k-line block within itself, so copies never
-// exchange lines, and each call to r covers that stage in every copy. The
+// RunInPlace pushes cur, one payload per network input, through every
+// stage of the topology: each stage's boxes are routed in place by r, and
+// the stage outputs are rewired to the next stage through the unshuffle
+// connection, using tmp (at least as long) as the rewiring buffer. The
 // final output is left in cur; tmp's contents are unspecified afterwards.
 // Neither slice is allocated or retained, so callers can recycle both
-// across routes — this is the engine hot path.
+// across routes.
 func RunInPlace[T any](t Topology, cur, tmp []T, r StageRouter[T]) error {
 	n := len(cur)
-	if n == 0 || n%t.Inputs() != 0 {
-		return fmt.Errorf("gbn: got %d inputs, want a positive multiple of %d", n, t.Inputs())
+	if n != t.Inputs() {
+		return fmt.Errorf("gbn: got %d inputs, want %d", n, t.Inputs())
 	}
 	if len(tmp) < n {
 		return fmt.Errorf("gbn: rewire buffer length %d, want %d", len(tmp), n)

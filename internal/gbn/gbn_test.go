@@ -2,7 +2,6 @@ package gbn
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -49,21 +48,20 @@ func TestFig1Geometry(t *testing.T) {
 	}
 }
 
+// TestBoxesEnumeration checks that the boxes of every stage — box l of
+// stage i holding lines l·BoxSize(i) to (l+1)·BoxSize(i)-1 — partition the
+// stage's lines, 1+2+4+8 boxes in all at m = 4.
 func TestBoxesEnumeration(t *testing.T) {
 	top, err := New(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	boxes := top.Boxes()
-	want := 1 + 2 + 4 + 8
-	if len(boxes) != want {
-		t.Fatalf("len(Boxes) = %d, want %d", len(boxes), want)
-	}
-	// First line offsets partition the stage.
+	total := 0
 	for i := 0; i < top.Stages(); i++ {
 		covered := make([]bool, top.Inputs())
 		for l := 0; l < top.BoxesInStage(i); l++ {
-			first := top.FirstLine(Box{Stage: i, Index: l})
+			total++
+			first := l * top.BoxSize(i)
 			for o := 0; o < top.BoxSize(i); o++ {
 				if covered[first+o] {
 					t.Fatalf("stage %d line %d covered twice", i, first+o)
@@ -76,6 +74,9 @@ func TestBoxesEnumeration(t *testing.T) {
 				t.Fatalf("stage %d line %d not covered", i, j)
 			}
 		}
+	}
+	if want := 1 + 2 + 4 + 8; total != want {
+		t.Fatalf("%d boxes, want %d", total, want)
 	}
 }
 
@@ -95,8 +96,9 @@ func TestInterStageMatchesUnshuffle(t *testing.T) {
 	}
 }
 
-// TestLocalRouteConsistentWithGlobal verifies that the block-local routing
-// view (LocalRoute/ChildBoxes) agrees with the global unshuffle map.
+// TestLocalRouteConsistentWithGlobal verifies that the block-local view of
+// the baseline recursion — port o of stage-i box l feeds child box 2l+o%2
+// of stage i+1 at offset o/2 — agrees with the global unshuffle map.
 func TestLocalRouteConsistentWithGlobal(t *testing.T) {
 	top, err := New(6)
 	if err != nil {
@@ -106,22 +108,11 @@ func TestLocalRouteConsistentWithGlobal(t *testing.T) {
 		size := top.BoxSize(i)
 		childSize := size / 2
 		for l := 0; l < top.BoxesInStage(i); l++ {
-			upper, lower := top.ChildBoxes(i, l)
 			for o := 0; o < size; o++ {
-				child, offset := top.LocalRoute(i, o)
-				globalOut := l*size + o
-				globalIn := top.InterStage(i, globalOut)
-				var wantChildBox int
-				if child == 0 {
-					wantChildBox = upper
-				} else {
-					wantChildBox = lower
-				}
-				gotChildBox := globalIn / childSize
-				gotOffset := globalIn % childSize
-				if gotChildBox != wantChildBox || gotOffset != offset {
-					t.Fatalf("stage %d box %d port %d: local (%d,%d) vs global (%d,%d)",
-						i, l, o, wantChildBox, offset, gotChildBox, gotOffset)
+				globalIn := top.InterStage(i, l*size+o)
+				if box, offset := globalIn/childSize, globalIn%childSize; box != 2*l+o%2 || offset != o/2 {
+					t.Fatalf("stage %d box %d port %d: global (%d,%d), local (%d,%d)",
+						i, l, o, box, offset, 2*l+o%2, o/2)
 				}
 			}
 		}
@@ -137,16 +128,14 @@ func TestEvenOddSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < top.Stages()-1; i++ {
+		half := top.BoxSize(i) / 2
 		for o := 0; o < top.BoxSize(i); o++ {
-			child, offset := top.LocalRoute(i, o)
-			if o%2 == 0 {
-				if child != 0 || offset != o/2 {
-					t.Fatalf("even port %d went to (%d,%d)", o, child, offset)
-				}
-			} else {
-				if child != 1 || offset != (o-1)/2 {
-					t.Fatalf("odd port %d went to (%d,%d)", o, child, offset)
-				}
+			got := top.InterStage(i, o) // box 0 of stage i
+			if o%2 == 0 && got != o/2 {
+				t.Fatalf("stage %d: even port %d went to line %d, want %d", i, o, got, o/2)
+			}
+			if o%2 == 1 && got != half+o/2 {
+				t.Fatalf("stage %d: odd port %d went to line %d, want %d", i, o, got, half+o/2)
 			}
 		}
 	}
@@ -160,13 +149,13 @@ func (identityRouter[T]) RouteStage(int, []T) (int, error) { return 0, nil }
 // boxFunc adapts a per-box function to StageRouter.
 type boxFunc struct {
 	top Topology
-	f   func(box Box, lines []int) error
+	f   func(stage, box int, lines []int) error
 }
 
 func (r boxFunc) RouteStage(stage int, lines []int) (int, error) {
 	size := r.top.BoxSize(stage)
 	for l := 0; l*size < len(lines); l++ {
-		if err := r.f(Box{Stage: stage, Index: l}, lines[l*size:(l+1)*size]); err != nil {
+		if err := r.f(stage, l, lines[l*size:(l+1)*size]); err != nil {
 			return l, err
 		}
 	}
@@ -238,15 +227,14 @@ func TestRunBaselineWiringIsBitReversal(t *testing.T) {
 }
 
 // TestRunValidation covers every refusal of RunInPlace: an input length
-// that is not a positive multiple of Inputs() (side-by-side copies must be
-// whole), a short rewire buffer, and a box error, which must come back
-// wrapped with the failing box's stage and index.
+// other than Inputs(), a short rewire buffer, and a box error, which must
+// come back wrapped with the failing box's stage and index.
 func TestRunValidation(t *testing.T) {
 	top, err := New(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{0, 7, 12, 20} {
+	for _, n := range []int{0, 7, 12, 16, 20} {
 		if err := RunInPlace[int](top, make([]int, n), make([]int, 32), identityRouter[int]{}); err == nil {
 			t.Errorf("RunInPlace accepted %d inputs on an 8-input network", n)
 		}
@@ -254,15 +242,12 @@ func TestRunValidation(t *testing.T) {
 	if err := RunInPlace[int](top, make([]int, 8), make([]int, 7), identityRouter[int]{}); err == nil {
 		t.Error("RunInPlace accepted a short rewire buffer")
 	}
-	if err := RunInPlace[int](top, make([]int, 16), make([]int, 8), identityRouter[int]{}); err == nil {
-		t.Error("RunInPlace accepted a rewire buffer shorter than two copies")
-	}
 	boom := errors.New("boom")
-	failing := boxFunc{top, func(b Box, lines []int) error {
-		if len(lines) != top.BoxSize(b.Stage) {
-			t.Errorf("box %+v got %d lines, want %d", b, len(lines), top.BoxSize(b.Stage))
+	failing := boxFunc{top, func(stage, box int, lines []int) error {
+		if len(lines) != top.BoxSize(stage) {
+			t.Errorf("stage %d box %d got %d lines, want %d", stage, box, len(lines), top.BoxSize(stage))
 		}
-		if b.Stage == 1 && b.Index == 1 {
+		if stage == 1 && box == 1 {
 			return boom
 		}
 		return nil
@@ -273,69 +258,6 @@ func TestRunValidation(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "stage 1 box 1") {
 		t.Errorf("box error %q lacks its stage 1 box 1 context", err)
-	}
-}
-
-// rotateRouter rotates every box of a stage by an amount drawn from its
-// first line's label, so the output depends on every stage and rewire; a
-// label listed in fail makes its box fail.
-type rotateRouter struct {
-	top  Topology
-	fail map[int]bool
-}
-
-func (r rotateRouter) RouteStage(stage int, lines []int) (int, error) {
-	size := r.top.BoxSize(stage)
-	for l := 0; l*size < len(lines); l++ {
-		box := lines[l*size : (l+1)*size]
-		if r.fail[box[0]] {
-			return l, fmt.Errorf("label %d", box[0])
-		}
-		k := (box[0]*7 + stage) % size
-		rot := append(append([]int(nil), box[k:]...), box[:k]...)
-		copy(box, rot)
-	}
-	return 0, nil
-}
-
-// TestRunSideBySideCopies routes several copies of a network side by side
-// and requires each copy's output to equal a run of that copy alone, and a
-// failing box to be named by its index across the copies.
-func TestRunSideBySideCopies(t *testing.T) {
-	for m := 1; m <= 6; m++ {
-		top, err := New(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := top.Inputs()
-		for _, copies := range []int{1, 2, 3, 8} {
-			r := rotateRouter{top: top}
-			all := lineLabels(copies * n)
-			if err := RunInPlace[int](top, all, make([]int, copies*n), r); err != nil {
-				t.Fatal(err)
-			}
-			for c := 0; c < copies; c++ {
-				alone := lineLabels(copies * n)[c*n : (c+1)*n]
-				if err := RunInPlace[int](top, alone, make([]int, n), r); err != nil {
-					t.Fatal(err)
-				}
-				for j, v := range alone {
-					if all[c*n+j] != v {
-						t.Fatalf("m=%d %d copies: copy %d line %d = %d side by side, %d alone", m, copies, c, j, all[c*n+j], v)
-					}
-				}
-			}
-		}
-	}
-	// Four 8-line copies: stage 0 has one box per copy, and label 16 opens
-	// copy 2's, so the runner must name box 2.
-	top, err := New(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = RunInPlace[int](top, lineLabels(32), make([]int, 32), rotateRouter{top: top, fail: map[int]bool{16: true}})
-	if err == nil || err.Error() != "gbn: stage 0 box 2: label 16" {
-		t.Fatalf("failing copy reported as %v, want stage 0 box 2", err)
 	}
 }
 
@@ -371,10 +293,8 @@ func TestPanicsOnBadStage(t *testing.T) {
 	mustPanic("BoxesInStage(-1)", func() { top.BoxesInStage(-1) })
 	mustPanic("BoxSize(3)", func() { top.BoxSize(3) })
 	mustPanic("InterStage(2,0)", func() { top.InterStage(2, 0) })
-	mustPanic("LocalRoute final stage", func() { top.LocalRoute(2, 0) })
-	mustPanic("LocalRoute bad port", func() { top.LocalRoute(0, 8) })
-	mustPanic("ChildBoxes final stage", func() { top.ChildBoxes(2, 0) })
-	mustPanic("ChildBoxes bad box", func() { top.ChildBoxes(0, 1) })
+	mustPanic("InterStage(-1,0)", func() { top.InterStage(-1, 0) })
+	mustPanic("BoxOrder(3)", func() { top.BoxOrder(3) })
 }
 
 func BenchmarkRun1024(b *testing.B) {

@@ -196,29 +196,21 @@ func spreadBits(c uint64) uint64 {
 	return (c | c<<1) & evenLines
 }
 
-// Exchange drives a switch column with packed controls, as ColumnControls
-// produces them: lines 2t and 2t+1 are exchanged for every set bit t of
-// ctl. Only the exchanged pairs are touched. len(lines) must cover every
-// set bit.
-func Exchange[T any](ctl []uint64, lines []T) {
-	for c, word := range ctl {
-		for word != 0 {
-			t := c<<6 | bits.TrailingZeros64(word)
-			pair := lines[2*t : 2*t+2 : 2*t+2]
-			pair[0], pair[1] = pair[1], pair[0]
-			word &= word - 1
-		}
-	}
-}
-
-// ExchangeBits drives the same switch column on a one-bit slice held as a
-// bitset (bit j of x[j>>6] on line j): a delta swap per word exchanges the
-// two bits of every switch whose control is set.
-func ExchangeBits(ctl, x []uint64) {
-	for w := range x {
+// ExchangePlanes drives a switch column with packed controls, as
+// ColumnControls produces them, on bit planes held as bitsets: planes
+// holds len(planes)/words planes of `words` words each, bit j of a plane's
+// word j>>6 on line j, and lines 2t and 2t+1 of every plane are exchanged
+// for every set bit t of ctl. Each control word is spread to the lines
+// once and applied to every plane by a delta swap, so all the planes move
+// as the one-bit slices of Definition 5 follow their BSN slice's switches.
+func ExchangePlanes(ctl, planes []uint64, words int) {
+	for w := 0; w < words; w++ {
 		e := spreadBits(ctl[w>>1] >> uint(32*(w&1)))
-		d := (x[w] ^ x[w]>>1) & e
-		x[w] ^= d | d<<1
+		for b := w; b < len(planes); b += words {
+			x := planes[b]
+			d := (x ^ x>>1) & e
+			planes[b] = x ^ (d | d<<1)
+		}
 	}
 }
 

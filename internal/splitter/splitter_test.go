@@ -440,42 +440,46 @@ func TestColumnControlsRandom(t *testing.T) {
 	}
 }
 
-// TestExchangeMatchesApplyInPlace drives words and a bit slice through the
-// packed-control switch column and compares both with ApplyInPlace.
+// TestExchangeMatchesApplyInPlace drives one to three bit planes through
+// the packed-control switch column at once and compares every plane with
+// ApplyInPlace driven by the same controls.
 func TestExchangeMatchesApplyInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{2, 8, 64, 128, 512} {
-		controls := make([]bool, n/2)
-		ctl := make([]uint64, (n/2+63)/64)
-		for k := range controls {
-			controls[k] = rng.Intn(2) == 1
-			if controls[k] {
-				ctl[k>>6] |= 1 << uint(k&63)
+		words := (n + 63) / 64
+		for planes := 1; planes <= 3; planes++ {
+			controls := make([]bool, n/2)
+			ctl := make([]uint64, (n/2+63)/64)
+			for k := range controls {
+				controls[k] = rng.Intn(2) == 1
+				if controls[k] {
+					ctl[k>>6] |= 1 << uint(k&63)
+				}
 			}
-		}
-		lines := make([]int, n)
-		slice := make([]uint8, n)
-		x := make([]uint64, (n+63)/64)
-		for j := range lines {
-			lines[j] = j
-			slice[j] = uint8(rng.Intn(2))
-			x[j>>6] |= uint64(slice[j]) << uint(j&63)
-		}
-		want := append([]int(nil), lines...)
-		if err := ApplyInPlace(controls, want); err != nil {
-			t.Fatal(err)
-		}
-		if err := ApplyInPlace(controls, slice); err != nil {
-			t.Fatal(err)
-		}
-		Exchange(ctl, lines)
-		ExchangeBits(ctl, x)
-		for j := range lines {
-			if lines[j] != want[j] {
-				t.Fatalf("n=%d: Exchange line %d = %d, ApplyInPlace %d", n, j, lines[j], want[j])
+			slices := make([][]uint8, planes)
+			x := make([]uint64, planes*words)
+			for b := range slices {
+				slices[b] = make([]uint8, n)
+				for j := range slices[b] {
+					slices[b][j] = uint8(rng.Intn(2))
+					x[b*words+j>>6] |= uint64(slices[b][j]) << uint(j&63)
+				}
+				if err := ApplyInPlace(controls, slices[b]); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if got := uint8(x[j>>6] >> uint(j&63) & 1); got != slice[j] {
-				t.Fatalf("n=%d: ExchangeBits line %d = %d, ApplyInPlace %d", n, j, got, slice[j])
+			ExchangePlanes(ctl, x, words)
+			for b, want := range slices {
+				for j := range want {
+					if got := uint8(x[b*words+j>>6] >> uint(j&63) & 1); got != want[j] {
+						t.Fatalf("n=%d plane %d of %d: line %d = %d, ApplyInPlace %d", n, b, planes, j, got, want[j])
+					}
+				}
+			}
+			for j := n; j < 64*words; j++ {
+				if x[j>>6]>>uint(j&63)&1 != 0 {
+					t.Fatalf("n=%d: line %d past the column was set", n, j)
+				}
 			}
 		}
 	}

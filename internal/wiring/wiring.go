@@ -122,36 +122,36 @@ func checkUnshuffleArgs(i, k, m int) {
 	}
 }
 
-// unshuffleSteps are the delta swaps of the in-word unshuffle: step s
-// exchanges the bit groups that the mask selects with the groups 2^s
-// positions above them. Applying steps 0..k-2 unshuffles every aligned
-// 2^k-bit block of a word (Hacker's Delight §7-2).
-var unshuffleSteps = [5]uint64{
-	0x2222222222222222,
-	0x0C0C0C0C0C0C0C0C,
-	0x00F000F000F000F0,
-	0x0000FF000000FF00,
-	0x00000000FFFF0000,
-}
-
 // UnshuffleBits applies the 2^k-unshuffle U_k to every aligned 2^k-line
-// block of a one-bit slice held as a bitset: bit j of src (bit j&63 of
+// block of bit planes held as bitsets: bit j of src (bit j&63 of
 // src[j>>6]) moves to bit Unshuffle(j, k, m) of dst, so each block's even
 // lines land in its lower half and its odd lines in its upper half. Blocks
-// of up to 64 lines are permuted inside their word by k-1 delta swaps;
-// wider blocks unshuffle every word and then interleave the words' halves.
-// len(dst) must be at least len(src), and the two must not overlap. Lines
-// past the end of a partial word stay zero only if they are zero in src.
+// of up to 64 lines are permuted inside their word by k-1 unrolled delta
+// swaps (Hacker's Delight §7-2); wider blocks unshuffle every word and then
+// interleave the words' halves. src may hold several planes end to end:
+// a block of 2^k lines spans 2^(k-6) words, and as long as that divides
+// the plane length no block straddles two planes, so one call covers all
+// of them. len(dst) must be at least len(src), and the two must not
+// overlap. Lines past the end of a partial word stay zero only if they are
+// zero in src.
 func UnshuffleBits(dst, src []uint64, k int) {
-	steps := k - 1
-	if steps > len(unshuffleSteps) {
-		steps = len(unshuffleSteps)
-	}
+	dst = dst[:len(src)]
 	if k <= 6 {
 		for w, x := range src {
-			for s := 0; s < steps; s++ {
-				t := (x ^ x>>(1<<uint(s))) & unshuffleSteps[s]
-				x ^= t ^ t<<(1<<uint(s))
+			if k > 1 {
+				x = swap(x, 1, swap1)
+			}
+			if k > 2 {
+				x = swap(x, 2, swap2)
+			}
+			if k > 3 {
+				x = swap(x, 4, swap4)
+			}
+			if k > 4 {
+				x = swap(x, 8, swap8)
+			}
+			if k > 5 {
+				x = swap(x, 16, swap16)
 			}
 			dst[w] = x
 		}
@@ -164,97 +164,37 @@ func UnshuffleBits(dst, src []uint64, k int) {
 	// odd halves.
 	half := 1 << uint(k-7)
 	for base := 0; base < len(src); base += 2 * half {
-		for a := 0; a < half; a++ {
-			lo, hi := src[base+2*a], src[base+2*a+1]
-			for s := 0; s < steps; s++ {
-				sh := uint(1) << uint(s)
-				t := (lo ^ lo>>sh) & unshuffleSteps[s]
-				lo ^= t ^ t<<sh
-				t = (hi ^ hi>>sh) & unshuffleSteps[s]
-				hi ^= t ^ t<<sh
-			}
-			dst[base+a] = lo&0xFFFFFFFF | hi<<32
-			dst[base+half+a] = lo>>32 | hi&^0xFFFFFFFF
+		in := src[base : base+2*half]
+		lo, hi := dst[base:base+half], dst[base+half:base+2*half]
+		for a := range lo {
+			x, y := unshuffle64(in[2*a]), unshuffle64(in[2*a+1])
+			lo[a] = x&0xFFFFFFFF | y<<32
+			hi[a] = x>>32 | y&^0xFFFFFFFF
 		}
 	}
 }
 
-// Pattern is an explicit inter-stage connection pattern: Map[j] gives the
-// stage-(i+1) input line that stage-i output line j drives. A Pattern is a
-// bijection on [0, len(Map)).
-type Pattern struct {
-	// Map holds the forward connection. It is never nil for a Pattern
-	// returned by this package.
-	Map []int
+// The masks of the in-word unshuffle's delta swaps: swapS selects the bit
+// groups that trade places with the groups S positions above them.
+// Applying the first k-1 swaps unshuffles every aligned 2^k-bit block of a
+// word (Hacker's Delight §7-2).
+const (
+	swap1  = 0x2222222222222222
+	swap2  = 0x0C0C0C0C0C0C0C0C
+	swap4  = 0x00F000F000F000F0
+	swap8  = 0x0000FF000000FF00
+	swap16 = 0x00000000FFFF0000
+)
+
+// unshuffle64 applies U_6 to one word: its even bits move to the low half
+// and its odd bits to the high half, each in order.
+func unshuffle64(x uint64) uint64 {
+	return swap(swap(swap(swap(swap(x, 1, swap1), 2, swap2), 4, swap4), 8, swap8), 16, swap16)
 }
 
-// UnshufflePattern materializes the 2^k-unshuffle connection of 2^m lines as
-// an explicit Pattern.
-func UnshufflePattern(k, m int) (Pattern, error) {
-	if err := CheckOrder(m); err != nil {
-		return Pattern{}, err
-	}
-	if k < 1 || k > m {
-		return Pattern{}, fmt.Errorf("wiring: unshuffle span k=%d out of range [1,%d]", k, m)
-	}
-	n := 1 << uint(m)
-	p := Pattern{Map: make([]int, n)}
-	for j := 0; j < n; j++ {
-		p.Map[j] = Unshuffle(j, k, m)
-	}
-	return p, nil
-}
-
-// Size returns the number of lines the pattern connects.
-func (p Pattern) Size() int { return len(p.Map) }
-
-// Apply routes src through the pattern: dst[p.Map[j]] = src[j]. It returns an
-// error when the sizes disagree.
-func (p Pattern) Apply(src, dst []int) error {
-	if len(src) != len(p.Map) || len(dst) != len(p.Map) {
-		return fmt.Errorf("wiring: pattern size %d does not match src=%d dst=%d",
-			len(p.Map), len(src), len(dst))
-	}
-	for j, v := range src {
-		dst[p.Map[j]] = v
-	}
-	return nil
-}
-
-// Inverse returns the reverse connection pattern.
-func (p Pattern) Inverse() Pattern {
-	inv := Pattern{Map: make([]int, len(p.Map))}
-	for j, v := range p.Map {
-		inv.Map[v] = j
-	}
-	return inv
-}
-
-// Validate checks that the pattern is a bijection on [0, Size()).
-func (p Pattern) Validate() error {
-	seen := make([]bool, len(p.Map))
-	for j, v := range p.Map {
-		if v < 0 || v >= len(p.Map) {
-			return fmt.Errorf("wiring: pattern entry %d -> %d out of range", j, v)
-		}
-		if seen[v] {
-			return fmt.Errorf("wiring: pattern target %d has two sources", v)
-		}
-		seen[v] = true
-	}
-	return nil
-}
-
-// Permute applies the pattern to a slice of any element type, writing the
-// result into a freshly allocated slice: out[p.Map[j]] = in[j].
-func Permute[T any](p Pattern, in []T) ([]T, error) {
-	if len(in) != len(p.Map) {
-		return nil, fmt.Errorf("wiring: pattern size %d does not match input %d",
-			len(p.Map), len(in))
-	}
-	out := make([]T, len(in))
-	for j := range in {
-		out[p.Map[j]] = in[j]
-	}
-	return out, nil
+// swap exchanges the bits of x that mask selects with those shift
+// positions above them.
+func swap(x uint64, shift uint, mask uint64) uint64 {
+	t := (x ^ x>>shift) & mask
+	return x ^ t ^ t<<shift
 }

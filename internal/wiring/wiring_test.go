@@ -216,97 +216,37 @@ func TestUnshufflePanicsOnBadArgs(t *testing.T) {
 	}
 }
 
+// TestUnshufflePattern checks that the connection pattern U_k^m is a
+// bijection on the 2^m lines for every span k: no two lines share a target.
 func TestUnshufflePattern(t *testing.T) {
 	for m := 1; m <= 8; m++ {
+		n := 1 << uint(m)
 		for k := 1; k <= m; k++ {
-			p, err := UnshufflePattern(k, m)
-			if err != nil {
-				t.Fatalf("UnshufflePattern(%d, %d): %v", k, m, err)
-			}
-			if p.Size() != 1<<uint(m) {
-				t.Fatalf("pattern size = %d, want %d", p.Size(), 1<<uint(m))
-			}
-			if err := p.Validate(); err != nil {
-				t.Fatalf("pattern invalid: %v", err)
+			hit := make([]bool, n)
+			for j := 0; j < n; j++ {
+				to := Unshuffle(j, k, m)
+				if hit[to] {
+					t.Fatalf("U_%d^%d sends two lines to %d", k, m, to)
+				}
+				hit[to] = true
 			}
 		}
 	}
 }
 
+// TestUnshufflePatternErrors checks that the unshuffle connection refuses
+// an order below 1 and a span outside [1, m] — the argument errors the
+// materialized pattern used to report — by panicking.
 func TestUnshufflePatternErrors(t *testing.T) {
-	if _, err := UnshufflePattern(1, 0); err == nil {
-		t.Error("UnshufflePattern(1, 0) = nil error")
-	}
-	if _, err := UnshufflePattern(0, 3); err == nil {
-		t.Error("UnshufflePattern(0, 3) = nil error")
-	}
-	if _, err := UnshufflePattern(4, 3); err == nil {
-		t.Error("UnshufflePattern(4, 3) = nil error")
-	}
-}
-
-func TestPatternApplyAndInverse(t *testing.T) {
-	p, err := UnshufflePattern(3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := []int{10, 11, 12, 13, 14, 15, 16, 17}
-	dst := make([]int, 8)
-	if err := p.Apply(src, dst); err != nil {
-		t.Fatal(err)
-	}
-	back := make([]int, 8)
-	if err := p.Inverse().Apply(dst, back); err != nil {
-		t.Fatal(err)
-	}
-	for i := range src {
-		if back[i] != src[i] {
-			t.Fatalf("inverse round trip mismatch at %d: got %d want %d", i, back[i], src[i])
-		}
-	}
-}
-
-func TestPatternApplySizeMismatch(t *testing.T) {
-	p, err := UnshufflePattern(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Apply(make([]int, 3), make([]int, 4)); err == nil {
-		t.Error("Apply with mismatched sizes = nil error")
-	}
-	if err := p.Apply(make([]int, 4), make([]int, 3)); err == nil {
-		t.Error("Apply with mismatched dst = nil error")
-	}
-}
-
-func TestPatternValidateRejectsNonBijection(t *testing.T) {
-	bad := Pattern{Map: []int{0, 0, 1, 2}}
-	if err := bad.Validate(); err == nil {
-		t.Error("Validate accepted duplicate targets")
-	}
-	oob := Pattern{Map: []int{0, 4, 1, 2}}
-	if err := oob.Validate(); err == nil {
-		t.Error("Validate accepted out-of-range target")
-	}
-}
-
-func TestPermuteGeneric(t *testing.T) {
-	p, err := UnshufflePattern(3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	out, err := Permute(p, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, s := range in {
-		if out[p.Map[j]] != s {
-			t.Fatalf("Permute misplaced element %d", j)
-		}
-	}
-	if _, err := Permute(p, in[:5]); err == nil {
-		t.Error("Permute with mismatched size = nil error")
+	for _, tc := range []struct{ k, m int }{{1, 0}, {0, 3}, {4, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Unshuffle(0, %d, %d) did not panic", tc.k, tc.m)
+				}
+			}()
+			Unshuffle(0, tc.k, tc.m)
+		}()
 	}
 }
 
@@ -377,19 +317,16 @@ func TestUnshuffleGroupOrder(t *testing.T) {
 	}
 }
 
-// TestShuffleUnshuffleAreMutualInversesAsPatterns checks the pattern-level
-// inverse matches the index-level inverse.
+// TestShuffleUnshuffleAreMutualInversesAsPatterns checks the other side of
+// TestShuffleInvertsUnshuffle: routing every line through the shuffle and
+// then the unshuffle brings it back, so the two connection patterns are
+// mutual inverses.
 func TestShuffleUnshuffleAreMutualInversesAsPatterns(t *testing.T) {
 	for m := 1; m <= 6; m++ {
 		for k := 1; k <= m; k++ {
-			p, err := UnshufflePattern(k, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inv := p.Inverse()
-			for i := 0; i < p.Size(); i++ {
-				if inv.Map[i] != Shuffle(i, k, m) {
-					t.Fatalf("m=%d k=%d: pattern inverse disagrees with Shuffle at %d", m, k, i)
+			for i := 0; i < 1<<uint(m); i++ {
+				if got := Unshuffle(Shuffle(i, k, m), k, m); got != i {
+					t.Fatalf("m=%d k=%d: Unshuffle(Shuffle(%d)) = %d", m, k, i, got)
 				}
 			}
 		}
@@ -397,26 +334,33 @@ func TestShuffleUnshuffleAreMutualInversesAsPatterns(t *testing.T) {
 }
 
 // TestUnshuffleBitsMatchesUnshuffle checks the bitset unshuffle line by
-// line against Unshuffle for every block order up to 9 (blocks of one
+// line against Unshuffle for every block order up to 10 (blocks of one
 // partial word, of whole words and spanning several words) over seeded
-// random slices.
+// random slices, with one to three planes end to end in one call: every
+// plane must come out as if unshuffled alone.
 func TestUnshuffleBitsMatchesUnshuffle(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	for m := 1; m <= 9; m++ {
+	for m := 1; m <= 10; m++ {
 		n := 1 << uint(m)
 		words := (n + 63) / 64
 		for k := 1; k <= m; k++ {
-			for trial := 0; trial < 20; trial++ {
-				src := make([]uint64, words)
-				for j := 0; j < n; j++ {
-					src[j>>6] |= uint64(rng.Intn(2)) << uint(j&63)
+			for trial := 0; trial < 12; trial++ {
+				planes := 1 + trial%3
+				src := make([]uint64, planes*words)
+				for b := 0; b < planes; b++ {
+					for j := 0; j < n; j++ {
+						src[b*words+j>>6] |= uint64(rng.Intn(2)) << uint(j&63)
+					}
 				}
-				dst := make([]uint64, words)
+				dst := make([]uint64, planes*words)
 				UnshuffleBits(dst, src, k)
-				for j := 0; j < n; j++ {
-					to := Unshuffle(j, k, m)
-					if got, want := dst[to>>6]>>uint(to&63)&1, src[j>>6]>>uint(j&63)&1; got != want {
-						t.Fatalf("m=%d k=%d: line %d -> %d carries %d, want %d", m, k, j, to, got, want)
+				for b := 0; b < planes; b++ {
+					in, out := src[b*words:(b+1)*words], dst[b*words:(b+1)*words]
+					for j := 0; j < n; j++ {
+						to := Unshuffle(j, k, m)
+						if got, want := out[to>>6]>>uint(to&63)&1, in[j>>6]>>uint(j&63)&1; got != want {
+							t.Fatalf("m=%d k=%d plane %d of %d: line %d -> %d carries %d, want %d", m, k, b, planes, j, to, got, want)
+						}
 					}
 				}
 			}
