@@ -76,12 +76,6 @@ func TestRegistryErrors(t *testing.T) {
 	if _, err := New("bnb", 4, WithQueue(8)); err == nil {
 		t.Error("WithQueue accepted by New")
 	}
-	if _, err := New("bnb", 4, WithBatch(8)); err == nil {
-		t.Error("WithBatch accepted by New")
-	}
-	if _, err := NewEngine(mustNetwork(t, "bnb", 3), WithBatch(-1)); err == nil {
-		t.Error("negative WithBatch accepted by NewEngine")
-	}
 	if _, err := NewEngine(mustNetwork(t, "bnb", 3), WithDataBits(8)); err == nil {
 		t.Error("WithDataBits accepted by NewEngine")
 	}

@@ -110,10 +110,10 @@ var _ Network = (*Cluster)(nil)
 //
 // The plane options NewSupervised accepts configure each shard
 // identically (WithPlanes redundancy, WithPlanCache, WithHedge,
-// WithPlaneCap, WithHealthInterval, WithPlaneFaults, WithDataBits). A
-// route runs every shard on the caller's goroutine, so the engine options
-// WithWorkers, WithQueue, WithBatch, WithTimeout, WithRetry and
-// WithShedding are rejected; bound a route with RouteIntoCtx instead.
+// WithHealthInterval, WithPlaneFaults, WithDataBits). A route runs every
+// shard on the caller's goroutine, so the engine options WithWorkers,
+// WithQueue, WithTimeout and WithShedding are rejected; bound a route with
+// RouteIntoCtx instead.
 // WithDebugAddr starts one debug endpoint owned by the cluster. WithMetrics
 // attaches one shared sink and WithTracer one span recorder: every shard
 // route is counted as one route and recorded as one request span with
@@ -126,17 +126,14 @@ func NewCluster(family string, m int, opts ...Option) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.anySet(optWorkers | optQueue | optBatch | optTimeout | optRetry | optShedding) {
-		return nil, fmt.Errorf("bnbnet: WithWorkers, WithQueue, WithBatch, WithTimeout, WithRetry and WithShedding apply to NewEngine and NewSupervised, not NewCluster; cluster shards route on the caller's goroutine")
+	if o.anySet(optWorkers | optQueue | optTimeout | optShedding) {
+		return nil, fmt.Errorf("bnbnet: WithWorkers, WithQueue, WithTimeout and WithShedding apply to NewEngine and NewSupervised, not NewCluster; cluster shards route on the caller's goroutine")
 	}
 	if o.anySet(optTrace) {
 		return nil, fmt.Errorf("bnbnet: WithTrace applies to New, not NewCluster")
 	}
 	if o.anySet(optFaults) {
 		return nil, fmt.Errorf("bnbnet: WithFaults applies to New; use WithPlaneFaults(plane, plan) to fault one plane of every shard")
-	}
-	if o.anySet(optBreaker | optFallback) {
-		return nil, fmt.Errorf("bnbnet: WithBreaker and WithFallback do not apply to NewCluster; the shards' plane supervisors subsume them")
 	}
 	if o.anySet(optFabric) {
 		return nil, fmt.Errorf("bnbnet: WithVOQ and WithDegraded apply to NewFabric, not NewCluster")

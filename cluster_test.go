@@ -378,9 +378,6 @@ func TestClusterOptionRejections(t *testing.T) {
 	if _, err := NewCluster("bnb", 3, WithTrace(func(int, []Word) {})); err == nil {
 		t.Fatal("NewCluster accepted WithTrace")
 	}
-	if _, err := NewCluster("bnb", 3, WithBreaker(3)); err == nil {
-		t.Fatal("NewCluster accepted WithBreaker")
-	}
 	if _, err := NewCluster("bnb", 3, WithShards(0)); err == nil {
 		t.Fatal("NewCluster accepted WithShards(0)")
 	}
@@ -389,9 +386,7 @@ func TestClusterOptionRejections(t *testing.T) {
 	for name, opt := range map[string]Option{
 		"WithWorkers":  WithWorkers(2),
 		"WithQueue":    WithQueue(8),
-		"WithBatch":    WithBatch(2),
 		"WithTimeout":  WithTimeout(time.Second),
-		"WithRetry":    WithRetry(2, time.Millisecond),
 		"WithShedding": WithShedding(),
 	} {
 		if _, err := NewCluster("bnb", 3, opt); err == nil {

@@ -102,7 +102,8 @@ type ClusterPoint struct {
 	// Batched aggregate throughput; words/sec = routes/sec x inputs.
 	RoutesPerSec float64 `json:"routes_per_sec"`
 	WordsPerSec  float64 `json:"words_per_sec"`
-	// DecomposeNsPerOp is the matching-stage latency (Cluster.Compile).
+	// DecomposeNsPerOp is the matching-stage latency (Cluster.Compile), the
+	// median of its samples.
 	DecomposeNsPerOp float64 `json:"decompose_ns_per_op"`
 	// ReplayNsPerOp replays the compiled assignment through the shards.
 	ReplayNsPerOp float64 `json:"replay_ns_per_op"`
@@ -373,7 +374,7 @@ func benchCluster(cfg benchConfig) (ClusterResult, error) {
 				comp[i] = time.Since(start).Nanoseconds()
 				plan, planPerm = pl, p
 			}
-			point.DecomposeNsPerOp, _, _ = summarize(comp)
+			point.DecomposeNsPerOp = medianNs(comp)
 
 			src := make([]bnbnet.Word, n)
 			dst := make([]bnbnet.Word, n)
@@ -827,6 +828,14 @@ func summarize(samples []int64) (mean float64, p50, p99 int64) {
 		return sorted[idx]
 	}
 	return mean, pick(0.50), pick(0.99)
+}
+
+// medianNs is the middle sample. The decompose figure is a median, gated
+// against the route's p50, because a mean of 64 samples lets one host
+// stall fail a whole regeneration.
+func medianNs(samples []int64) float64 {
+	_, p50, _ := summarize(samples)
+	return float64(p50)
 }
 
 // allocsPerOp measures the steady-state heap allocations of fn, the

@@ -91,9 +91,9 @@ func TestRunBenchProducesValidReport(t *testing.T) {
 		if cp.Inputs != cp.Shards<<3 {
 			t.Errorf("cluster %d shards: %d inputs, want %d", cp.Shards, cp.Inputs, cp.Shards<<3)
 		}
-		if cp.DecomposeNsPerOp >= cp.NsPerOp {
-			t.Errorf("cluster %d shards: decompose %v ns/op not below end-to-end %v",
-				cp.Shards, cp.DecomposeNsPerOp, cp.NsPerOp)
+		if cp.DecomposeNsPerOp >= float64(cp.P50Ns) {
+			t.Errorf("cluster %d shards: decompose median %v ns not below end-to-end p50 %d",
+				cp.Shards, cp.DecomposeNsPerOp, cp.P50Ns)
 		}
 	}
 }
@@ -220,7 +220,7 @@ func TestValidateRejections(t *testing.T) {
 		{"decompose above end-to-end", marshal(func() Report {
 			r := rep
 			sweep := append([]ClusterPoint(nil), r.Cluster.Sweep...)
-			sweep[0].DecomposeNsPerOp = sweep[0].NsPerOp + 1
+			sweep[0].DecomposeNsPerOp = float64(sweep[0].P50Ns + 1)
 			r.Cluster.Sweep = sweep
 			return r
 		}()), "decompose"},
@@ -235,6 +235,32 @@ func TestValidateRejections(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestDecomposeStallPassesValidation pins that one host stall among the
+// decompose samples cannot fail a regeneration: with one of 64 samples
+// stalled 100x, their mean lies above the route's p50, but the recorded
+// median stays below it and the report validates.
+func TestDecomposeStallPassesValidation(t *testing.T) {
+	rep, err := runBench(tinyConfig())
+	if err != nil {
+		t.Fatalf("runBench: %v", err)
+	}
+	sweep := append([]ClusterPoint(nil), rep.Cluster.Sweep...)
+	base := sweep[0].P50Ns * 6 / 10
+	comp := make([]int64, 64)
+	for i := range comp {
+		comp[i] = base
+	}
+	comp[17] = 100 * base
+	if mean, _, _ := summarize(comp); mean <= float64(sweep[0].P50Ns) {
+		t.Fatalf("stalled mean %v ns not above the route p50 %d ns; the stall tests nothing", mean, sweep[0].P50Ns)
+	}
+	sweep[0].DecomposeNsPerOp = medianNs(comp)
+	rep.Cluster.Sweep = sweep
+	if err := checkReport(rep); err != nil {
+		t.Fatalf("one stalled decompose sample failed validation: %v", err)
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 type Tracer = trace.Tracer
 
 // TraceSpan is one request's recorded life: queue wait, service time,
-// retries, plane attempts and failovers, shed/breaker decisions, outcome.
+// plane attempts and failovers, shed decisions, outcome.
 type TraceSpan = trace.Span
 
 // TracerConfig tunes NewTracerConfig's ring capacity, slow threshold and

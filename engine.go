@@ -105,13 +105,12 @@ type Engine struct {
 
 // NewEngine builds a serving engine around the network. Options: WithWorkers
 // sets the pool size (default 4), WithQueue the per-class queued-request
-// bound (default 4x workers), WithBatch the per-wakeup dequeue cap (default
-// 8), WithMetrics the observability sink. The resilience options —
-// WithTimeout, WithRetry, WithBreaker, WithFallback — bound each request's
-// life, retry transient faults, and fail over to a standby network after
-// consecutive hard failures (see DESIGN.md §8); WithShedding rejects
-// requests whose deadline cannot be met at the current queue depth with
-// ErrOverloaded instead of letting them expire in the queue (§9). WithTracer
+// bound (default 4x workers), WithMetrics the observability sink.
+// WithTimeout bounds each request's life (see DESIGN.md §8); a route fails
+// with its router's error, and routing around a failing router is
+// NewSupervised's job. WithShedding rejects requests whose deadline cannot
+// be met at the current queue depth with ErrOverloaded instead of letting
+// them expire in the queue (§9). WithTracer
 // records one TraceSpan per request and WithDebugAddr starts the debug HTTP
 // bundle, owned by this engine and stopped by Close (§11). Networks implementing
 // BulkRouter — *BNB, including behind New's decorator — are served over the
@@ -134,20 +133,13 @@ func NewEngine(n Network, opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("bnbnet: WithFaults applies to New; pass the faulty network to NewEngine instead")
 	}
 	if o.anySet(optSupervised) {
-		return nil, fmt.Errorf("bnbnet: WithPlanes, WithPlaneFaults, WithPlaneCap, WithHealthInterval and WithHedge apply to NewSupervised, not NewEngine")
+		return nil, fmt.Errorf("bnbnet: WithPlanes, WithPlaneFaults, WithHealthInterval and WithHedge apply to NewSupervised, not NewEngine")
 	}
 	if o.anySet(optFabric) {
 		return nil, fmt.Errorf("bnbnet: WithVOQ and WithDegraded apply to NewFabric, not NewEngine")
 	}
 	if o.anySet(optShards) {
 		return nil, fmt.Errorf("bnbnet: WithShards applies to NewCluster, not NewEngine")
-	}
-	if o.anySet(optFallback) && !o.anySet(optBreaker) {
-		return nil, fmt.Errorf("bnbnet: WithFallback requires WithBreaker; without a breaker the fallback would never serve")
-	}
-	var fb engine.Router
-	if o.fallback != nil {
-		fb = engineRouter(o.fallback)
 	}
 	primary := engineRouter(n)
 	var pc *cachedPlanRouter
@@ -160,16 +152,12 @@ func NewEngine(n Network, opts ...Option) (*Engine, error) {
 		pc = cached
 	}
 	e, err := engine.New(primary, engine.Config{
-		Workers:          o.workers,
-		Queue:            o.queue,
-		Batch:            o.batch,
-		Metrics:          o.metrics,
-		Timeout:          o.timeout,
-		Retry:            engine.RetryPolicy{MaxAttempts: o.retryAttempts, Backoff: o.retryBackoff},
-		FailureThreshold: o.breaker,
-		Fallback:         fb,
-		Shed:             o.shed,
-		Tracer:           o.tracer,
+		Workers: o.workers,
+		Queue:   o.queue,
+		Metrics: o.metrics,
+		Timeout: o.timeout,
+		Shed:    o.shed,
+		Tracer:  o.tracer,
 	})
 	if err != nil {
 		return nil, err
@@ -224,8 +212,8 @@ func (r copyRouter) RouteInto(dst, src []core.Word) error {
 func (e *Engine) Submit(dst, src []Word) (*Ticket, error) { return e.e.Submit(dst, src) }
 
 // SubmitCtx is Submit with a context: a request whose context is cancelled
-// or past its deadline before (or between) routing attempts completes with
-// the context's error instead of being routed. WithTimeout, when set,
+// or past its deadline before a worker picks it up completes with the
+// context's error instead of being routed. WithTimeout, when set,
 // applies on top of ctx.
 func (e *Engine) SubmitCtx(ctx context.Context, dst, src []Word) (*Ticket, error) {
 	return e.e.SubmitCtx(ctx, dst, src)
@@ -275,9 +263,6 @@ func (e *Engine) Inputs() int { return e.e.Inputs() }
 // Metrics returns the attached sink, or nil if none was configured.
 func (e *Engine) Metrics() *Metrics { return e.e.Metrics() }
 
-// BreakerOpen reports whether the circuit breaker (WithBreaker) is open.
-func (e *Engine) BreakerOpen() bool { return e.e.BreakerOpen() }
-
 // Tracer returns the span recorder, or nil without WithTracer.
 func (e *Engine) Tracer() *Tracer { return e.e.Tracer() }
 
@@ -295,12 +280,12 @@ func (e *Engine) InFlight() int64 { return e.e.InFlight() }
 
 // Drain gracefully stops admission and waits for every in-flight ticket to
 // complete: new Submits fail fast with ErrDraining, queued requests are
-// served normally, and Drain returns once the workers are idle. If ctx
-// expires first, pending retry backoffs are cut short so parked requests
-// settle immediately with their errors, and Drain reports the context's
-// error. The WithDebugAddr server keeps serving through the drain — an
-// operator watching /debug/bnb/metrics sees the drain happen — and is shut
-// down only by Close, which after a completed Drain is an idempotent no-op.
+// served normally, and Drain returns once the workers are idle. A route
+// cannot be cut short, so an expired ctx does not end the wait: Drain
+// reports the context's error after the workers finish. The WithDebugAddr
+// server keeps serving through the drain — an operator watching
+// /debug/bnb/metrics sees the drain happen — and is shut down only by
+// Close, which after a completed Drain is an idempotent no-op.
 func (e *Engine) Drain(ctx context.Context) error { return e.e.Drain(ctx) }
 
 // Close stops accepting requests, drains queued work, and stops the workers;

@@ -20,19 +20,17 @@ var (
 	// ErrClosed reports a request submitted to an engine after Close.
 	ErrClosed = neterr.ErrClosed
 	// ErrTransient marks a failure expected to heal — injected chaos faults
-	// within their window. Engines retry these under WithRetry.
+	// within their window. An engine reports it to the caller; a supervised
+	// front routes around it on another plane.
 	ErrTransient = neterr.ErrTransient
 	// ErrMisrouted reports a verified pass that delivered at least one word
 	// to the wrong output (or lost it to a dead link).
 	ErrMisrouted = neterr.ErrMisrouted
-	// ErrBreakerOpen reports a request refused because the engine's circuit
-	// breaker is open and no fallback network is registered.
-	ErrBreakerOpen = neterr.ErrBreakerOpen
 	// ErrTimeout reports a request abandoned by its WithTimeout deadline.
 	ErrTimeout = neterr.ErrTimeout
-	// ErrOverloaded reports a request shed at admission: under WithShedding
-	// its deadline cannot be met at the current queue depth, or every
-	// eligible supervised plane is at its in-flight cap.
+	// ErrOverloaded reports a request shed without being routed: under
+	// WithShedding its deadline cannot be met at the current queue depth, a
+	// background queue is full, or no supervised plane is in service.
 	ErrOverloaded = neterr.ErrOverloaded
 	// ErrMismatch reports a differential-verification failure: two networks
 	// disagreed word-for-word on the same request, or a metamorphic relation

@@ -7,7 +7,6 @@ package bnbnet
 // blocking quantification, and partial-permutation padding.
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/baseline"
@@ -38,10 +37,6 @@ type PipelineReport = cost.PipelineReport
 // PipelineBNB analyzes the BNB network pipelined at switch-column
 // granularity.
 func PipelineBNB(m, w int) (PipelineReport, error) { return cost.BNBPipeline(m, w) }
-
-// PipelineBatcher analyzes Batcher's network pipelined at comparator-stage
-// granularity.
-func PipelineBatcher(m, w int) (PipelineReport, error) { return cost.BatcherPipeline(m, w) }
 
 // CompletePerm pads a partial destination assignment (-1 = idle input) to a
 // full permutation by giving idle inputs the unused outputs in order — the
@@ -141,26 +136,6 @@ func OmegaStudy(m, trials int, rng *rand.Rand) (OmegaReport, error) {
 		RoutablePermutations: n.RoutablePermutations(),
 		SampledPassRate:      rate,
 	}, nil
-}
-
-// OmegaPassable reports whether the omega network of the matching order
-// routes p without conflict.
-func OmegaPassable(p Perm) (bool, error) {
-	if len(p) < 2 {
-		return false, fmt.Errorf("bnbnet: omega needs at least 2 inputs, got %d", len(p))
-	}
-	m := 0
-	for n := len(p); n > 1; n >>= 1 {
-		m++
-	}
-	if 1<<uint(m) != len(p) {
-		return false, fmt.Errorf("bnbnet: omega needs a power-of-two size, got %d", len(p))
-	}
-	n, err := omega.New(m)
-	if err != nil {
-		return false, err
-	}
-	return n.Passable(p)
 }
 
 // FigBatcher renders the odd-even sorting network of order m as a

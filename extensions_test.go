@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/cost"
 )
 
 func TestLowerBoundComparisonFacade(t *testing.T) {
@@ -36,7 +38,7 @@ func TestPipelineFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bat, err := PipelineBatcher(6, 8)
+	bat, err := cost.BatcherPipeline(6, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,9 +50,6 @@ func TestPipelineFacade(t *testing.T) {
 	}
 	if _, err := PipelineBNB(0, 0); err == nil {
 		t.Error("PipelineBNB(0) accepted")
-	}
-	if _, err := PipelineBatcher(0, 0); err == nil {
-		t.Error("PipelineBatcher(0) accepted")
 	}
 }
 
@@ -146,25 +145,6 @@ func TestOmegaStudyFacade(t *testing.T) {
 	}
 	if _, err := OmegaStudy(0, 10, rng); err == nil {
 		t.Error("OmegaStudy(0) accepted")
-	}
-}
-
-func TestOmegaPassableFacade(t *testing.T) {
-	ok, err := OmegaPassable(RandomPerm(8, rand.New(rand.NewSource(1))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = ok // any verdict is fine; the point is no error on a valid size
-	id := Perm{0, 1, 2, 3}
-	ok, err = OmegaPassable(id)
-	if err != nil || !ok {
-		t.Errorf("identity should pass: %v %v", ok, err)
-	}
-	if _, err := OmegaPassable(Perm{0}); err == nil {
-		t.Error("size-1 accepted")
-	}
-	if _, err := OmegaPassable(Perm{0, 1, 2}); err == nil {
-		t.Error("non-power-of-two accepted")
 	}
 }
 

@@ -59,7 +59,7 @@ func StuckAt(e FaultElement, cross bool) *FaultPlan { return fault.StuckAt(e, cr
 // (transient ones marked ErrTransient) instead of silent misdeliveries.
 // Construct with New(family, m, WithFaults(plan)) or NewFaultyNetwork.
 // A FaultyNetwork implements BulkRouter, so NewEngine serves it on the
-// pooled path — the intended composition for retry and breaker experiments.
+// pooled path; WithPlaneFaults puts one behind a supervised plane.
 type FaultyNetwork struct {
 	base Network
 	m    *metrics.Metrics

@@ -1,10 +1,9 @@
 package bnbnet
 
 // Tests for the fault-injection public surface and the registry's option
-// validation: WithFaults/WithRetry/WithBreaker/WithFallback wiring,
-// rejection of invalid and conflicting options, fault-aware engines
-// recovering via retry and fallback, the degraded fabric path, and the
-// probe-based diagnoser localizing planted faults.
+// validation: WithFaults wiring, rejection of invalid and conflicting
+// options, transient faults healing on a re-route, the degraded fabric
+// path, and the probe-based diagnoser localizing planted faults.
 
 import (
 	"errors"
@@ -31,42 +30,9 @@ func TestOptionValidation(t *testing.T) {
 		}},
 		{"queue on New", func() error { _, err := New("bnb", 3, WithQueue(8)); return err }},
 		{"timeout on New", func() error { _, err := New("bnb", 3, WithTimeout(time.Second)); return err }},
-		{"retry on New", func() error { _, err := New("bnb", 3, WithRetry(3, 0)); return err }},
 		{"negative timeout", func() error {
 			n, _ := New("bnb", 3)
 			_, err := NewEngine(n, WithTimeout(-time.Second))
-			return err
-		}},
-		{"zero retry attempts", func() error {
-			n, _ := New("bnb", 3)
-			_, err := NewEngine(n, WithRetry(0, 0))
-			return err
-		}},
-		{"negative retry backoff", func() error {
-			n, _ := New("bnb", 3)
-			_, err := NewEngine(n, WithRetry(3, -time.Millisecond))
-			return err
-		}},
-		{"zero breaker threshold", func() error {
-			n, _ := New("bnb", 3)
-			_, err := NewEngine(n, WithBreaker(0))
-			return err
-		}},
-		{"nil fallback", func() error {
-			n, _ := New("bnb", 3)
-			_, err := NewEngine(n, WithBreaker(2), WithFallback(nil))
-			return err
-		}},
-		{"fallback without breaker", func() error {
-			n, _ := New("bnb", 3)
-			fb, _ := New("bnb", 3)
-			_, err := NewEngine(n, WithFallback(fb))
-			return err
-		}},
-		{"fallback port mismatch", func() error {
-			n, _ := New("bnb", 3)
-			fb, _ := New("bnb", 4)
-			_, err := NewEngine(n, WithBreaker(2), WithFallback(fb))
 			return err
 		}},
 		{"nil fault plan", func() error { _, err := New("bnb", 3, WithFaults(nil)); return err }},
@@ -99,6 +65,9 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
+// TestFaultyNetworkChaosRecovery routes through a chaos-injected network
+// directly: every perturbed pass is reported, never delivered wrong, and a
+// transient fault heals when the caller routes the same request again.
 func TestFaultyNetworkChaosRecovery(t *testing.T) {
 	var m Metrics
 	n, err := New("bnb", 4, WithFaults(&FaultPlan{ChaosRate: 0.2, ChaosHeal: 1, Seed: 11}), WithMetrics(&m))
@@ -112,21 +81,24 @@ func TestFaultyNetworkChaosRecovery(t *testing.T) {
 	if fn.Unwrap().Name() != "bnb" {
 		t.Errorf("Unwrap().Name() = %q", fn.Unwrap().Name())
 	}
-	e, err := NewEngine(n, WithWorkers(2), WithRetry(20, 0), WithMetrics(&m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	const maxRoutes = 20
 	rng := rand.New(rand.NewSource(5))
+	reroutes := 0
 	for trial := 0; trial < 50; trial++ {
 		p := RandomPerm(n.Inputs(), rng)
-		tk, err := e.Submit(nil, permWordsAPI(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := tk.Wait()
-		if err != nil {
-			t.Fatalf("trial %d not delivered despite retries: %v", trial, err)
+		var out []Word
+		for route := 1; ; route++ {
+			out, err = n.RoutePerm(p)
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, ErrTransient) {
+				t.Fatalf("trial %d: %v, want only transient faults", trial, err)
+			}
+			if route == maxRoutes {
+				t.Fatalf("trial %d not delivered in %d routes: %v", trial, maxRoutes, err)
+			}
+			reroutes++
 		}
 		for j, wd := range out {
 			if wd.Addr != j {
@@ -137,62 +109,11 @@ func TestFaultyNetworkChaosRecovery(t *testing.T) {
 	if fn.InjectedPasses() == 0 {
 		t.Fatal("chaos at rate 0.2 perturbed nothing; the test proves nothing")
 	}
-	s := m.Snapshot()
-	if s.Retries == 0 {
-		t.Error("faults were injected but no retries counted")
+	if reroutes == 0 {
+		t.Error("faults were injected but no route failed transiently")
 	}
-	if s.FaultsInjected == 0 {
+	if m.Snapshot().FaultsInjected == 0 {
 		t.Error("no injected faults counted")
-	}
-}
-
-func TestEngineFallbackServesThroughOutage(t *testing.T) {
-	// A permanently dead output link on the primary trips the breaker; the
-	// healthy standby keeps serving.
-	n, err := New("bnb", 3, WithFaults(&FaultPlan{
-		Faults: []Fault{{Kind: FaultDeadLink, Port: 3}},
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := New("bnb", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m Metrics
-	e, err := NewEngine(n, WithWorkers(1), WithBreaker(2), WithFallback(fb), WithMetrics(&m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	rng := rand.New(rand.NewSource(9))
-	failures, served := 0, 0
-	for trial := 0; trial < 10; trial++ {
-		tk, err := e.Submit(nil, permWordsAPI(RandomPerm(n.Inputs(), rng)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tk.Wait(); err != nil {
-			if !errors.Is(err, ErrMisrouted) {
-				t.Fatalf("trial %d: %v, want ErrMisrouted from the dead link", trial, err)
-			}
-			failures++
-			continue
-		}
-		served++
-	}
-	if failures != 2 {
-		t.Errorf("%d failures before failover, want exactly the breaker threshold 2", failures)
-	}
-	if served != 8 {
-		t.Errorf("%d requests served by the fallback, want 8", served)
-	}
-	if !e.BreakerOpen() {
-		t.Error("breaker closed despite a permanently dead primary")
-	}
-	s := m.Snapshot()
-	if s.BreakerTrips != 1 || s.FallbackRoutes != 8 {
-		t.Errorf("trips=%d fallbacks=%d, want 1 and 8", s.BreakerTrips, s.FallbackRoutes)
 	}
 }
 

@@ -138,9 +138,6 @@ func (c *Coordinator) Inputs() int { return c.n }
 // Shards returns the shard count.
 func (c *Coordinator) Shards() int { return c.s }
 
-// ShardPorts returns the local port count per shard.
-func (c *Coordinator) ShardPorts() int { return c.l }
-
 // Decompose computes the product decomposition of the permutation p
 // (p[i] = destination of global port i): the intermediate-shard choice
 // (see coloring.go) plus the per-shard local permutations. Only the

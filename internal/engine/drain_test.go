@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -90,49 +89,6 @@ func TestDrainStopsAdmissionAndCompletesInflight(t *testing.T) {
 	}
 	if _, err := e.Submit(nil, permWords(perm.Identity(n))); !errors.Is(err, neterr.ErrClosed) {
 		t.Errorf("Submit after Close: err = %v, want ErrClosed", err)
-	}
-}
-
-// TestDrainDeadlineCutsBackoffsShort pins the bounded-drain contract: a
-// drain whose context expires stops honoring retry backoffs, so requests
-// parked in an hour-long backoff settle promptly with their pending errors
-// and Drain reports the context's error.
-func TestDrainDeadlineCutsBackoffsShort(t *testing.T) {
-	const n = 8
-	flaky := &funcRouter{n: n, fn: func(dst, src []core.Word) error {
-		return fmt.Errorf("down: %w", neterr.ErrTransient)
-	}}
-	e, err := New(flaky, Config{Workers: 2, Retry: RetryPolicy{MaxAttempts: 1000, Backoff: time.Hour}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tickets := make([]*Ticket, 0, 2)
-	for i := 0; i < 2; i++ {
-		tk, err := e.Submit(nil, permWords(perm.Identity(n)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, tk)
-	}
-	time.Sleep(10 * time.Millisecond) // let workers park in the backoff
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	err = e.Drain(ctx)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Drain past its deadline: err = %v, want DeadlineExceeded", err)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Errorf("Drain took %v; the expired deadline did not cut the backoffs", d)
-	}
-	// Every ticket still settles — with its error, not a hang.
-	for i, tk := range tickets {
-		if _, err := tk.Wait(); err == nil {
-			t.Errorf("ticket %d on a permanently failing router completed clean", i)
-		}
-	}
-	if err := e.Close(); err != nil {
-		t.Errorf("Close after deadline-cut Drain: err = %v, want nil", err)
 	}
 }
 

@@ -8,9 +8,9 @@
 //
 // Internally the queue is sharded: each worker owns a shard of per-class
 // rings, submitters land requests on a rotor-chosen shard, workers dequeue
-// up to Batch requests per wakeup (amortizing one park/wake cycle across the
-// batch) and steal roughly half of a neighbor's backlog when their own shard
-// runs dry. Strict class priority — Critical before Standard before
+// up to batchCap requests per wakeup (amortizing one park/wake cycle across
+// the batch) and steal roughly half of a neighbor's backlog when their own
+// shard runs dry. Strict class priority — Critical before Standard before
 // Background — holds within a shard, across steals, and mid-batch: a worker
 // re-checks its shard for higher-class arrivals between every two requests
 // it serves.
@@ -95,37 +95,15 @@ type Config struct {
 	// (admitted but not yet picked up by a worker) before Submit blocks;
 	// <= 0 selects 4 * Workers.
 	Queue int
-	// Batch is the maximum number of requests a worker dequeues per wakeup;
-	// <= 0 selects 8. A larger batch amortizes the park/wake cycle across
-	// more requests; priority is still enforced inside the batch, and a
-	// higher-class arrival preempts the batch's remainder.
-	Batch int
 	// Metrics, when non-nil, receives one observation per completed
 	// request (latency measured from Submit to completion).
 	Metrics *metrics.Metrics
 
 	// Timeout bounds each request from Submit to completion; zero means no
-	// deadline. An expired request fails with ErrTimeout — the engine checks
-	// the deadline before each attempt and while backing off, so a single
-	// route never blocks past it by more than one pass through the network.
+	// deadline. A request whose deadline has passed when a worker picks it
+	// up fails with ErrTimeout instead of being routed; a route already
+	// under way runs to completion.
 	Timeout time.Duration
-	// Retry governs re-attempts of transient failures (errors marked
-	// ErrTransient, the injector's classification of faults that heal).
-	// The zero value disables retries.
-	Retry RetryPolicy
-	// FailureThreshold arms the circuit breaker: after this many consecutive
-	// requests fail hard on the primary router (non-transient errors, or
-	// transient ones that exhausted their retries), the breaker opens and
-	// requests are served by Fallback — or fail fast with ErrBreakerOpen when
-	// no fallback is registered — until a probe permutation routes cleanly
-	// through the primary again. Zero disables the breaker.
-	FailureThreshold int
-	// BreakerProbe is the minimum interval between identity-permutation
-	// probes of an open breaker; <= 0 selects 100ms.
-	BreakerProbe time.Duration
-	// Fallback, when non-nil, serves requests while the breaker is open.
-	// It must have the same port count as the primary router.
-	Fallback Router
 	// Shed enables deadline-aware admission control: a request carrying a
 	// deadline (Timeout or a context deadline) is rejected at Submit with
 	// ErrOverloaded when the estimated queue drain time — in-flight depth
@@ -133,20 +111,16 @@ type Config struct {
 	// already exceeds it. Requests without a deadline are always admitted.
 	Shed bool
 	// Tracer, when non-nil, records a span per request — queue wait, service
-	// time, retries, failovers, shed/breaker decisions — into its ring. A nil
-	// tracer disables tracing at zero cost on the hot path.
+	// time, failovers, shed decisions — into its ring. A nil tracer disables
+	// tracing at zero cost on the hot path.
 	Tracer *trace.Tracer
 }
 
-// RetryPolicy bounds the retry loop for transient failures.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of attempts per request, including the
-	// first; <= 1 means no retries.
-	MaxAttempts int
-	// Backoff is the wait before the first retry; it doubles on every
-	// further retry. Zero retries immediately.
-	Backoff time.Duration
-}
+// batchCap is the most requests a worker dequeues per wakeup. A larger
+// batch amortizes the park/wake cycle across more requests; priority is
+// still enforced inside the batch, and a higher-class arrival preempts the
+// batch's remainder.
+const batchCap = 8
 
 // request is one unit of work. Requests are pooled: the worker publishes the
 // result through the ticket, not the request, so a request can be recycled
@@ -177,85 +151,11 @@ func (t *Ticket) Wait() ([]core.Word, error) {
 	return t.dst, nil
 }
 
-// breaker is the engine's circuit breaker. All workers share it; its own
-// mutex keeps the hot path short (two counter updates per request).
-type breaker struct {
-	mu          sync.Mutex
-	threshold   int // 0 = disabled
-	probeEvery  time.Duration
-	consecutive int
-	open        bool
-	lastProbe   time.Time
-}
-
-// fail records one hard failure and reports whether it tripped the breaker.
-func (b *breaker) fail() (tripped bool) {
-	if b == nil || b.threshold <= 0 {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.consecutive++
-	if !b.open && b.consecutive >= b.threshold {
-		b.open = true
-		return true
-	}
-	return false
-}
-
-// ok records one clean primary route.
-func (b *breaker) ok() {
-	if b == nil || b.threshold <= 0 {
-		return
-	}
-	b.mu.Lock()
-	b.consecutive = 0
-	b.mu.Unlock()
-}
-
-// isOpen reports the breaker state.
-func (b *breaker) isOpen() bool {
-	if b == nil || b.threshold <= 0 {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.open
-}
-
-// tryClaimProbe reports whether the caller should probe the primary now; at
-// most one worker claims a probe per probeEvery interval.
-func (b *breaker) tryClaimProbe() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.open {
-		return false
-	}
-	now := time.Now()
-	if !b.lastProbe.IsZero() && now.Sub(b.lastProbe) < b.probeEvery {
-		return false
-	}
-	b.lastProbe = now
-	return true
-}
-
-// reset closes the breaker after a successful probe. It also clears the
-// probe throttle: if the breaker trips again, that is a new fault episode
-// and its first probe should not wait out the previous window's interval.
-func (b *breaker) reset() {
-	b.mu.Lock()
-	b.open = false
-	b.consecutive = 0
-	b.lastProbe = time.Time{}
-	b.mu.Unlock()
-}
-
 // Engine is a bounded worker pool serving permutation routes. Construct
 // with New; all methods are safe for concurrent use.
 type Engine struct {
 	r      Router
 	tr     TracedRouter // r, when it supports span-carrying routes; else nil
-	fb     Router       // nil unless Config.Fallback was set
 	m      *metrics.Metrics
 	tracer *trace.Tracer
 	// shards holds one work-stealing queue group per worker (see shard.go);
@@ -268,7 +168,6 @@ type Engine struct {
 	rotor  atomic.Uint64
 	space  [numClasses]chan struct{}
 	queue  int
-	batch  int
 	pool   sync.Pool // *request
 
 	// pendingSubmits counts requests past the lifecycle gate but not yet on
@@ -289,8 +188,6 @@ type Engine struct {
 	idleCount atomic.Int64
 
 	timeout time.Duration
-	retry   RetryPolicy
-	brk     *breaker
 
 	// Admission control (Config.Shed): inflight tracks accepted requests not
 	// yet completed, ewmaServe the smoothed per-request service time in
@@ -303,12 +200,7 @@ type Engine struct {
 	// request of a given class.
 	classInflight [numClasses]atomic.Int64
 
-	// closing is closed when the engine stops waiting for retry backoffs —
-	// immediately on Close, or when a Drain deadline expires — so workers
-	// parked in a backoff cut the wait short and the drain stays prompt.
-	closing      chan struct{}
-	closeClosing sync.Once
-	closeReqs    sync.Once
+	closeReqs sync.Once
 
 	wg sync.WaitGroup
 
@@ -348,13 +240,6 @@ func New(r Router, cfg Config) (*Engine, error) {
 	if r.Inputs() < 2 {
 		return nil, fmt.Errorf("engine: router has %d ports, need at least 2: %w", r.Inputs(), neterr.ErrBadSize)
 	}
-	if cfg.Fallback != nil && cfg.Fallback.Inputs() != r.Inputs() {
-		return nil, fmt.Errorf("engine: fallback has %d ports, primary has %d: %w",
-			cfg.Fallback.Inputs(), r.Inputs(), neterr.ErrBadSize)
-	}
-	if cfg.Fallback != nil && cfg.FailureThreshold <= 0 {
-		return nil, fmt.Errorf("engine: fallback configured but FailureThreshold is %d; the fallback would never serve", cfg.FailureThreshold)
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = 4
@@ -363,27 +248,14 @@ func New(r Router, cfg Config) (*Engine, error) {
 	if queue <= 0 {
 		queue = 4 * workers
 	}
-	batch := cfg.Batch
-	if batch <= 0 {
-		batch = 8
-	}
-	probeEvery := cfg.BreakerProbe
-	if probeEvery <= 0 {
-		probeEvery = 100 * time.Millisecond
-	}
 	e := &Engine{
 		r:       r,
-		fb:      cfg.Fallback,
 		m:       cfg.Metrics,
 		tracer:  cfg.Tracer,
 		timeout: cfg.Timeout,
-		retry:   cfg.Retry,
-		brk:     &breaker{threshold: cfg.FailureThreshold, probeEvery: probeEvery},
 		shed:    cfg.Shed,
-		closing: make(chan struct{}),
 		workers: workers,
 		queue:   queue,
-		batch:   batch,
 	}
 	e.tr, _ = r.(TracedRouter)
 	e.shards = make([]*shard, workers)
@@ -412,9 +284,6 @@ func (e *Engine) Inputs() int { return e.r.Inputs() }
 
 // Metrics returns the metrics sink, or nil if none was configured.
 func (e *Engine) Metrics() *metrics.Metrics { return e.m }
-
-// BreakerOpen reports whether the circuit breaker is currently open.
-func (e *Engine) BreakerOpen() bool { return e.brk.isOpen() }
 
 // Tracer returns the span sink, or nil when tracing is disabled.
 func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
@@ -450,7 +319,7 @@ func (e *Engine) serveLocal(id int, l *local) {
 			return
 		}
 		if s.pendingAbove(c) {
-			if got, n := s.popAbove(l, c, e.batch); n > 0 {
+			if got, n := s.popAbove(l, c, batchCap); n > 0 {
 				e.release(got)
 				e.m.AddBatchDequeue(int64(n))
 				continue
@@ -460,8 +329,7 @@ func (e *Engine) serveLocal(id int, l *local) {
 	}
 }
 
-// serveOne runs one dequeued request through the resilience pipeline and
-// settles its ticket.
+// serveOne serves one dequeued request and settles its ticket.
 func (e *Engine) serveOne(req *request) {
 	served := time.Now()
 	req.sp.Dequeued(served)
@@ -520,7 +388,7 @@ func (e *Engine) nextBatch(id int, slot *parkSlot, l *local) bool {
 // worker's own shard, else roughly half of the first non-empty neighbor
 // (scanning round-robin). It reports whether anything was taken.
 func (e *Engine) fill(id int, l *local) bool {
-	if got, n := e.shards[id].popBatch(l, e.batch); n > 0 {
+	if got, n := e.shards[id].popBatch(l, batchCap); n > 0 {
 		e.release(got)
 		e.m.AddBatchDequeue(int64(n))
 		return true
@@ -533,7 +401,7 @@ func (e *Engine) fill(id int, l *local) bool {
 		if stealYield != nil {
 			stealYield()
 		}
-		if got, n := v.stealInto(l, e.batch); n > 0 {
+		if got, n := v.stealInto(l, batchCap); n > 0 {
 			e.release(got)
 			e.m.AddSteal(int64(n))
 			return true
@@ -639,9 +507,9 @@ func (e *Engine) wakeAll() {
 // leaves it nil.
 var ewmaYield func()
 
-// observeServe folds one request's service time (routing plus retries, not
-// queue wait) into the EWMA the admission controller estimates with. The
-// update is a CompareAndSwap loop: a concurrent sample that lands between
+// observeServe folds one request's service time (routing, not queue wait)
+// into the EWMA the admission controller estimates with. The update is a
+// CompareAndSwap loop: a concurrent sample that lands between
 // the load and the swap makes the swap fail and the fold retry against the
 // fresh value, so no sample is silently dropped — under a worker pool all
 // observing at once, a lossy load/store here let the estimate stall on
@@ -688,106 +556,18 @@ func (e *Engine) expired(req *request) error {
 	return nil
 }
 
-// backoff waits d (clamped to the request's deadline) or until the request's
-// context is done, then re-checks expiry.
-func (e *Engine) backoff(req *request, d time.Duration) error {
-	if d > 0 {
-		if !req.deadline.IsZero() {
-			if left := time.Until(req.deadline); left < d {
-				d = left
-			}
-		}
-		var done <-chan struct{}
-		if req.ctx != nil {
-			done = req.ctx.Done()
-		}
-		if d > 0 {
-			// Also wake on Close: a worker parked here must not stall the
-			// drain, so shutdown cuts the backoff short and the retry loop
-			// finishes the request immediately.
-			timer := time.NewTimer(d)
-			select {
-			case <-timer.C:
-			case <-done:
-			case <-e.closing:
-			}
-			timer.Stop()
-		}
-	}
-	return e.expired(req)
-}
-
-// probe routes the identity permutation through the primary router and
-// verifies delivery itself, so it stays meaningful even when the primary
-// does not self-verify.
-func (e *Engine) probe() bool {
-	n := e.r.Inputs()
-	src := make([]core.Word, n)
-	dst := make([]core.Word, n)
-	for i := range src {
-		src[i] = core.Word{Addr: i, Data: uint64(i)}
-	}
-	if err := e.r.RouteInto(dst, src); err != nil {
-		return false
-	}
-	for j := range dst {
-		if dst[j].Addr != j {
-			return false
-		}
-	}
-	return true
-}
-
-// serve runs one request through the resilience pipeline: deadline check,
-// breaker/fallback, then the primary router under the retry policy.
+// serve refuses a request whose deadline or context has expired, and
+// otherwise routes it once. A transient failure reaches the caller as
+// ErrTransient; routing around a failing router is the plane supervisor's
+// job, within the same route call.
 func (e *Engine) serve(req *request) error {
 	if err := e.expired(req); err != nil {
 		return err
 	}
-	if e.brk.isOpen() {
-		if e.brk.tryClaimProbe() && e.probe() {
-			e.brk.reset()
-			e.m.AddBreakerReset()
-		} else if e.fb != nil {
-			req.sp.MarkBreaker()
-			e.m.AddFallback()
-			return e.fb.RouteInto(req.dst, req.src)
-		} else {
-			req.sp.MarkBreaker()
-			return fmt.Errorf("engine: %w", neterr.ErrBreakerOpen)
-		}
+	if e.tr != nil {
+		return e.tr.RouteIntoTraced(req.dst, req.src, req.sp)
 	}
-	attempts := e.retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	wait := e.retry.Backoff
-	var err error
-	for attempt := 1; ; attempt++ {
-		err = e.route(req)
-		if err == nil {
-			e.brk.ok()
-			return nil
-		}
-		if attempt >= attempts || !errors.Is(err, neterr.ErrTransient) {
-			break
-		}
-		req.sp.AddRetry()
-		e.m.AddRetry()
-		if werr := e.backoff(req, wait); werr != nil {
-			return werr
-		}
-		wait *= 2
-	}
-	if errors.Is(err, neterr.ErrPoisoned) {
-		// A poisoned rejection indicts the request, not the router: it must
-		// not push the breaker toward opening on healthy planes.
-		return err
-	}
-	if e.brk.fail() {
-		e.m.AddBreakerTrip()
-	}
-	return err
+	return e.r.RouteInto(req.dst, req.src)
 }
 
 // stopIntake flips the workers' shutdown flag and wakes every parked worker
@@ -796,15 +576,6 @@ func (e *Engine) serve(req *request) error {
 func (e *Engine) stopIntake() {
 	e.stopping.Store(true)
 	e.wakeAll()
-}
-
-// route runs one attempt on the primary router, handing the span down when
-// the router can carry it (the supervisor annotates plane selection on it).
-func (e *Engine) route(req *request) error {
-	if e.tr != nil {
-		return e.tr.RouteIntoTraced(req.dst, req.src, req.sp)
-	}
-	return e.r.RouteInto(req.dst, req.src)
 }
 
 // Submit enqueues one routing request and returns immediately with a
@@ -817,8 +588,8 @@ func (e *Engine) Submit(dst, src []core.Word) (*Ticket, error) {
 }
 
 // SubmitCtx is Submit with a context: a request whose context is cancelled
-// or past its deadline before a worker picks it up (or between retry
-// attempts) completes with the context's error instead of being routed.
+// or past its deadline before a worker picks it up completes with the
+// context's error instead of being routed.
 // Config.Timeout, when set, applies on top of ctx.
 func (e *Engine) SubmitCtx(ctx context.Context, dst, src []core.Word) (*Ticket, error) {
 	return e.SubmitClass(ctx, Standard, dst, src)
@@ -1048,9 +819,9 @@ func (e *Engine) RouteBatch(batch [][]core.Word) (outs [][]core.Word, errs []err
 // RouteBatchCtx is RouteBatch with a context shared by every request of the
 // batch. Cancellation splits the batch by completion, not submission:
 // requests a worker finished routing before observing the cancellation keep
-// their results (outs[i] set, errs[i] nil), while requests still queued or
-// between retry attempts complete with the context's error — wrapped in
-// ErrTimeout for a deadline, the bare context error for a cancel. The split
+// their results (outs[i] set, errs[i] nil), while requests still queued
+// complete with the context's error — wrapped in ErrTimeout for a
+// deadline, the bare context error for a cancel. The split
 // point is scheduler-dependent, but no request is ever half-routed: each
 // errs[i] is either nil with a fully verified outs[i], or non-nil with
 // outs[i] == nil.
@@ -1231,14 +1002,13 @@ func (e *Engine) AdmissionErr() error {
 
 // Drain gracefully stops admission and waits for every in-flight ticket to
 // complete: new Submits fail fast with ErrDraining, queued requests are
-// served normally (retry backoffs run to their natural end), and Drain
-// returns once the workers are idle. If ctx expires first, the remaining
-// backoffs are cut short so parked requests finish immediately with their
-// pending errors; Drain still waits for that prompt completion, then
-// reports the context's error. After a completed Drain, Close is an
-// idempotent no-op — the tracer has already been flushed and every ticket
-// settled. Drain after Close reports ErrClosed; concurrent and repeated
-// Drains all wait for the same drain and return nil.
+// served normally, and Drain returns once the workers are idle. A route
+// cannot be cut short, so an expired ctx does not end the wait: Drain
+// reports the context's error after the workers finish. After a completed
+// Drain, Close is an idempotent no-op — the tracer has already been
+// flushed and every ticket settled. Drain after Close reports ErrClosed;
+// concurrent and repeated Drains all wait for the same drain and return
+// nil.
 func (e *Engine) Drain(ctx context.Context) error {
 	e.mu.Lock()
 	if e.state == stateClosed {
@@ -1254,31 +1024,10 @@ func (e *Engine) Drain(ctx context.Context) error {
 	if transitioned {
 		e.m.AddDrain()
 	}
-	done := make(chan struct{})
-	go func() {
-		e.wg.Wait()
-		close(done)
-	}()
+	e.wg.Wait()
 	var ctxErr error
 	if err := ctx.Err(); err != nil {
-		// The context was already expired on entry. The select below races
-		// it against done and may report a clean drain; an expired deadline
-		// must deterministically report the context's error, so short-cut
-		// the grace period up front. Every queued ticket still settles.
-		e.closeClosing.Do(func() { close(e.closing) })
-		<-done
 		ctxErr = fmt.Errorf("engine: drain: %w", err)
-	} else {
-		select {
-		case <-done:
-		case <-ctx.Done():
-			// Deadline overrun: stop honoring retry backoffs so parked workers
-			// finish their requests now, then wait for that prompt completion.
-			// Every ticket still settles; only the grace period is cut short.
-			e.closeClosing.Do(func() { close(e.closing) })
-			<-done
-			ctxErr = fmt.Errorf("engine: drain: %w", ctx.Err())
-		}
 	}
 	e.mu.Lock()
 	if e.state == stateDraining {
@@ -1293,10 +1042,9 @@ func (e *Engine) Drain(ctx context.Context) error {
 }
 
 // Close stops accepting requests, drains queued work, and stops the
-// workers. Close is drain-by-default with an immediate deadline: submitted
-// tickets all complete — workers parked in a retry backoff are woken so the
-// drain is prompt — later Submits fail fast with ErrClosed, and no worker
-// or timer goroutine outlives the call. After a completed Drain, Close is
+// workers. Close is drain-by-default: submitted tickets all complete, later
+// Submits fail fast with ErrClosed, and no worker goroutine outlives the
+// call. After a completed Drain, Close is
 // an idempotent no-op returning nil (the drain already settled every
 // ticket and flushed the tracer). Without a prior Drain, a second Close
 // reports ErrClosed.
@@ -1313,7 +1061,6 @@ func (e *Engine) Close() error {
 		return fmt.Errorf("engine: %w", neterr.ErrClosed)
 	}
 	e.state = stateClosed
-	e.closeClosing.Do(func() { close(e.closing) })
 	e.closeReqs.Do(e.stopIntake)
 	e.mu.Unlock()
 	e.wg.Wait()

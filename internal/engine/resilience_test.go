@@ -33,40 +33,14 @@ func deliver(dst, src []core.Word) error {
 	return nil
 }
 
-func TestRetryRecoversTransient(t *testing.T) {
-	const n = 8
-	var calls atomic.Int64
-	r := &funcRouter{n: n, fn: func(dst, src []core.Word) error {
-		if calls.Add(1) <= 3 {
-			return fmt.Errorf("%w: glitch", neterr.ErrTransient)
-		}
-		return deliver(dst, src)
-	}}
-	var m metrics.Metrics
-	e, err := New(r, Config{Workers: 1, Metrics: &m, Retry: RetryPolicy{MaxAttempts: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	tk, err := e.Submit(nil, permWords(perm.Identity(n)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := tk.Wait()
-	if err != nil {
-		t.Fatalf("request failed despite retries: %v", err)
-	}
-	if !core.Delivered(out) {
-		t.Fatal("misdelivered after retry")
-	}
-	if got := m.Snapshot().Retries; got != 3 {
-		t.Errorf("Retries = %d, want 3", got)
-	}
-}
-
+// TestNoRetryByDefault pins that the engine routes a request once: a
+// transient failure reaches the caller as ErrTransient, and only the plane
+// supervisor routes around a failing router.
 func TestNoRetryByDefault(t *testing.T) {
+	var calls atomic.Int64
 	const n = 8
 	r := &funcRouter{n: n, fn: func(dst, src []core.Word) error {
+		calls.Add(1)
 		return fmt.Errorf("%w: glitch", neterr.ErrTransient)
 	}}
 	e, err := New(r, Config{Workers: 1})
@@ -79,35 +53,55 @@ func TestNoRetryByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := tk.Wait(); !errors.Is(err, neterr.ErrTransient) {
-		t.Errorf("zero-value retry policy: err = %v, want the transient error through", err)
+		t.Errorf("err = %v, want the transient error through", err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Errorf("router called %d times, want 1", got)
 	}
 }
 
-func TestTimeoutBoundsRetryLoop(t *testing.T) {
+// TestTimeoutFailsQueuedRequest pins the Timeout contract: a request still
+// queued when its deadline passes fails with ErrTimeout instead of being
+// routed, and counts one timeout.
+func TestTimeoutFailsQueuedRequest(t *testing.T) {
 	const n = 8
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 1)
 	r := &funcRouter{n: n, fn: func(dst, src []core.Word) error {
-		return fmt.Errorf("%w: glitch", neterr.ErrTransient)
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-gate
+		return deliver(dst, src)
 	}}
 	var m metrics.Metrics
-	e, err := New(r, Config{
-		Workers: 1,
-		Metrics: &m,
-		Timeout: 30 * time.Millisecond,
-		Retry:   RetryPolicy{MaxAttempts: 1 << 20, Backoff: time.Millisecond},
-	})
+	const timeout = 30 * time.Millisecond
+	e, err := New(r, Config{Workers: 1, Metrics: &m, Timeout: timeout})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	tk, err := e.Submit(nil, permWords(perm.Identity(n)))
+	// Occupy the only worker inside its route, so the next request queues.
+	blocker, err := e.Submit(nil, permWords(perm.Identity(n)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tk.Wait(); !errors.Is(err, neterr.ErrTimeout) {
-		t.Fatalf("persistent transient under a deadline: err = %v, want ErrTimeout", err)
+	<-entered
+	queued, err := e.Submit(nil, permWords(perm.Identity(n)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := m.Snapshot().Timeouts; got == 0 {
-		t.Error("no timeout counted")
+	time.Sleep(2 * timeout)
+	close(gate)
+	if _, err := blocker.Wait(); err != nil {
+		t.Fatalf("request routed before its deadline: %v", err)
+	}
+	if _, err := queued.Wait(); !errors.Is(err, neterr.ErrTimeout) {
+		t.Fatalf("request queued past its deadline: err = %v, want ErrTimeout", err)
+	}
+	if got := m.Snapshot().Timeouts; got != 1 {
+		t.Errorf("Timeouts = %d, want 1", got)
 	}
 }
 
@@ -143,118 +137,6 @@ func TestSubmitCtxCancellation(t *testing.T) {
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBreakerTripsToFallback(t *testing.T) {
-	const n = 8
-	r := &funcRouter{n: n, fn: func(dst, src []core.Word) error {
-		return errors.New("primary down")
-	}}
-	fb := &funcRouter{n: n, fn: deliver}
-	var m metrics.Metrics
-	e, err := New(r, Config{Workers: 1, Metrics: &m, FailureThreshold: 2, Fallback: fb})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	send := func() ([]core.Word, error) {
-		tk, err := e.Submit(nil, permWords(perm.Identity(n)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tk.Wait()
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := send(); err == nil {
-			t.Fatalf("request %d succeeded on a dead primary", i)
-		}
-	}
-	if !e.BreakerOpen() {
-		t.Fatal("breaker closed after hitting the failure threshold")
-	}
-	// The primary is still down, so the open-state probe fails and the
-	// fallback serves.
-	for i := 0; i < 3; i++ {
-		out, err := send()
-		if err != nil {
-			t.Fatalf("fallback request %d: %v", i, err)
-		}
-		if !core.Delivered(out) {
-			t.Fatalf("fallback request %d misdelivered", i)
-		}
-	}
-	s := m.Snapshot()
-	if s.BreakerTrips != 1 {
-		t.Errorf("BreakerTrips = %d, want 1", s.BreakerTrips)
-	}
-	if s.FallbackRoutes != 3 {
-		t.Errorf("FallbackRoutes = %d, want 3", s.FallbackRoutes)
-	}
-}
-
-func TestBreakerFailsFastWithoutFallback(t *testing.T) {
-	const n = 8
-	var failing atomic.Bool
-	failing.Store(true)
-	r := &funcRouter{n: n, fn: func(dst, src []core.Word) error {
-		if failing.Load() {
-			return errors.New("primary down")
-		}
-		return deliver(dst, src)
-	}}
-	var m metrics.Metrics
-	e, err := New(r, Config{Workers: 1, Metrics: &m, FailureThreshold: 2, BreakerProbe: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	send := func() ([]core.Word, error) {
-		tk, err := e.Submit(nil, permWords(perm.Identity(n)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tk.Wait()
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := send(); err == nil {
-			t.Fatalf("request %d succeeded on a dead primary", i)
-		}
-	}
-	// Open breaker, primary still down: the first open request claims a
-	// probe, the probe fails, and with no fallback the request fails fast.
-	if _, err := send(); !errors.Is(err, neterr.ErrBreakerOpen) {
-		t.Fatalf("open-breaker request: err = %v, want ErrBreakerOpen", err)
-	}
-	// Heal the primary and wait out the probe interval: the next request
-	// probes, resets the breaker, and is served by the primary.
-	failing.Store(false)
-	time.Sleep(2 * time.Millisecond)
-	out, err := send()
-	if err != nil {
-		t.Fatalf("post-heal request: %v", err)
-	}
-	if !core.Delivered(out) {
-		t.Fatal("post-heal request misdelivered")
-	}
-	if e.BreakerOpen() {
-		t.Error("breaker still open after a passing probe")
-	}
-	s := m.Snapshot()
-	if s.BreakerTrips != 1 || s.BreakerResets != 1 {
-		t.Errorf("trips=%d resets=%d, want 1 and 1", s.BreakerTrips, s.BreakerResets)
-	}
-}
-
-func TestNewRejectsBadResilienceConfig(t *testing.T) {
-	n := newBNB(t, 3, 0)
-	small := &funcRouter{n: n.Inputs() / 2, fn: deliver}
-	if _, err := New(n, Config{Fallback: small, FailureThreshold: 1}); !errors.Is(err, neterr.ErrBadSize) {
-		t.Errorf("mismatched fallback: err = %v, want ErrBadSize", err)
-	}
-	fb := &funcRouter{n: n.Inputs(), fn: deliver}
-	if _, err := New(n, Config{Fallback: fb}); err == nil {
-		t.Error("fallback without a failure threshold accepted")
 	}
 }
 

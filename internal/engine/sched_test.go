@@ -109,34 +109,3 @@ func TestAdmitOverflowSaturates(t *testing.T) {
 		t.Fatalf("sane depth rejected: %v", err)
 	}
 }
-
-// TestBreakerProbeClaimSchedule drives the breaker through an explicit
-// two-worker schedule: with the breaker open, exactly one of two concurrent
-// claimants may probe per interval, and a reset must clear the probe
-// throttle so the next fault episode probes immediately.
-func TestBreakerProbeClaimSchedule(t *testing.T) {
-	b := &breaker{threshold: 1, probeEvery: time.Hour}
-	if !b.fail() {
-		t.Fatal("threshold-1 breaker did not trip on the first failure")
-	}
-	var claimA, claimB bool
-	a := check.GoNamed("claimant-a", func(func()) { claimA = b.tryClaimProbe() })
-	bb := check.GoNamed("claimant-b", func(func()) { claimB = b.tryClaimProbe() })
-	a.Finish()
-	bb.Finish()
-	if !claimA || claimB {
-		t.Fatalf("claims = (%v, %v): exactly the first scheduled claimant must win the probe", claimA, claimB)
-	}
-	b.reset()
-	if b.isOpen() {
-		t.Fatal("breaker still open after reset")
-	}
-	// New episode: the trip must probe immediately, not wait out the old
-	// hour-long throttle window.
-	if !b.fail() {
-		t.Fatal("second episode did not trip")
-	}
-	if !b.tryClaimProbe() {
-		t.Fatal("probe throttled across episodes: reset did not clear lastProbe")
-	}
-}

@@ -383,7 +383,7 @@ func TestStealStress(t *testing.T) {
 	}}
 	for attempt := 0; attempt < 20; attempt++ {
 		var m metrics.Metrics
-		e, err := New(r, Config{Workers: 4, Queue: 256, Batch: 4, Metrics: &m})
+		e, err := New(r, Config{Workers: 4, Queue: 256, Metrics: &m})
 		if err != nil {
 			t.Fatal(err)
 		}

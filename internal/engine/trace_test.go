@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/neterr"
 	"repro/internal/perm"
 	"repro/internal/trace"
@@ -55,48 +54,6 @@ func TestTracedRequests(t *testing.T) {
 			t.Fatalf("span shard = %d, want a shard in [0, %d)", sp.Shard, e.Workers())
 		}
 	}
-}
-
-// TestTracedRetries checks the span counts retried transient attempts
-// alongside the metrics counter.
-func TestTracedRetries(t *testing.T) {
-	n := newBNB(t, 3, 0)
-	fails := 2
-	r := &flakyRouter{Router: n, failures: &fails}
-	tr := trace.New(trace.Config{Capacity: 8, SlowThreshold: time.Hour})
-	e, err := New(r, Config{Workers: 1, Retry: RetryPolicy{MaxAttempts: 5}, Tracer: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	ticket, err := e.Submit(nil, permWords(perm.Identity(n.Inputs())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ticket.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	sp := tr.Snapshot(1)[0]
-	if sp.Retries != 2 {
-		t.Fatalf("span retries = %d, want 2", sp.Retries)
-	}
-	if sp.Err != "" {
-		t.Fatalf("recovered request recorded error %q", sp.Err)
-	}
-}
-
-// flakyRouter fails the first *failures routes with a transient error.
-type flakyRouter struct {
-	Router
-	failures *int
-}
-
-func (r *flakyRouter) RouteInto(dst, src []core.Word) error {
-	if *r.failures > 0 {
-		*r.failures--
-		return neterr.ErrTransient
-	}
-	return r.Router.RouteInto(dst, src)
 }
 
 // TestTracedSubmitRejection checks a Submit rejected at the door (engine

@@ -293,9 +293,9 @@ type Options struct {
 	// Verify makes RouteInto check the delivery contract after every pass
 	// and return an error classifying the failure (ErrTransient wrapped when
 	// an active transient fault explains it, ErrMisrouted always). The
-	// serving engine wants this on so its retry and breaker policies see
-	// classified failures; the fabric wants it off so it can requeue
-	// selectively from the corrupted arrangement.
+	// plane supervisor wants this on so it fails over on classified
+	// failures; the fabric wants it off so it can requeue selectively from
+	// the corrupted arrangement.
 	Verify bool
 	// Metrics, when non-nil, receives one AddFault observation per route
 	// pass that had at least one active fault.

@@ -42,16 +42,12 @@ type Metrics struct {
 	latMax  atomic.Int64 // nanoseconds
 	buckets [histBuckets]atomic.Int64
 
-	// Fault-tolerance counters: injected faults, recovery actions, and
-	// breaker state transitions, fed by the fault injector, the degraded
-	// fabric, and the engine's retry/breaker policies.
-	faults        atomic.Int64
-	retries       atomic.Int64
-	requeues      atomic.Int64
-	timeouts      atomic.Int64
-	breakerTrips  atomic.Int64
-	breakerResets atomic.Int64
-	fallbacks     atomic.Int64
+	// Fault-tolerance counters: injected faults, cells the degraded fabric
+	// requeued, and requests abandoned by deadline, fed by the fault
+	// injector, the degraded fabric, and the engine.
+	faults   atomic.Int64
+	requeues atomic.Int64
+	timeouts atomic.Int64
 
 	// Supervision counters and gauges, fed by the plane supervisor and the
 	// engine's admission control: failovers away from a failing plane,
@@ -199,13 +195,6 @@ func (m *Metrics) AddFaults(n int64) {
 	}
 }
 
-// AddRetry counts one retried route attempt.
-func (m *Metrics) AddRetry() {
-	if m != nil {
-		m.retries.Add(1)
-	}
-}
-
 // AddRequeues counts n cells requeued by the degraded fabric after a failed
 // or misdelivered pass.
 func (m *Metrics) AddRequeues(n int64) {
@@ -218,29 +207,6 @@ func (m *Metrics) AddRequeues(n int64) {
 func (m *Metrics) AddTimeout() {
 	if m != nil {
 		m.timeouts.Add(1)
-	}
-}
-
-// AddBreakerTrip counts one circuit-breaker trip (closed -> open).
-func (m *Metrics) AddBreakerTrip() {
-	if m != nil {
-		m.breakerTrips.Add(1)
-	}
-}
-
-// AddBreakerReset counts one circuit-breaker reset (open -> closed after a
-// passing probe).
-func (m *Metrics) AddBreakerReset() {
-	if m != nil {
-		m.breakerResets.Add(1)
-	}
-}
-
-// AddFallback counts one request served by the fallback router while the
-// breaker was open.
-func (m *Metrics) AddFallback() {
-	if m != nil {
-		m.fallbacks.Add(1)
 	}
 }
 
@@ -461,17 +427,11 @@ type Snapshot struct {
 
 	// FaultsInjected counts faults the injector applied to route passes.
 	FaultsInjected int64
-	// Retries counts route attempts repeated after a transient failure.
-	Retries int64
 	// Requeued counts cells the degraded fabric returned to their input
 	// queues after a failed or misdelivered pass.
 	Requeued int64
 	// Timeouts counts requests abandoned by deadline.
 	Timeouts int64
-	// BreakerTrips and BreakerResets count circuit-breaker transitions.
-	BreakerTrips, BreakerResets int64
-	// FallbackRoutes counts requests served by the fallback router.
-	FallbackRoutes int64
 
 	// Failovers counts planes drained and failed away from.
 	Failovers int64
@@ -545,12 +505,8 @@ func (m *Metrics) Snapshot() Snapshot {
 		WordsSwitched:  m.words.Load(),
 		MaxLatency:     time.Duration(m.latMax.Load()),
 		FaultsInjected: m.faults.Load(),
-		Retries:        m.retries.Load(),
 		Requeued:       m.requeues.Load(),
 		Timeouts:       m.timeouts.Load(),
-		BreakerTrips:   m.breakerTrips.Load(),
-		BreakerResets:  m.breakerResets.Load(),
-		FallbackRoutes: m.fallbacks.Load(),
 
 		Failovers:         m.failovers.Load(),
 		Repairs:           m.repairs.Load(),
@@ -645,10 +601,9 @@ func percentile(counts []int64, total int64, p float64) time.Duration {
 func (s Snapshot) String() string {
 	line := fmt.Sprintf("routes=%d errors=%d words=%d mean=%v p50=%v p99=%v max=%v",
 		s.Routes, s.Errors, s.WordsSwitched, s.MeanLatency, s.P50, s.P99, s.MaxLatency)
-	if s.FaultsInjected != 0 || s.Retries != 0 || s.Requeued != 0 || s.Timeouts != 0 ||
-		s.BreakerTrips != 0 || s.BreakerResets != 0 || s.FallbackRoutes != 0 {
-		line += fmt.Sprintf(" faults=%d retries=%d requeued=%d timeouts=%d breaker_trips=%d breaker_resets=%d fallbacks=%d",
-			s.FaultsInjected, s.Retries, s.Requeued, s.Timeouts, s.BreakerTrips, s.BreakerResets, s.FallbackRoutes)
+	if s.FaultsInjected != 0 || s.Requeued != 0 || s.Timeouts != 0 {
+		line += fmt.Sprintf(" faults=%d requeued=%d timeouts=%d",
+			s.FaultsInjected, s.Requeued, s.Timeouts)
 	}
 	if s.Failovers != 0 || s.Repairs != 0 || s.Readmits != 0 || s.Sheds != 0 ||
 		s.PlanesHealthy != 0 || s.PlanesSuspect != 0 || s.PlanesQuarantined != 0 {

@@ -33,12 +33,8 @@ func (m *Metrics) WritePrometheus(w io.Writer, ns string) error {
 		{"errors_total", "Failed routing requests.", m.errors.Load()},
 		{"words_switched_total", "Words moved by successful routes.", m.words.Load()},
 		{"faults_injected_total", "Faults the injector applied to route passes.", m.faults.Load()},
-		{"retries_total", "Route attempts repeated after a transient failure.", m.retries.Load()},
 		{"requeues_total", "Cells requeued by the degraded fabric.", m.requeues.Load()},
 		{"timeouts_total", "Requests abandoned by deadline.", m.timeouts.Load()},
-		{"breaker_trips_total", "Circuit-breaker trips (closed to open).", m.breakerTrips.Load()},
-		{"breaker_resets_total", "Circuit-breaker resets (open to closed).", m.breakerResets.Load()},
-		{"fallback_routes_total", "Requests served by the fallback router.", m.fallbacks.Load()},
 		{"failovers_total", "Planes drained and failed away from.", m.failovers.Load()},
 		{"repairs_total", "Plane rebuilds.", m.repairs.Load()},
 		{"readmits_total", "Quarantined planes readmitted after clean probes.", m.readmits.Load()},

@@ -24,11 +24,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	m.ObserveRoute(32, 100*time.Microsecond, nil)
 	m.ObserveRoute(32, 0, errors.New("boom"))
 	m.AddFaults(2)
-	m.AddRetry()
 	m.AddTimeout()
-	m.AddBreakerTrip()
-	m.AddBreakerReset()
-	m.AddFallback()
 	m.AddRequeues(3)
 	m.AddFailover()
 	m.AddRepair()

@@ -9,8 +9,7 @@
 // serving layer's recovery policy needs: ErrTransient marks a failure worth
 // retrying (the underlying fault has a heal time), ErrMisrouted marks a hard
 // delivery fault (a stuck element or dead link corrupted the arrangement),
-// ErrBreakerOpen marks requests rejected while the circuit breaker isolates
-// a failing network, and ErrTimeout marks requests abandoned by deadline.
+// and ErrTimeout marks requests abandoned by deadline.
 package neterr
 
 import "errors"
@@ -36,19 +35,15 @@ var (
 	// stuck switching element or a dead link.
 	ErrMisrouted = errors.New("misrouted delivery")
 
-	// ErrBreakerOpen reports a request rejected because the engine's circuit
-	// breaker has tripped and no fallback router is registered.
-	ErrBreakerOpen = errors.New("circuit breaker open")
-
 	// ErrTimeout reports a request abandoned because its per-request
 	// deadline expired before a route attempt succeeded.
 	ErrTimeout = errors.New("request timed out")
 
-	// ErrOverloaded reports a request shed at admission: the engine's
-	// load-shedding policy judged that the request's deadline cannot be met
-	// at the current queue depth, or every eligible router plane is at its
-	// in-flight cap. Shed requests were never enqueued; retrying later or
-	// with a looser deadline may succeed.
+	// ErrOverloaded reports a request shed without being routed: the
+	// engine's load-shedding policy judged that the request's deadline cannot
+	// be met at the current queue depth, a background queue was full, or no
+	// router plane was in service. Retrying later or with a looser deadline
+	// may succeed.
 	ErrOverloaded = errors.New("overloaded")
 
 	// ErrMismatch reports a differential-verification failure: two network

@@ -105,12 +105,6 @@ func (n *Network) Route(p perm.Perm) (ok bool, conflicts int, err error) {
 	return true, 0, nil
 }
 
-// Passable reports whether the permutation routes without conflict.
-func (n *Network) Passable(p perm.Perm) (bool, error) {
-	ok, _, err := n.Route(p)
-	return ok, err
-}
-
 // PassRate estimates the fraction of uniformly random permutations the
 // network passes.
 func (n *Network) PassRate(trials int, rng *rand.Rand) (float64, error) {

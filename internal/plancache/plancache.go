@@ -15,6 +15,7 @@
 package plancache
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -46,8 +47,11 @@ type shard struct {
 // callers need no nil checks on the hot path. All methods are safe for
 // concurrent use.
 type Cache struct {
-	shards   []shard
-	mask     uint64
+	shards []shard
+	// shift selects a shard from the hash's high bits (h >> shift). The low
+	// bits will not do: FNV-1a's lowest bit is the parity of the addresses'
+	// low bits, the same for every permutation of 0..N-1.
+	shift    uint
 	perShard int
 
 	hits      atomic.Int64
@@ -71,7 +75,7 @@ func New(entries int) *Cache {
 	perShard := (entries + nShards - 1) / nShards
 	return &Cache{
 		shards:   make([]shard, nShards),
-		mask:     uint64(nShards - 1),
+		shift:    uint(64 - bits.TrailingZeros(uint(nShards))),
 		perShard: perShard,
 	}
 }
@@ -117,7 +121,7 @@ func (c *Cache) Lookup(src []core.Word) *core.Plan {
 		return nil
 	}
 	h := hashAddrs(src)
-	sh := &c.shards[h&c.mask]
+	sh := &c.shards[h>>c.shift]
 	snap := sh.entries.Load()
 	if Yield != nil {
 		Yield()
@@ -146,7 +150,7 @@ func (c *Cache) Insert(plan *core.Plan) (evicted bool) {
 		return false
 	}
 	h := hashPlan(plan)
-	sh := &c.shards[h&c.mask]
+	sh := &c.shards[h>>c.shift]
 	var e *entry
 	for {
 		snap := sh.entries.Load()

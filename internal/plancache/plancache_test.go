@@ -1,6 +1,7 @@
 package plancache_test
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -127,6 +128,32 @@ func TestInsertAllocs(t *testing.T) {
 	dup := compile(t, n, plans[(next-1)%len(plans)].Perm())
 	if allocs := testing.AllocsPerRun(100, func() { c.Insert(dup) }); allocs != 0 {
 		t.Errorf("a duplicate Insert allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// TestHoldsCapacity pins that every shard fills: after 4c distinct random
+// m=7 plans, New(c) holds exactly c. A shard picked from the hash's low
+// bits leaves half the shards empty, because FNV-1a's lowest bit is the
+// same for every permutation of 0..N-1.
+func TestHoldsCapacity(t *testing.T) {
+	n, err := core.New(7, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	plans := make([]*core.Plan, 4*256)
+	for i := range plans {
+		plans[i] = compile(t, n, perm.Random(n.Inputs(), rng))
+	}
+	for _, capacity := range []int{64, 128, 256} {
+		c := plancache.New(capacity)
+		for _, pl := range plans[:4*capacity] {
+			c.Insert(pl)
+		}
+		if c.Len() != capacity || c.Capacity() != capacity {
+			t.Errorf("New(%d) after %d distinct inserts: Len %d, Capacity %d; want both %d",
+				capacity, 4*capacity, c.Len(), c.Capacity(), capacity)
+		}
 	}
 }
 

@@ -19,12 +19,10 @@ package plane
 // a still-slow plane cannot rejoin before its fault heals.
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/neterr"
 	"repro/internal/trace"
 )
 
@@ -48,8 +46,6 @@ type hedgeResult struct {
 	// err is the attempt's routing error; nil on the winner and on losers
 	// that routed clean after the claim was taken.
 	err error
-	// capped marks an attempt refused at the plane's in-flight cap.
-	capped bool
 }
 
 // getBuf and putBuf pool the hedge scratch buffers (per-attempt outputs and
@@ -134,12 +130,7 @@ func (s *Supervisor) routeHedged(planes []*planeState, start int, dst, src []cor
 				}
 			}()
 			buf := s.getBuf()
-			err, routed := s.routeOn(p, buf, srcCopy, nil)
-			if !routed {
-				s.putBuf(buf)
-				results <- hedgeResult{idx: idx, capped: true}
-				return
-			}
+			err := s.routeOn(p, buf, srcCopy, nil)
 			if err == nil && claimed.CompareAndSwap(false, true) {
 				results <- hedgeResult{idx: idx, buf: buf}
 				return
@@ -154,7 +145,6 @@ func (s *Supervisor) routeHedged(planes []*planeState, start int, dst, src []cor
 	next := 1      // next eligible plane to launch
 	pending := 1   // launched attempts not yet reported
 	hedgeIdx := -1 // index launched by the hedge timer, for the win counter
-	capped := 0
 	var lastErr error
 	var fp uint64
 	var hasFP bool
@@ -179,8 +169,6 @@ func (s *Supervisor) routeHedged(planes []*planeState, start int, dst, src []cor
 				return nil, true
 			}
 			switch {
-			case r.capped:
-				capped++
 			case r.err == nil:
 				// Clean loser: it routed fine after the claim was taken; its
 				// buffers are already pooled. Nothing to do.
@@ -195,8 +183,8 @@ func (s *Supervisor) routeHedged(planes []*planeState, start int, dst, src []cor
 					return perr, true
 				}
 			}
-			// A capped or failed attempt fails over to the next eligible
-			// plane immediately rather than waiting for the timer.
+			// A failed attempt fails over to the next eligible plane
+			// immediately rather than waiting for the timer.
 			if next < len(elig) {
 				launch(next)
 				next++
@@ -213,11 +201,6 @@ func (s *Supervisor) routeHedged(planes []*planeState, start int, dst, src []cor
 				sp.AddHedge()
 			}
 		}
-	}
-	if lastErr == nil {
-		sp.MarkShed()
-		s.m.AddShed()
-		return fmt.Errorf("plane: every healthy plane at its in-flight cap of %d: %w", s.cap, neterr.ErrOverloaded), true
 	}
 	// Every healthy attempt failed: degrade rather than go dark, exactly
 	// like the sequential path's second pass.

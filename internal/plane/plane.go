@@ -127,9 +127,6 @@ type Config struct {
 	// HealthInterval is the period of the background health sweep; <= 0
 	// selects 10ms. Failures additionally kick the sweep immediately.
 	HealthInterval time.Duration
-	// InFlightCap bounds the requests concurrently routing on one plane, so
-	// a degraded plane cannot absorb the whole queue; 0 means no cap.
-	InFlightCap int
 	// Hedge, when positive, enables hedged routing with a fixed delay: a
 	// request still in flight after Hedge is re-issued on the next healthy
 	// plane and the first response wins.
@@ -226,7 +223,6 @@ type Supervisor struct {
 	nextID int // guarded by memberMu
 
 	n      int // port count
-	cap    int64
 	rotor  atomic.Uint64
 	m      *metrics.Metrics
 	tracer *trace.Tracer
@@ -350,7 +346,6 @@ func New(cfg Config) (*Supervisor, error) {
 	}
 	s := &Supervisor{
 		n:            n,
-		cap:          int64(cfg.InFlightCap),
 		m:            cfg.Metrics,
 		tracer:       cfg.Tracer,
 		probes:       probes,
@@ -508,10 +503,10 @@ func (s *Supervisor) PlaneStats() []Stats {
 // verifies the delivery, and on any plane failure marks the plane suspect
 // and retries on the next one, so a single faulty plane surfaces no error
 // to the caller. Request-shaped errors (ErrNotPermutation, ErrBadSize) are
-// the caller's fault and are returned without blaming the plane. When every
-// healthy plane is at its in-flight cap the request is shed with
-// ErrOverloaded; when no plane is healthy, suspect and quarantined planes
-// serve as a verified last resort.
+// the caller's fault and are returned without blaming the plane. When no
+// plane is healthy, suspect and quarantined planes serve as a verified last
+// resort; when no plane is in service at all, the request is shed with
+// ErrOverloaded.
 func (s *Supervisor) RouteInto(dst, src []core.Word) error {
 	return s.routeInto(dst, src, nil)
 }
@@ -566,19 +561,13 @@ func (s *Supervisor) routeInto(dst, src []core.Word, sp *trace.Span) error {
 		}
 	}
 	var lastErr error
-	// Pass 1: healthy planes under the in-flight cap.
-	healthySeen, capped := 0, 0
+	// Pass 1: healthy planes.
 	for off := 0; off < k; off++ {
 		p := planes[(start+off)%k]
 		if State(p.state.Load()) != Healthy {
 			continue
 		}
-		healthySeen++
-		err, routed := s.routeOn(p, dst, src, sp)
-		if !routed {
-			capped++
-			continue
-		}
+		err := s.routeOn(p, dst, src, sp)
 		sp.AddAttempt()
 		if err == nil {
 			sp.SetPlane(p.id)
@@ -593,11 +582,6 @@ func (s *Supervisor) routeInto(dst, src []core.Word, sp *trace.Span) error {
 			sp.MarkPoisoned()
 			return perr
 		}
-	}
-	if healthySeen > 0 && healthySeen == capped {
-		sp.MarkShed()
-		s.m.AddShed()
-		return fmt.Errorf("plane: every healthy plane at its in-flight cap of %d: %w", s.cap, neterr.ErrOverloaded)
 	}
 	return s.routeDegraded(planes, start, dst, src, sp, lastErr, &fp, &hasFP)
 }
@@ -615,10 +599,7 @@ func (s *Supervisor) routeDegraded(planes []*planeState, start int, dst, src []c
 			if State(p.state.Load()) != want {
 				continue
 			}
-			err, routed := s.routeOn(p, dst, src, sp)
-			if !routed {
-				continue
-			}
+			err := s.routeOn(p, dst, src, sp)
 			sp.AddAttempt()
 			if err == nil {
 				sp.SetPlane(p.id)
@@ -638,7 +619,7 @@ func (s *Supervisor) routeDegraded(planes []*planeState, start int, dst, src []c
 	if lastErr == nil {
 		sp.MarkShed()
 		s.m.AddShed()
-		return fmt.Errorf("plane: every plane at its in-flight cap of %d: %w", s.cap, neterr.ErrOverloaded)
+		return fmt.Errorf("plane: none of %d planes is in service: %w", k, neterr.ErrOverloaded)
 	}
 	return fmt.Errorf("plane: all %d planes failed: %w", k, lastErr)
 }
@@ -675,20 +656,10 @@ type spanRouter interface {
 	RouteIntoTraced(dst, src []core.Word, sp *trace.Span) error
 }
 
-// routeOn routes one request on the plane under its in-flight cap. The
-// second return reports whether the plane admitted the request at all;
-// when it did, the first return is the verified routing outcome.
-func (s *Supervisor) routeOn(p *planeState, dst, src []core.Word, sp *trace.Span) (error, bool) {
-	if s.cap > 0 {
-		// Reserve a slot; undo on overshoot. Pure atomics — no lock is held
-		// across the routing call below.
-		if p.inflight.Add(1) > s.cap {
-			p.inflight.Add(-1)
-			return nil, false
-		}
-	} else {
-		p.inflight.Add(1)
-	}
+// routeOn routes one request on the plane and returns the verified routing
+// outcome.
+func (s *Supervisor) routeOn(p *planeState, dst, src []core.Word, sp *trace.Span) error {
+	p.inflight.Add(1)
 	defer p.inflight.Add(-1)
 	r := p.get()
 	begin := time.Now()
@@ -713,11 +684,11 @@ func (s *Supervisor) routeOn(p *planeState, dst, src []core.Word, sp *trace.Span
 		if !isRequestError(err) {
 			s.fail(p, err)
 		}
-		return err, true
+		return err
 	}
 	p.served.Add(1)
 	s.observeLatency(p, time.Since(begin).Nanoseconds())
-	return nil, true
+	return nil
 }
 
 // observeLatency folds one successful pass into the plane's latency EWMA

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -281,20 +282,14 @@ func TestRequestErrorsDoNotBlameThePlane(t *testing.T) {
 	}
 }
 
-// TestPlaneCapSheds pins the in-flight cap: with every plane's only slot
-// occupied, the next request is shed with ErrOverloaded instead of piling
-// onto a plane.
-func TestPlaneCapSheds(t *testing.T) {
+// TestNoPlaneInServiceSheds pins the request that finds every plane
+// admitting or draining: no plane may serve it, so it is shed with
+// ErrOverloaded and counted, without touching a router.
+func TestNoPlaneInServiceSheds(t *testing.T) {
 	const n = 8
-	gate := make(chan struct{})
-	slow := func(dst, src []core.Word) error {
-		<-gate
-		return deliver(dst, src)
-	}
 	var m metrics.Metrics
 	s, err := New(Config{
-		Planes:         []Router{&funcRouter{n: n, fn: slow}, &funcRouter{n: n, fn: slow}},
-		InFlightCap:    1,
+		Planes:         []Router{&funcRouter{n: n, fn: deliver}, &funcRouter{n: n, fn: deliver}},
 		HealthInterval: time.Hour,
 		Metrics:        &m,
 	})
@@ -302,34 +297,16 @@ func TestPlaneCapSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			dst := make([]core.Word, n)
-			if err := s.RouteInto(dst, permWords(perm.Identity(n))); err != nil {
-				t.Errorf("occupying request failed: %v", err)
-			}
-		}()
-	}
-	// Wait until both planes hold their one in-flight request.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if s.plane(0).inflight.Load() == 1 && s.plane(1).inflight.Load() == 1 {
-			break
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
+	s.plane(0).state.Store(int32(Admitting))
+	s.plane(1).state.Store(int32(Draining))
 	dst := make([]core.Word, n)
-	if err := s.RouteInto(dst, permWords(perm.Identity(n))); !errors.Is(err, neterr.ErrOverloaded) {
-		t.Errorf("request over the cap: err = %v, want ErrOverloaded", err)
+	err = s.RouteInto(dst, permWords(perm.Identity(n)))
+	if !errors.Is(err, neterr.ErrOverloaded) || !strings.Contains(err.Error(), "in service") {
+		t.Errorf("err = %v, want ErrOverloaded naming no plane in service", err)
 	}
-	if m.Snapshot().Sheds != 1 {
-		t.Errorf("Sheds = %d, want 1", m.Snapshot().Sheds)
+	if got := m.Snapshot().Sheds; got != 1 {
+		t.Errorf("Sheds = %d, want 1", got)
 	}
-	close(gate)
-	wg.Wait()
 }
 
 // TestLastResortServesDegraded pins the no-healthy-planes path: quarantined

@@ -1,7 +1,7 @@
 // Package trace is the request-level observability layer of the serving
 // stack: a per-request Span threads from engine admission through supervisor
 // plane selection into the plane router, recording queue wait, service time,
-// retries, failovers and shed/breaker decisions, and completed spans land in
+// failovers and shed decisions, and completed spans land in
 // a lock-free ring buffer with the slowest requests additionally captured as
 // exemplars.
 //
@@ -50,13 +50,11 @@ type Span struct {
 	// QueueWait is the time from Submit until a worker picked the request
 	// up; zero for spans that never queued (probes, shed requests).
 	QueueWait time.Duration `json:"queue_wait"`
-	// Service is the time from worker pickup to completion, retries and
-	// failover attempts included.
+	// Service is the time from worker pickup to completion, failover
+	// attempts included.
 	Service time.Duration `json:"service"`
 	// Total is the end-to-end latency (queue wait + service).
 	Total time.Duration `json:"total"`
-	// Retries counts route attempts repeated after a transient failure.
-	Retries int32 `json:"retries"`
 	// Attempts counts the planes tried by the supervisor (1 on the fast
 	// path); zero when no supervisor served the request.
 	Attempts int32 `json:"attempts"`
@@ -89,12 +87,9 @@ type Span struct {
 	// Poisoned reports the request was rejected (or condemned) by the
 	// poison quarantine (ErrPoisoned).
 	Poisoned bool `json:"poisoned,omitempty"`
-	// Shed reports the request was rejected by admission control or by the
-	// planes' in-flight caps (ErrOverloaded).
+	// Shed reports the request was rejected by admission control, or found
+	// no supervised plane in service (ErrOverloaded).
 	Shed bool `json:"shed,omitempty"`
-	// Breaker reports the request met an open circuit breaker (served by
-	// the fallback or failed fast).
-	Breaker bool `json:"breaker,omitempty"`
 	// Aborted reports the span was flushed at Close before its request
 	// finished, so its timings cover only the observed prefix.
 	Aborted bool `json:"aborted,omitempty"`
@@ -107,13 +102,6 @@ type Span struct {
 func (sp *Span) Dequeued(now time.Time) {
 	if sp != nil {
 		sp.QueueWait = now.Sub(sp.Start)
-	}
-}
-
-// AddRetry counts one retried route attempt. Nil-safe.
-func (sp *Span) AddRetry() {
-	if sp != nil {
-		sp.Retries++
 	}
 }
 
@@ -195,13 +183,6 @@ func (sp *Span) MarkPoisoned() {
 func (sp *Span) MarkShed() {
 	if sp != nil {
 		sp.Shed = true
-	}
-}
-
-// MarkBreaker records that the request met an open breaker. Nil-safe.
-func (sp *Span) MarkBreaker() {
-	if sp != nil {
-		sp.Breaker = true
 	}
 }
 

@@ -16,12 +16,10 @@ func TestNilTracer(t *testing.T) {
 		t.Fatalf("nil tracer Start returned non-nil span")
 	}
 	sp.Dequeued(time.Now())
-	sp.AddRetry()
 	sp.AddAttempt()
 	sp.AddFailover()
 	sp.SetPlane(3)
 	sp.MarkShed()
-	sp.MarkBreaker()
 	tr.Finish(sp, errors.New("boom"))
 	tr.Flush()
 	if got := tr.Snapshot(0); got != nil {

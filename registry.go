@@ -83,18 +83,13 @@ const (
 	optDataBits optFlag = 1 << iota
 	optWorkers
 	optQueue
-	optBatch
 	optTrace
 	optMetrics
 	optFaults
 	optTimeout
-	optRetry
-	optBreaker
-	optFallback
 	optShedding
 	optPlanes
 	optPlaneFaults
-	optPlaneCap
 	optHealthInterval
 	optTracer
 	optDebugAddr
@@ -107,11 +102,11 @@ const (
 
 // optEngine masks the serving options that only NewEngine (and
 // NewSupervised, which embeds an engine) understands.
-const optEngine = optTimeout | optRetry | optBreaker | optFallback | optShedding | optTracer | optDebugAddr
+const optEngine = optTimeout | optShedding | optTracer | optDebugAddr
 
 // optSupervised masks the redundancy options that only NewSupervised
 // understands.
-const optSupervised = optPlanes | optPlaneFaults | optPlaneCap | optHealthInterval | optHedge
+const optSupervised = optPlanes | optPlaneFaults | optHealthInterval | optHedge
 
 // optFabric masks the cell-switch options that only NewFabric understands.
 const optFabric = optVOQ | optDegraded
@@ -122,21 +117,15 @@ type options struct {
 	dataBits int
 	workers  int
 	queue    int
-	batch    int
 	trace    func(stage int, snapshot []Word)
 	metrics  *metrics.Metrics
 
-	faults        *fault.Plan
-	timeout       time.Duration
-	retryAttempts int
-	retryBackoff  time.Duration
-	breaker       int
-	fallback      Network
+	faults  *fault.Plan
+	timeout time.Duration
 
 	shed           bool
 	planes         int
 	planeFaults    map[int]*fault.Plan
-	planeCap       int
 	healthInterval time.Duration
 
 	tracer    *trace.Tracer
@@ -189,8 +178,8 @@ func WithDataBits(w int) Option {
 // zero keeps the default of 4 and negative counts are rejected. New rejects
 // it: one route is one serial kernel pass, and the engine runs requests in
 // parallel instead. NewCluster rejects it too, with the other engine
-// options (WithQueue, WithBatch, WithTimeout, WithRetry, WithShedding): a
-// cluster has no engine, and routes every shard on the caller's goroutine.
+// options (WithQueue, WithTimeout, WithShedding): a cluster has no engine,
+// and routes every shard on the caller's goroutine.
 func WithWorkers(n int) Option {
 	return func(o *options) {
 		if n < 0 {
@@ -213,22 +202,6 @@ func WithQueue(n int) Option {
 		}
 		o.set |= optQueue
 		o.queue = n
-	}
-}
-
-// WithBatch caps the number of queued requests an engine worker dequeues
-// per wakeup; zero keeps the default of 8 and negative caps are rejected.
-// Larger batches amortize the wakeup cost across more requests under load;
-// strict QoS priority still holds inside a batch, and a higher-class arrival
-// preempts a batch's remainder. NewEngine and NewSupervised only.
-func WithBatch(n int) Option {
-	return func(o *options) {
-		if n < 0 {
-			o.reject("WithBatch(%d): batch size cannot be negative", n)
-			return
-		}
-		o.set |= optBatch
-		o.batch = n
 	}
 }
 
@@ -266,8 +239,9 @@ func WithFaults(plan *FaultPlan) Option {
 	}
 }
 
-// WithTimeout bounds each engine request from Submit to completion; expired
-// requests fail with ErrTimeout. NewEngine only.
+// WithTimeout bounds each engine request from Submit to completion: a
+// request whose deadline passes before a worker picks it up fails with
+// ErrTimeout. NewEngine and NewSupervised.
 func WithTimeout(d time.Duration) Option {
 	return func(o *options) {
 		if d < 0 {
@@ -276,55 +250,6 @@ func WithTimeout(d time.Duration) Option {
 		}
 		o.set |= optTimeout
 		o.timeout = d
-	}
-}
-
-// WithRetry re-attempts engine requests that fail transiently (ErrTransient,
-// the injector's mark for faults that heal) up to attempts total tries, with
-// the given backoff before the first retry, doubling after each. NewEngine
-// only.
-func WithRetry(attempts int, backoff time.Duration) Option {
-	return func(o *options) {
-		if attempts < 1 {
-			o.reject("WithRetry(%d, %v): need at least 1 attempt", attempts, backoff)
-			return
-		}
-		if backoff < 0 {
-			o.reject("WithRetry(%d, %v): negative backoff", attempts, backoff)
-			return
-		}
-		o.set |= optRetry
-		o.retryAttempts = attempts
-		o.retryBackoff = backoff
-	}
-}
-
-// WithBreaker arms the engine's circuit breaker: after threshold consecutive
-// hard failures the breaker opens, requests fail fast with ErrBreakerOpen
-// (or divert to the WithFallback network), and identity probes of the
-// primary close it again once they pass. NewEngine only.
-func WithBreaker(threshold int) Option {
-	return func(o *options) {
-		if threshold < 1 {
-			o.reject("WithBreaker(%d): threshold must be at least 1", threshold)
-			return
-		}
-		o.set |= optBreaker
-		o.breaker = threshold
-	}
-}
-
-// WithFallback registers a standby network served while the breaker is open;
-// it must have the same port count as the primary. Requires WithBreaker.
-// NewEngine only.
-func WithFallback(n Network) Option {
-	return func(o *options) {
-		if n == nil {
-			o.reject("WithFallback(nil): nil fallback network")
-			return
-		}
-		o.set |= optFallback
-		o.fallback = n
 	}
 }
 
@@ -339,8 +264,8 @@ func WithShedding() Option {
 }
 
 // WithTracer attaches a request-span recorder: every served request gets
-// one TraceSpan — queue wait, service time, retries, plane failovers,
-// shed/breaker decisions — published into the tracer's ring on completion
+// one TraceSpan — queue wait, service time, plane failovers, shed
+// decisions — published into the tracer's ring on completion
 // (flushed as aborted on Close), and the supervisor's health probes are
 // recorded alongside. A nil tracer is rejected; to disable tracing, omit
 // the option — the disabled path costs zero allocations. NewEngine and
@@ -396,7 +321,7 @@ func WithDegraded() Option {
 // disables the cache; negative entries are rejected. The network must offer
 // the compiled-plan surface (family "bnb", bare or behind New's
 // decorators). NewEngine and NewSupervised; NewSupervised defaults to a
-// 256-entry cache per plane when the option is absent and the planes
+// 128-entry cache per plane when the option is absent and the planes
 // support it — pass WithPlanCache(0) to opt out.
 func WithPlanCache(entries int) Option {
 	return func(o *options) {
@@ -444,21 +369,6 @@ func WithPlaneFaults(plane int, plan *FaultPlan) Option {
 		}
 		o.set |= optPlaneFaults
 		o.planeFaults[plane] = plan
-	}
-}
-
-// WithPlaneCap bounds the requests concurrently routing on any one plane,
-// so a degraded plane cannot absorb the whole queue; requests finding every
-// eligible plane at its cap are shed with ErrOverloaded. Zero (the default)
-// means no cap. NewSupervised only.
-func WithPlaneCap(n int) Option {
-	return func(o *options) {
-		if n < 0 {
-			o.reject("WithPlaneCap(%d): cap cannot be negative", n)
-			return
-		}
-		o.set |= optPlaneCap
-		o.planeCap = n
 	}
 }
 
@@ -548,14 +458,11 @@ func New(family string, m int, opts ...Option) (Network, error) {
 	if o.anySet(optQueue) {
 		return nil, fmt.Errorf("bnbnet: WithQueue applies to NewEngine, not New")
 	}
-	if o.anySet(optBatch) {
-		return nil, fmt.Errorf("bnbnet: WithBatch applies to NewEngine, not New")
-	}
 	if o.anySet(optEngine) {
-		return nil, fmt.Errorf("bnbnet: WithTimeout, WithRetry, WithBreaker, WithFallback, WithShedding, WithTracer and WithDebugAddr apply to NewEngine, not New")
+		return nil, fmt.Errorf("bnbnet: WithTimeout, WithShedding, WithTracer and WithDebugAddr apply to NewEngine, not New")
 	}
 	if o.anySet(optSupervised) {
-		return nil, fmt.Errorf("bnbnet: WithPlanes, WithPlaneFaults, WithPlaneCap, WithHealthInterval and WithHedge apply to NewSupervised, not New")
+		return nil, fmt.Errorf("bnbnet: WithPlanes, WithPlaneFaults, WithHealthInterval and WithHedge apply to NewSupervised, not New")
 	}
 	if o.anySet(optFabric) {
 		return nil, fmt.Errorf("bnbnet: WithVOQ and WithDegraded apply to NewFabric, not New")

@@ -56,8 +56,6 @@ type Stats struct {
 	Workers int
 	// InFlight counts admitted, uncompleted requests.
 	InFlight int64
-	// BreakerOpen reports an open circuit breaker (engine only).
-	BreakerOpen bool
 	// Metrics is the attached sink's snapshot, nil without WithMetrics.
 	Metrics *MetricsSnapshot
 	// PlanCaches holds the live plan-cache counters: at most one entry for
@@ -88,11 +86,10 @@ type ShardStats struct {
 // Stats implements Router; see Stats for the populated fields.
 func (e *Engine) Stats() Stats {
 	st := Stats{
-		Kind:        "engine",
-		Inputs:      e.Inputs(),
-		Workers:     e.Workers(),
-		InFlight:    e.InFlight(),
-		BreakerOpen: e.BreakerOpen(),
+		Kind:     "engine",
+		Inputs:   e.Inputs(),
+		Workers:  e.Workers(),
+		InFlight: e.InFlight(),
 	}
 	if m := e.Metrics(); m != nil {
 		snap := m.Snapshot()

@@ -45,7 +45,7 @@ const diagMaxOrder = 5
 // defaultPlanCacheEntries is the per-plane plan-cache capacity NewSupervised
 // selects when WithPlanCache is absent and the planes offer the
 // compiled-plan surface. Pass WithPlanCache(0) to opt out.
-const defaultPlanCacheEntries = 256
+const defaultPlanCacheEntries = 128
 
 // planeCacheRegistry tracks the live plan cache of every supervised plane,
 // keyed by the plane's stable id — membership positions shift as planes are
@@ -148,14 +148,13 @@ type Supervised struct {
 
 // NewSupervised builds K identical planes of the family (default 2, set
 // WithPlanes) and starts the supervised serving front. Engine options
-// (WithWorkers, WithQueue, WithMetrics, WithTimeout, WithRetry,
-// WithShedding, WithTracer, WithDebugAddr) tune the front; WithPlaneCap bounds per-plane concurrency,
-// WithHealthInterval the probe cadence, and WithPlaneFaults injects a
-// chaos plan into one plane for resilience experiments. WithBreaker and
-// WithFallback are rejected — the supervisor's health checker subsumes
-// them. For orders <= 5 the health checker diagnoses quarantined planes
-// with the exact probe dictionary; larger orders probe with the canonical
-// battery.
+// (WithWorkers, WithQueue, WithMetrics, WithTimeout, WithShedding,
+// WithTracer, WithDebugAddr) tune the front; WithHealthInterval sets the
+// probe cadence, and WithPlaneFaults injects a chaos plan into one plane
+// for resilience experiments. A request that fails on one plane fails
+// over to the next within the same call. For orders <= 5 the health
+// checker diagnoses quarantined planes with the exact probe dictionary;
+// larger orders probe with the canonical battery.
 func NewSupervised(family string, m int, opts ...Option) (*Supervised, error) {
 	o, err := gatherOptions(opts)
 	if err != nil {
@@ -169,9 +168,6 @@ func NewSupervised(family string, m int, opts ...Option) (*Supervised, error) {
 	}
 	if o.anySet(optFaults) {
 		return nil, fmt.Errorf("bnbnet: WithFaults applies to New; use WithPlaneFaults(plane, plan) to fault one supervised plane")
-	}
-	if o.anySet(optBreaker | optFallback) {
-		return nil, fmt.Errorf("bnbnet: WithBreaker and WithFallback do not apply to NewSupervised; the supervisor's health checker subsumes them")
 	}
 	if o.anySet(optFabric) {
 		return nil, fmt.Errorf("bnbnet: WithVOQ and WithDegraded apply to NewFabric, not NewSupervised")
@@ -187,10 +183,8 @@ func NewSupervised(family string, m int, opts ...Option) (*Supervised, error) {
 	e, err := engine.New(ps.sup, engine.Config{
 		Workers: o.workers,
 		Queue:   o.queue,
-		Batch:   o.batch,
 		Metrics: o.metrics,
 		Timeout: o.timeout,
-		Retry:   engine.RetryPolicy{MaxAttempts: o.retryAttempts, Backoff: o.retryBackoff},
 		Shed:    o.shed,
 		Tracer:  o.tracer,
 	})
@@ -223,9 +217,8 @@ func newDiagnoser(family string, m int) (*fault.Diagnoser, error) {
 // newPlaneSet builds the planes of a supervised stack and starts their
 // supervisor: NewSupervised puts an engine in front of it, NewCluster
 // routes each shard through one. Option validation is the caller's; only
-// the plane options (WithPlanes, WithPlaneFaults, WithPlaneCap,
-// WithHealthInterval, WithHedge, WithPlanCache, WithDataBits) and the
-// sinks are read here.
+// the plane options (WithPlanes, WithPlaneFaults, WithHealthInterval,
+// WithHedge, WithPlanCache, WithDataBits) and the sinks are read here.
 func newPlaneSet(family string, m int, o options, diag *fault.Diagnoser) (*planeSet, error) {
 	builders.RLock()
 	b := builders.m[family]
@@ -317,7 +310,6 @@ func newPlaneSet(family string, m int, o options, diag *fault.Diagnoser) (*plane
 		Rebuild:        rebuildPlane,
 		Diagnoser:      diag,
 		HealthInterval: o.healthInterval,
-		InFlightCap:    o.planeCap,
 		Hedge:          o.hedge,
 		HedgeAuto:      o.hedgeAuto,
 		Metrics:        o.metrics,
@@ -458,9 +450,9 @@ func (s *Supervised) DebugAddr() string {
 // Drain gracefully stops admission and waits for every in-flight ticket to
 // complete: new Submits fail fast with ErrDraining, queued requests are
 // served normally on the planes, and Drain returns once the workers are
-// idle. If ctx expires first, pending retry backoffs are cut short so
-// parked requests settle immediately with their errors, and Drain reports
-// the context's error. The health checker and the WithDebugAddr server keep
+// idle. A route cannot be cut short, so an expired ctx does not end the
+// wait: Drain reports the context's error after the workers finish. The
+// health checker and the WithDebugAddr server keep
 // running through the drain — an operator watching /debug/bnb/metrics sees
 // the drain happen — and stop only in Close, which after a completed Drain
 // is an idempotent no-op.

@@ -149,17 +149,8 @@ func TestSupervisedOptionValidation(t *testing.T) {
 	}{
 		{"trace", []Option{WithTrace(func(int, []Word) {})}, "WithTrace"},
 		{"faults", []Option{WithFaults(StuckAt(FaultElement{}, false))}, "WithPlaneFaults"},
-		{"breaker", []Option{WithBreaker(3)}, "health checker"},
-		{"fallback", func() []Option {
-			standby, err := NewBNB(3, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return []Option{WithBreaker(3), WithFallback(standby)}
-		}(), "health checker"},
 		{"one plane", []Option{WithPlanes(1)}, "at least 2"},
 		{"plane index", []Option{WithPlanes(2), WithPlaneFaults(2, &FaultPlan{ChaosRate: 0.5})}, "only 2 planes"},
-		{"negative cap", []Option{WithPlaneCap(-1)}, "negative"},
 		{"negative interval", []Option{WithHealthInterval(-time.Second)}, "negative"},
 	}
 	for _, tc := range cases {
