@@ -77,8 +77,8 @@ func checkReport(rep Report) error {
 			return fmt.Errorf("engine sweep workers=%d: routes_per_sec %v, p50 %d, p99 %d",
 				er.Workers, er.RoutesPerSec, er.P50Ns, er.P99Ns)
 		}
-		// Sharded-queue accounting: every served request left a shard exactly
-		// once, by batch dequeue or by steal, and a steal moves >= 1 request.
+		// Queue accounting: every served request was dequeued exactly once
+		// (stolen is 0 with one queue), and a steal moves >= 1 request.
 		if got := er.BatchedRequests + er.StolenRequests; got != int64(er.Requests) {
 			return fmt.Errorf("engine sweep workers=%d: batched %d + stolen %d = %d dequeues, want %d requests",
 				er.Workers, er.BatchedRequests, er.StolenRequests, got, er.Requests)

@@ -301,9 +301,3 @@ func (t *Tree) FlagsGateLevel(bits []uint8) (flags []uint8, gates int, err error
 	copy(flags, down[0])
 	return flags, gates, nil
 }
-
-// TotalGates returns the static gate count of the arbiter in the Fig. 5
-// realization.
-func (t *Tree) TotalGates() int {
-	return t.Nodes() * GatesPerNode
-}

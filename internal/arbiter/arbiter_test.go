@@ -85,9 +85,6 @@ func TestNodeCount(t *testing.T) {
 		if got := tr.Nodes(); got != tt.want {
 			t.Errorf("A(%d).Nodes() = %d, want %d", tt.p, got, tt.want)
 		}
-		if got := tr.TotalGates(); got != tt.want*GatesPerNode {
-			t.Errorf("A(%d).TotalGates() = %d, want %d", tt.p, got, tt.want*GatesPerNode)
-		}
 	}
 }
 
@@ -290,8 +287,8 @@ func TestGateLevelTreeMatchesBehavioural(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gates != tr.TotalGates() {
-			t.Fatalf("dynamic gates %d != static gates %d", gates, tr.TotalGates())
+		if static := tr.Nodes() * GatesPerNode; gates != static {
+			t.Fatalf("dynamic gates %d != static gates %d", gates, static)
 		}
 		for i := range want {
 			if got[i] != want[i] {

@@ -6,14 +6,10 @@
 // pool — Submit blocks once Queue requests of its class are queued, so a
 // fast producer cannot outrun the workers without bound.
 //
-// Internally the queue is sharded: each worker owns a shard of per-class
-// rings, submitters land requests on a rotor-chosen shard, workers dequeue
-// up to batchCap requests per wakeup (amortizing one park/wake cycle across
-// the batch) and steal roughly half of a neighbor's backlog when their own
-// shard runs dry. Strict class priority — Critical before Standard before
-// Background — holds within a shard, across steals, and mid-batch: a worker
-// re-checks its shard for higher-class arrivals between every two requests
-// it serves.
+// Internally there is one queue: a FIFO ring per class under a single mutex,
+// with idle workers waiting on a condition variable. Every dequeue takes the
+// oldest request of the highest non-empty class, so strict class priority —
+// Critical before Standard before Background — holds at every dequeue.
 //
 // The engine is the system-level answer to the paper's positioning: Lee & Lu
 // sell the BNB network as the switching fabric of "switching systems and
@@ -116,12 +112,6 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-// batchCap is the most requests a worker dequeues per wakeup. A larger
-// batch amortizes the park/wake cycle across more requests; priority is
-// still enforced inside the batch, and a higher-class arrival preempts the
-// batch's remainder.
-const batchCap = 8
-
 // request is one unit of work. Requests are pooled: the worker publishes the
 // result through the ticket, not the request, so a request can be recycled
 // the moment its route completes.
@@ -158,34 +148,13 @@ type Engine struct {
 	tr     TracedRouter // r, when it supports span-carrying routes; else nil
 	m      *metrics.Metrics
 	tracer *trace.Tracer
-	// shards holds one work-stealing queue group per worker (see shard.go);
-	// rotor spreads submissions across them. space is the per-class
-	// admission token pool: a submitter takes a token before landing on a
-	// shard (blocking for Standard/Critical, shedding for Background) and a
-	// worker returns it when it moves the request into its local batch, so
-	// at most queue requests per class are ever queued.
-	shards []*shard
-	rotor  atomic.Uint64
-	space  [numClasses]chan struct{}
-	queue  int
-	pool   sync.Pool // *request
-
-	// pendingSubmits counts requests past the lifecycle gate but not yet on
-	// a shard. Workers refuse to exit while it is non-zero, so a submission
-	// in flight during Drain/Close is still picked up and its ticket
-	// settles; the submitter decrements only after the shard push.
-	pendingSubmits atomic.Int64
-	// stopping flips once when Drain or Close begins; combined with empty
-	// shards and no pending submits it is the workers' exit condition.
-	stopping atomic.Bool
-
-	// The idler stack parks workers with nothing to do. A worker registers
-	// itself, re-scans the shards (catching a submission that raced the
-	// registration), then blocks on its slot; a submitter that sees a
-	// non-zero idleCount after pushing pops a slot and wakes it.
-	idleMu    sync.Mutex
-	idlers    []*parkSlot
-	idleCount atomic.Int64
+	// space is the per-class admission token pool: a submitter takes a
+	// token before its request is queued (blocking for Standard/Critical,
+	// shedding for Background) and a worker returns it when it dequeues the
+	// request, so at most queue requests per class are ever queued.
+	space [numClasses]chan struct{}
+	queue int
+	pool  sync.Pool // *request
 
 	timeout time.Duration
 
@@ -200,15 +169,21 @@ type Engine struct {
 	// request of a given class.
 	classInflight [numClasses]atomic.Int64
 
-	closeReqs sync.Once
-
 	wg sync.WaitGroup
 
-	// mu guards the lifecycle state and makes Submit-vs-Drain/Close safe:
-	// submitters hold the read side while enqueueing, Drain and Close take
-	// the write side to advance the state before closing the queue channel.
-	mu    sync.RWMutex
-	state lifecycle
+	// mu guards the queue and the lifecycle together, so the workers' exit
+	// condition is one check under one lock. wake is signalled once per
+	// queued request and broadcast by Drain, Close, an exiting worker and
+	// the last arriving request that is never queued, so a waiting worker
+	// re-checks the exit condition whenever it may have become true.
+	mu    sync.Mutex
+	wake  sync.Cond
+	rings [numClasses]ring
+	// arriving counts requests past the lifecycle gate but not yet queued.
+	// Workers do not exit while it is non-zero, so a submitter blocked on
+	// a full queue when Drain or Close began is still served.
+	arriving int
+	state    lifecycle
 	// drained latches once a Drain has run to completion; it makes every
 	// later Close an idempotent no-op (the drain already did the work).
 	drained bool
@@ -258,10 +233,7 @@ func New(r Router, cfg Config) (*Engine, error) {
 		queue:   queue,
 	}
 	e.tr, _ = r.(TracedRouter)
-	e.shards = make([]*shard, workers)
-	for i := range e.shards {
-		e.shards[i] = &shard{}
-	}
+	e.wake.L = &e.mu
 	for c := range e.space {
 		e.space[c] = make(chan struct{}, queue)
 		for i := 0; i < queue; i++ {
@@ -271,7 +243,7 @@ func New(r Router, cfg Config) (*Engine, error) {
 	e.pool.New = func() any { return new(request) }
 	e.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go e.worker(w)
+		go e.worker()
 	}
 	return e, nil
 }
@@ -288,45 +260,72 @@ func (e *Engine) Metrics() *metrics.Metrics { return e.m }
 // Tracer returns the span sink, or nil when tracing is disabled.
 func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
 
-// parkSlot is one worker's wakeup mailbox. The buffer of one lets a
-// signaller hand off a wakeup without blocking, and lets a worker that found
-// work on its pre-park re-scan absorb a racing signal instead of losing it.
-type parkSlot struct {
-	ch chan struct{}
-}
+// lockHook, when non-nil, runs just before a worker takes the queue lock to
+// look for work — the window in which the deterministic wakeup-priority test
+// stages a multi-class backlog. Production leaves it nil.
+var lockHook func()
 
-func (e *Engine) worker(id int) {
+func (e *Engine) worker() {
 	defer e.wg.Done()
-	slot := &parkSlot{ch: make(chan struct{}, 1)}
-	var l local
 	for {
-		if !e.nextBatch(id, slot, &l) {
+		req := e.next()
+		if req == nil {
 			return
 		}
-		e.serveLocal(id, &l)
+		e.serveOne(req)
 	}
 }
 
-// serveLocal drains the worker's batch buffer strictly highest class first.
-// Between requests it re-checks its own shard for higher-class arrivals, so
-// a Critical request that lands mid-batch overtakes the batch's Standard and
-// Background remainder instead of waiting a full batch behind it.
-func (e *Engine) serveLocal(id int, l *local) {
-	s := e.shards[id]
-	for {
-		c := l.top()
-		if c < 0 {
-			return
-		}
-		if s.pendingAbove(c) {
-			if got, n := s.popAbove(l, c, batchCap); n > 0 {
-				e.release(got)
-				e.m.AddBatchDequeue(int64(n))
-				continue
-			}
-		}
-		e.serveOne(l.pop(c))
+// next dequeues the oldest request of the highest non-empty class, waiting
+// while the queue is empty, and gives its class token back to submitters.
+// It returns nil once the worker should exit; the exiting worker wakes its
+// peers so they re-check the exit condition too.
+func (e *Engine) next() *request {
+	if lockHook != nil {
+		lockHook()
 	}
+	e.mu.Lock()
+	for {
+		if req := e.pop(); req != nil {
+			e.mu.Unlock()
+			e.space[req.class] <- struct{}{}
+			e.m.AddBatchDequeue(1)
+			return req
+		}
+		if e.exitable() {
+			e.mu.Unlock()
+			e.wake.Broadcast()
+			return nil
+		}
+		e.m.AddPark()
+		e.wake.Wait()
+	}
+}
+
+// pop removes the oldest request of the highest non-empty class, or returns
+// nil when every ring is empty. The caller holds e.mu.
+func (e *Engine) pop() *request {
+	for c := numClasses - 1; c >= 0; c-- {
+		if e.rings[c].size > 0 {
+			return e.rings[c].pop()
+		}
+	}
+	return nil
+}
+
+// exitable is the worker exit condition; the caller holds e.mu. Admission
+// has ended, no submitter is between the lifecycle gate and its push, and
+// every ring is empty, so no admitted ticket is left unserved.
+func (e *Engine) exitable() bool {
+	if e.state == stateRunning || e.arriving != 0 {
+		return false
+	}
+	for c := range e.rings {
+		if e.rings[c].size != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // serveOne serves one dequeued request and settles its ticket.
@@ -347,158 +346,43 @@ func (e *Engine) serveOne(req *request) {
 	t.done <- err
 }
 
-// nextBatch fills the worker's batch buffer, parking until work arrives. It
-// returns false when the worker should exit: shutdown has begun, no
-// submission is in limbo, and every shard is empty.
-//
-// The park protocol never loses a wakeup: the worker registers on the idler
-// stack and then re-scans the shards before blocking. A submitter pushes and
-// then reads idleCount; if its push predates the worker's scan, the scan
-// finds it, and otherwise the registration predates the submitter's read
-// (both orders are fixed by the sequentially consistent atomics), so the
-// submitter observes the idler and signals it.
-func (e *Engine) nextBatch(id int, slot *parkSlot, l *local) bool {
-	for {
-		if e.fill(id, l) {
-			return true
-		}
-		if e.exitNow() {
-			e.wakeAll()
-			return false
-		}
-		e.pushIdler(slot)
-		if parkHook != nil {
-			parkHook()
-		}
-		if e.fill(id, l) {
-			e.unpark(slot)
-			return true
-		}
-		if e.exitNow() {
-			e.unpark(slot)
-			e.wakeAll()
-			return false
-		}
-		e.m.AddPark()
-		<-slot.ch
-	}
+// ring is a FIFO of requests backed by a power-of-two circular buffer that
+// grows by doubling. It is not safe for concurrent use; e.mu serializes
+// access.
+type ring struct {
+	buf  []*request
+	head int
+	size int
 }
 
-// fill tries to load the batch buffer: up to batch requests from the
-// worker's own shard, else roughly half of the first non-empty neighbor
-// (scanning round-robin). It reports whether anything was taken.
-func (e *Engine) fill(id int, l *local) bool {
-	if got, n := e.shards[id].popBatch(l, batchCap); n > 0 {
-		e.release(got)
-		e.m.AddBatchDequeue(int64(n))
-		return true
+func (r *ring) push(req *request) {
+	if r.size == len(r.buf) {
+		r.grow()
 	}
-	for off := 1; off < len(e.shards); off++ {
-		v := e.shards[(id+off)%len(e.shards)]
-		if v.total() == 0 {
-			continue
-		}
-		if stealYield != nil {
-			stealYield()
-		}
-		if got, n := v.stealInto(l, batchCap); n > 0 {
-			e.release(got)
-			e.m.AddSteal(int64(n))
-			return true
-		}
-	}
-	return false
+	r.buf[(r.head+r.size)&(len(r.buf)-1)] = req
+	r.size++
 }
 
-// release returns admission tokens for requests moved off the shards, one
-// per class slot, re-opening Submit for that many queued requests.
-func (e *Engine) release(got [numClasses]int) {
-	for c, k := range got {
-		for i := 0; i < k; i++ {
-			e.space[c] <- struct{}{}
-		}
-	}
+// pop removes and returns the oldest request; the caller checks size first.
+func (r *ring) pop() *request {
+	req := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.size--
+	return req
 }
 
-// exitNow is the worker exit condition. pendingSubmits must be checked
-// before the shard scan: a submitter past the lifecycle gate decrements it
-// only after its push, so "no pending and all shards empty" proves no
-// admitted ticket can still be unserved.
-func (e *Engine) exitNow() bool {
-	if !e.stopping.Load() {
-		return false
+func (r *ring) grow() {
+	next := len(r.buf) * 2
+	if next == 0 {
+		next = 16
 	}
-	if e.pendingSubmits.Load() != 0 {
-		return false
+	buf := make([]*request, next)
+	for i := 0; i < r.size; i++ {
+		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}
-	for _, s := range e.shards {
-		if s.total() != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (e *Engine) pushIdler(slot *parkSlot) {
-	e.idleMu.Lock()
-	e.idlers = append(e.idlers, slot)
-	e.idleMu.Unlock()
-	e.idleCount.Add(1)
-}
-
-// unpark deregisters a worker that found work on its pre-park re-scan: pop
-// the slot off the idler stack, or — when a signaller already popped it —
-// absorb the in-flight wakeup so the slot is empty for the next park.
-func (e *Engine) unpark(slot *parkSlot) {
-	if !e.cancelIdle(slot) {
-		<-slot.ch
-	}
-}
-
-func (e *Engine) cancelIdle(slot *parkSlot) bool {
-	e.idleMu.Lock()
-	defer e.idleMu.Unlock()
-	for i, s := range e.idlers {
-		if s == slot {
-			e.idlers = append(e.idlers[:i], e.idlers[i+1:]...)
-			e.idleCount.Add(-1)
-			return true
-		}
-	}
-	return false
-}
-
-// signal wakes up to n parked workers; the fast path is one atomic load
-// when nobody is parked. The buffered send never blocks: a registered
-// slot's channel is empty by invariant.
-func (e *Engine) signal(n int) {
-	if n <= 0 || e.idleCount.Load() == 0 {
-		return
-	}
-	e.idleMu.Lock()
-	for n > 0 && len(e.idlers) > 0 {
-		last := len(e.idlers) - 1
-		slot := e.idlers[last]
-		e.idlers[last] = nil
-		e.idlers = e.idlers[:last]
-		e.idleCount.Add(-1)
-		slot.ch <- struct{}{}
-		n--
-	}
-	e.idleMu.Unlock()
-}
-
-// wakeAll unparks every registered worker — shutdown and worker exit use it
-// so peers re-evaluate the exit condition instead of sleeping through it.
-func (e *Engine) wakeAll() {
-	e.idleMu.Lock()
-	for i, slot := range e.idlers {
-		e.idlers[i] = nil
-		e.idleCount.Add(-1)
-		slot.ch <- struct{}{}
-	}
-	e.idlers = e.idlers[:0]
-	e.idleMu.Unlock()
+	r.buf = buf
+	r.head = 0
 }
 
 // ewmaYield, when non-nil, is invoked between reading the EWMA and
@@ -570,14 +454,6 @@ func (e *Engine) serve(req *request) error {
 	return e.r.RouteInto(req.dst, req.src)
 }
 
-// stopIntake flips the workers' shutdown flag and wakes every parked worker
-// so the shards drain and the pool winds down; guarded by closeReqs so it
-// runs exactly once across Drain and Close.
-func (e *Engine) stopIntake() {
-	e.stopping.Store(true)
-	e.wakeAll()
-}
-
 // Submit enqueues one routing request and returns immediately with a
 // Ticket; the route lands in dst. If dst is nil the engine allocates the
 // output buffer. Submit blocks while the queue is full (backpressure) and
@@ -608,11 +484,14 @@ func (e *Engine) SubmitClass(ctx context.Context, class Class, dst, src []core.W
 	if err != nil {
 		return nil, err
 	}
-	t := req.t
-	if err := e.admitLifecycle(req); err != nil {
+	if err := e.gate(1); err != nil {
+		e.discard(req, err)
 		return nil, err
 	}
-	if err := e.enqueue(req); err != nil {
+	e.inflight.Add(1)
+	e.classInflight[class].Add(1)
+	t := req.t
+	if _, err := e.enqueue(ctx, class, []*request{req}); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -664,27 +543,21 @@ func (e *Engine) prepare(ctx context.Context, class Class, dst, src []core.Word)
 	return req, nil
 }
 
-// admitLifecycle passes one prepared request through the lifecycle gate:
-// under the read lock it checks the state and registers the request in the
-// in-flight and pending-submit counters. The lock is held only for those
-// counter updates — never across anything that can block — so Drain and
-// Close acquire the write side promptly even when every queue is full.
-func (e *Engine) admitLifecycle(req *request) error {
-	e.mu.RLock()
-	if e.state != stateRunning {
-		st := e.state
-		e.mu.RUnlock()
-		sp := req.sp
-		*req = request{}
-		e.pool.Put(req)
-		err := lifecycleErr(st)
-		e.tracer.Finish(sp, err)
-		return err
+// gate is the lifecycle check: while the engine is running it registers n
+// arriving requests and returns nil, and otherwise it returns the error
+// Submit reports for the state. The queue lock is never held across
+// anything that can block, so Drain and Close take it promptly even while
+// submitters wait on a full queue.
+func (e *Engine) gate(n int) error {
+	e.mu.Lock()
+	st := e.state
+	if st == stateRunning {
+		e.arriving += n
 	}
-	e.inflight.Add(1)
-	e.classInflight[req.class].Add(1)
-	e.pendingSubmits.Add(1)
-	e.mu.RUnlock()
+	e.mu.Unlock()
+	if st != stateRunning {
+		return lifecycleErr(st)
+	}
 	return nil
 }
 
@@ -695,73 +568,120 @@ func lifecycleErr(st lifecycle) error {
 	return fmt.Errorf("engine: %w", neterr.ErrDraining)
 }
 
-// enqueue lands one admitted request on a shard: take a class token
-// (blocking for Standard/Critical, shedding for Background), pick a shard by
-// rotor, push, then wake a parked worker. The push precedes the
-// pendingSubmits decrement, so workers never conclude the engine is empty
-// while an admitted request is still in limbo.
-func (e *Engine) enqueue(req *request) error {
-	class := req.class
-	if class == Background {
-		// Best-effort: a full background queue sheds instead of exerting
-		// backpressure, so background producers can never stall the
-		// submitter behind foreground traffic.
-		select {
-		case <-e.space[class]:
-		default:
-			sp := req.sp
-			e.abandon(req)
-			e.m.AddShed()
-			e.m.AddClassShed(int(class))
-			err := fmt.Errorf("engine: background queue full (%d requests): %w",
-				e.queue, neterr.ErrOverloaded)
-			sp.MarkShed()
-			e.tracer.Finish(sp, err)
-			return err
+// enqueue queues admitted same-class requests in token-sized chunks: it
+// takes up to len(reqs) class tokens (Standard and Critical block for the
+// first one against ctx; Background never blocks), pushes them under one
+// lock acquisition and wakes up to that many workers. When a Background
+// queue is full or ctx ends first, the requests not yet queued fail with the
+// returned error; queued counts the ones that made it.
+func (e *Engine) enqueue(ctx context.Context, class Class, reqs []*request) (queued int, err error) {
+	for queued < len(reqs) {
+		take, expired := e.acquireTokens(ctx, class, len(reqs)-queued)
+		if expired || take == 0 {
+			return queued, e.abandon(ctx, class, reqs[queued:], expired)
 		}
-	} else {
-		// A free slot always admits, even under an already-expired context:
-		// the worker refuses expired requests at dequeue, which keeps the
-		// pre-sharding semantics where a buffered send succeeded whenever
-		// the queue had room. Only a full queue blocks on the caller's
-		// context.
+		e.push(reqs[queued : queued+take])
+		queued += take
+	}
+	return queued, nil
+}
+
+// push queues requests under one lock acquisition and wakes up to that many
+// idle workers. The push and the arriving decrement share the critical
+// section, so a worker never sees an empty queue with nothing arriving while
+// an admitted request is still on its way.
+func (e *Engine) push(reqs []*request) {
+	e.mu.Lock()
+	for _, req := range reqs {
+		e.rings[req.class].push(req)
+	}
+	e.arriving -= len(reqs)
+	e.mu.Unlock()
+	for i := 0; i < len(reqs) && i < e.workers; i++ {
+		e.wake.Signal()
+	}
+}
+
+// acquireTokens takes up to want class tokens: Standard and Critical block
+// for the first token (or the context), then both sweep whatever more is
+// free without blocking. expired reports a context cut; a Background return
+// of (0, false) means shed. A free token admits even under an expired
+// context — the workers refuse expired requests at dequeue — so only a full
+// queue blocks on the caller's context.
+func (e *Engine) acquireTokens(ctx context.Context, class Class, want int) (got int, expired bool) {
+	if class != Background {
 		select {
 		case <-e.space[class]:
+			got = 1
 		default:
 			var done <-chan struct{}
-			if req.ctx != nil {
-				done = req.ctx.Done()
+			if ctx != nil {
+				done = ctx.Done()
 			}
 			select {
 			case <-e.space[class]:
+				got = 1
 			case <-done:
-				sp := req.sp
-				err := e.expired(req)
-				e.abandon(req)
-				e.tracer.Finish(sp, err)
-				return err
+				return 0, true
 			}
 		}
 	}
-	i := int(e.rotor.Add(1) % uint64(len(e.shards)))
-	req.sp.SetShard(i)
-	e.shards[i].push(req)
-	e.pendingSubmits.Add(-1)
-	e.signal(1)
-	return nil
+	for got < want {
+		select {
+		case <-e.space[class]:
+			got++
+		default:
+			return got, false
+		}
+	}
+	return got, false
 }
 
-// abandon rolls back a request that passed the lifecycle gate but never
-// reached a shard (shed or expired while waiting for a token). If shutdown
-// raced the rollback, the workers' exit condition may have been blocked only
-// by this pending submit, so wake them to re-evaluate it.
-func (e *Engine) abandon(req *request) {
-	e.classInflight[req.class].Add(-1)
-	e.inflight.Add(-1)
+// abandon fails admitted requests that are never queued — shed from a full
+// Background queue, or cut by ctx while waiting for a token — and returns
+// the error they fail with.
+func (e *Engine) abandon(ctx context.Context, class Class, reqs []*request, expired bool) error {
+	var err error
+	for _, req := range reqs {
+		if expired {
+			err = e.ctxErr(ctx)
+		} else {
+			e.m.AddShed()
+			e.m.AddClassShed(int(class))
+			req.sp.MarkShed()
+			err = fmt.Errorf("engine: background queue full (%d requests): %w",
+				e.queue, neterr.ErrOverloaded)
+		}
+		e.classInflight[class].Add(-1)
+		e.inflight.Add(-1)
+		e.discard(req, err)
+	}
+	e.settle(len(reqs))
+	return err
+}
+
+// discard recycles a request that will never be queued and publishes its
+// span with err.
+func (e *Engine) discard(req *request, err error) {
+	sp := req.sp
 	*req = request{}
 	e.pool.Put(req)
-	if e.pendingSubmits.Add(-1) == 0 && e.stopping.Load() {
-		e.wakeAll()
+	e.tracer.Finish(sp, err)
+}
+
+// settle gives back n arriving registrations that will never be queued.
+// Shutdown may be waiting only on them, so the last one out wakes the
+// workers to re-check their exit condition.
+func (e *Engine) settle(n int) {
+	if n == 0 {
+		return
+	}
+	e.mu.Lock()
+	e.arriving -= n
+	wake := e.arriving == 0 && e.state != stateRunning
+	e.mu.Unlock()
+	if wake {
+		e.wake.Broadcast()
 	}
 }
 
@@ -825,9 +745,9 @@ func (e *Engine) RouteBatch(batch [][]core.Word) (outs [][]core.Word, errs []err
 // point is scheduler-dependent, but no request is ever half-routed: each
 // errs[i] is either nil with a fully verified outs[i], or non-nil with
 // outs[i] == nil.
-// The submission side is bulk: the whole batch passes the lifecycle gate
-// under one read-lock acquisition and lands on shards in chunks, each chunk
-// a single shard operation, instead of one push and one wakeup per request.
+// The submission side is bulk: the whole batch passes one lifecycle check,
+// every request's clock starts before any is queued, and each chunk of free
+// admission tokens is queued under one lock acquisition.
 func (e *Engine) RouteBatchCtx(ctx context.Context, batch [][]core.Word) (outs [][]core.Word, errs []error) {
 	outs = make([][]core.Word, len(batch))
 	tickets, errs := e.submitBatch(ctx, Standard, batch)
@@ -841,129 +761,45 @@ func (e *Engine) RouteBatchCtx(ctx context.Context, batch [][]core.Word) (outs [
 }
 
 // submitBatch admits and enqueues a batch of same-class requests. Requests
-// that fail validation or shedding get their error in errs and a nil
-// ticket; the rest share one lifecycle check and are pushed to shards in
-// token-sized chunks, one pushMany per chunk.
+// that fail validation, shedding or the lifecycle check get their error in
+// errs and a nil ticket; the rest are queued by enqueue.
 func (e *Engine) submitBatch(ctx context.Context, class Class, batch [][]core.Word) ([]*Ticket, []error) {
 	tickets := make([]*Ticket, len(batch))
 	errs := make([]error, len(batch))
-	pending := make([]*request, 0, len(batch))
-	slots := make([]int, 0, len(batch)) // batch index of each pending request
-	e.mu.RLock()
-	if e.state != stateRunning {
-		st := e.state
-		e.mu.RUnlock()
-		err := lifecycleErr(st)
-		for i, src := range batch {
-			req, perr := e.prepare(ctx, class, nil, src)
-			if perr != nil {
-				errs[i] = perr
-				continue
-			}
-			sp := req.sp
-			*req = request{}
-			e.pool.Put(req)
-			e.tracer.Finish(sp, err)
-			errs[i] = err
-		}
-		return tickets, errs
-	}
-	// Prepare and register under one read-lock acquisition. prepare never
-	// blocks, so holding the read side across the loop is safe for
-	// Drain/Close; registering each request before preparing the next keeps
-	// the shedder honest — its in-flight depth estimate sees every earlier
-	// request of this same batch, exactly as sequential submission would.
+	// One lifecycle check admits the whole batch; requests that fail to
+	// prepare give their registration back below.
+	gateErr := e.gate(len(batch))
+	reqs := make([]*request, 0, len(batch))
+	slots := make([]int, 0, len(batch)) // batch index of each admitted request
 	for i, src := range batch {
 		req, err := e.prepare(ctx, class, nil, src)
+		if err == nil && gateErr != nil {
+			e.discard(req, gateErr)
+			err = gateErr
+		}
 		if err != nil {
 			errs[i] = err
 			continue
 		}
+		// Register before preparing the next request, so the shedder's
+		// in-flight depth sees every earlier request of this batch, exactly
+		// as sequential submission would.
 		e.inflight.Add(1)
 		e.classInflight[class].Add(1)
-		e.pendingSubmits.Add(1)
-		pending = append(pending, req)
+		tickets[i] = req.t
+		reqs = append(reqs, req)
 		slots = append(slots, i)
 	}
-	e.mu.RUnlock()
-	if len(pending) == 0 {
+	if gateErr != nil {
 		return tickets, errs
 	}
-	for j, req := range pending {
-		tickets[slots[j]] = req.t
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	for len(pending) > 0 {
-		take, expired := e.acquireTokens(class, done, len(pending))
-		if expired || take == 0 {
-			// Context expired (Standard/Critical) or no free slot at all
-			// (Background): settle every still-unqueued request now.
-			for j, req := range pending {
-				sp := req.sp
-				var err error
-				if expired {
-					err = e.ctxErr(ctx)
-				} else {
-					e.m.AddShed()
-					e.m.AddClassShed(int(class))
-					err = fmt.Errorf("engine: background queue full (%d requests): %w",
-						e.queue, neterr.ErrOverloaded)
-					sp.MarkShed()
-				}
-				e.abandon(req)
-				e.tracer.Finish(sp, err)
-				tickets[slots[j]] = nil
-				errs[slots[j]] = err
-			}
-			return tickets, errs
-		}
-		chunk := pending[:take]
-		i := int(e.rotor.Add(1) % uint64(len(e.shards)))
-		for _, req := range chunk {
-			req.sp.SetShard(i)
-		}
-		e.shards[i].pushMany(chunk)
-		e.pendingSubmits.Add(-int64(take))
-		e.signal(take)
-		pending = pending[take:]
-		slots = slots[take:]
+	e.settle(len(batch) - len(reqs))
+	queued, err := e.enqueue(ctx, class, reqs)
+	for _, i := range slots[queued:] {
+		tickets[i] = nil
+		errs[i] = err
 	}
 	return tickets, errs
-}
-
-// acquireTokens takes up to want class tokens: Standard and Critical block
-// for the first token (or the context), then both sweep whatever more is
-// free without blocking. expired reports a context cut; a Background return
-// of (0, false) means shed.
-func (e *Engine) acquireTokens(class Class, done <-chan struct{}, want int) (got int, expired bool) {
-	if class != Background {
-		// Free capacity admits immediately even under an expired context
-		// (the workers refuse expired requests at dequeue); only a full
-		// queue blocks on the caller's context.
-		select {
-		case <-e.space[class]:
-			got = 1
-		default:
-			select {
-			case <-e.space[class]:
-				got = 1
-			case <-done:
-				return 0, true
-			}
-		}
-	}
-	for got < want {
-		select {
-		case <-e.space[class]:
-			got++
-		default:
-			return got, false
-		}
-	}
-	return got, false
 }
 
 // ctxErr mirrors expired's classification for a context the caller holds
@@ -987,17 +823,13 @@ func (e *Engine) InFlight() int64 { return e.inflight.Load() }
 // membership, rollouts — consult it so they refuse to act on an engine
 // that no longer admits traffic.
 func (e *Engine) AdmissionErr() error {
-	e.mu.RLock()
+	e.mu.Lock()
 	st := e.state
-	e.mu.RUnlock()
-	switch st {
-	case stateRunning:
+	e.mu.Unlock()
+	if st == stateRunning {
 		return nil
-	case stateClosed:
-		return fmt.Errorf("engine: %w", neterr.ErrClosed)
-	default:
-		return fmt.Errorf("engine: %w", neterr.ErrDraining)
 	}
+	return lifecycleErr(st)
 }
 
 // Drain gracefully stops admission and waits for every in-flight ticket to
@@ -1018,11 +850,11 @@ func (e *Engine) Drain(ctx context.Context) error {
 	transitioned := e.state == stateRunning
 	if transitioned {
 		e.state = stateDraining
-		e.closeReqs.Do(e.stopIntake)
 	}
 	e.mu.Unlock()
 	if transitioned {
 		e.m.AddDrain()
+		e.wake.Broadcast()
 	}
 	e.wg.Wait()
 	var ctxErr error
@@ -1061,8 +893,8 @@ func (e *Engine) Close() error {
 		return fmt.Errorf("engine: %w", neterr.ErrClosed)
 	}
 	e.state = stateClosed
-	e.closeReqs.Do(e.stopIntake)
 	e.mu.Unlock()
+	e.wake.Broadcast()
 	e.wg.Wait()
 	// Workers have drained: any span still open belongs to work that never
 	// ran to completion — publish it aborted rather than dropping it.

@@ -282,10 +282,6 @@ type Injector struct {
 	sink   *metrics.Metrics
 	// injected counts route passes that had at least one active fault.
 	injected atomic.Int64
-	// delayed counts route passes a delay fault stalled; delayNs is the
-	// total injected delay across them.
-	delayed atomic.Int64
-	delayNs atomic.Int64
 }
 
 // Options tunes an Injector.
@@ -351,14 +347,6 @@ func (inj *Injector) Cycle() int64 { return inj.cycle.Load() }
 // InjectedPasses returns the number of route passes perturbed by at least
 // one active fault.
 func (inj *Injector) InjectedPasses() int64 { return inj.injected.Load() }
-
-// DelayedPasses returns the number of route passes a delay fault stalled.
-func (inj *Injector) DelayedPasses() int64 { return inj.delayed.Load() }
-
-// InjectedDelay returns the total latency delay faults have injected.
-func (inj *Injector) InjectedDelay() time.Duration {
-	return time.Duration(inj.delayNs.Load())
-}
 
 // delayFor sums the latency the live delay faults charge this pass. Jitter
 // draws are a pure function of (Seed, fault identity, cycle), so a replayed
@@ -517,8 +505,6 @@ func (inj *Injector) RouteInto(dst, src []core.Word) error {
 	// Delay faults cost time up front; they never corrupt the pass, so they
 	// do not participate in error classification below.
 	if d := inj.delayFor(live, cycle); d > 0 {
-		inj.delayed.Add(1)
-		inj.delayNs.Add(int64(d))
 		sleepFn(d)
 	}
 

@@ -27,7 +27,7 @@ func stubSleep(t *testing.T) *[]time.Duration {
 // with the same delays on every run.
 func TestSlowChaosDeterministic(t *testing.T) {
 	const m, passes = 3, 200
-	run := func() (int64, time.Duration, []time.Duration) {
+	run := func() []time.Duration {
 		recorded := stubSleep(t)
 		net, err := core.New(m, 0)
 		if err != nil {
@@ -43,15 +43,12 @@ func TestSlowChaosDeterministic(t *testing.T) {
 				t.Fatalf("pass %d: slow chaos corrupted a route: %v", i, err)
 			}
 		}
-		return inj.DelayedPasses(), inj.InjectedDelay(), *recorded
+		return *recorded
 	}
-	d1, t1, s1 := run()
-	d2, t2, s2 := run()
-	if d1 == 0 {
+	s1 := run()
+	s2 := run()
+	if len(s1) == 0 {
 		t.Fatal("slow chaos at rate 0.3 never struck in 200 passes")
-	}
-	if d1 != d2 || t1 != t2 {
-		t.Errorf("replay diverged: %d passes/%v vs %d passes/%v", d1, t1, d2, t2)
 	}
 	if len(s1) != len(s2) {
 		t.Fatalf("replay recorded %d sleeps vs %d", len(s1), len(s2))
@@ -123,11 +120,8 @@ func TestDelayFaultsCostTimeNotCorrectness(t *testing.T) {
 			t.Fatalf("pass %d: permanent Slow fault corrupted a route: %v", i, err)
 		}
 	}
-	if got := inj.DelayedPasses(); got != passes {
-		t.Errorf("DelayedPasses = %d, want %d", got, passes)
-	}
-	if got, want := inj.InjectedDelay(), passes*2*time.Millisecond; got != want {
-		t.Errorf("InjectedDelay = %v, want %v", got, want)
+	if got := len(*recorded); got != passes {
+		t.Errorf("delayed passes = %d, want %d", got, passes)
 	}
 	for i, d := range *recorded {
 		if d != 2*time.Millisecond {

@@ -98,16 +98,10 @@ type Metrics struct {
 	classSubmitted  [NumClasses]atomic.Int64
 	classSheds      [NumClasses]atomic.Int64
 
-	// Sharded-queue counters, fed by the engine's work-stealing dequeue
-	// path: batches taken from a worker's own shard and the requests they
-	// carried, steals from a neighbor's shard and the requests they moved,
-	// and worker park (blocking wait) cycles. batchedRequests/batchDequeues
-	// is the wakeup amortization factor; steals/batchDequeues the imbalance
-	// the rotor left for stealing to fix.
+	// Engine queue counters: dequeues and the requests they carried, and
+	// worker park (blocking wait) cycles.
 	batchDequeues   atomic.Int64
 	batchedRequests atomic.Int64
-	steals          atomic.Int64
-	stolenRequests  atomic.Int64
 	workerParks     atomic.Int64
 }
 
@@ -329,8 +323,8 @@ func (m *Metrics) AddClassShed(class int) {
 	}
 }
 
-// AddBatchDequeue counts one batch of n requests a worker took from its own
-// shard in a single queue operation.
+// AddBatchDequeue counts one dequeue that took n requests off the engine
+// queue in a single queue operation.
 func (m *Metrics) AddBatchDequeue(n int64) {
 	if m != nil {
 		m.batchDequeues.Add(1)
@@ -338,17 +332,7 @@ func (m *Metrics) AddBatchDequeue(n int64) {
 	}
 }
 
-// AddSteal counts one steal that moved n requests from a neighbor's shard.
-func (m *Metrics) AddSteal(n int64) {
-	if m != nil {
-		m.steals.Add(1)
-		m.stolenRequests.Add(n)
-	}
-}
-
-// AddPark counts one worker park — a blocking wait for a wakeup signal. The
-// ratio of parks to batches is the wakeup overhead the batch dequeue
-// amortizes away.
+// AddPark counts one worker park — a blocking wait for a wakeup signal.
 func (m *Metrics) AddPark() {
 	if m != nil {
 		m.workerParks.Add(1)
@@ -470,15 +454,17 @@ type Snapshot struct {
 	// shed counts, indexed background (0), standard (1), critical (2).
 	ClassSubmitted, ClassSheds [NumClasses]int64
 
-	// BatchDequeues counts own-shard batch dequeues and BatchedRequests the
-	// requests they carried; Steals counts cross-shard steals and
-	// StolenRequests the requests they moved; WorkerParks counts worker
-	// blocking waits (one park amortized per batch is the design point).
+	// BatchDequeues counts engine queue dequeues and BatchedRequests the
+	// requests they carried (one each: a worker takes one request per
+	// dequeue); WorkerParks counts worker blocking waits. Steals and
+	// StolenRequests always read 0: the engine has one queue, so no worker
+	// takes another's work. They stay so that readers of the former
+	// per-worker queues' counters keep building.
 	BatchDequeues, BatchedRequests, Steals, StolenRequests, WorkerParks int64
 }
 
 // MeanBatch returns BatchedRequests/BatchDequeues — the average number of
-// requests one own-shard wakeup served — or 0 before any batch.
+// requests one dequeue served — or 0 before any dequeue.
 func (s Snapshot) MeanBatch() float64 {
 	if s.BatchDequeues == 0 {
 		return 0
@@ -537,8 +523,6 @@ func (m *Metrics) Snapshot() Snapshot {
 
 		BatchDequeues:   m.batchDequeues.Load(),
 		BatchedRequests: m.batchedRequests.Load(),
-		Steals:          m.steals.Load(),
-		StolenRequests:  m.stolenRequests.Load(),
 		WorkerParks:     m.workerParks.Load(),
 	}
 	for c := 0; c < NumClasses; c++ {
@@ -637,10 +621,9 @@ func (s Snapshot) String() string {
 			s.ClassSubmitted[0], s.ClassSubmitted[1], s.ClassSubmitted[2],
 			s.ClassSheds[0], s.ClassSheds[1], s.ClassSheds[2])
 	}
-	if s.BatchDequeues != 0 || s.Steals != 0 || s.WorkerParks != 0 {
-		line += fmt.Sprintf(" batches=%d batched=%d mean_batch=%.1f steals=%d stolen=%d parks=%d",
-			s.BatchDequeues, s.BatchedRequests, s.MeanBatch(),
-			s.Steals, s.StolenRequests, s.WorkerParks)
+	if s.BatchDequeues != 0 || s.WorkerParks != 0 {
+		line += fmt.Sprintf(" batches=%d batched=%d mean_batch=%.1f parks=%d",
+			s.BatchDequeues, s.BatchedRequests, s.MeanBatch(), s.WorkerParks)
 	}
 	return line
 }

@@ -53,10 +53,8 @@ func (m *Metrics) WritePrometheus(w io.Writer, ns string) error {
 		{"slow_quarantines_total", "Planes quarantined for chronic slowness.", m.slowQuarantines.Load()},
 		{"poison_marks_total", "Request fingerprints quarantined after failing on distinct planes.", m.poisonMarks.Load()},
 		{"poisoned_rejects_total", "Requests rejected at admission as poisoned.", m.poisonedRejects.Load()},
-		{"batch_dequeues_total", "Own-shard batch dequeues by engine workers.", m.batchDequeues.Load()},
-		{"batched_requests_total", "Requests carried by own-shard batch dequeues.", m.batchedRequests.Load()},
-		{"steals_total", "Cross-shard steals by engine workers.", m.steals.Load()},
-		{"stolen_requests_total", "Requests moved between shards by steals.", m.stolenRequests.Load()},
+		{"batch_dequeues_total", "Dequeues from the engine queue.", m.batchDequeues.Load()},
+		{"batched_requests_total", "Requests carried by engine queue dequeues.", m.batchedRequests.Load()},
 		{"worker_parks_total", "Engine worker park (blocking wait) cycles.", m.workerParks.Load()},
 	}
 	for _, c := range counters {

@@ -49,7 +49,6 @@ func TestWritePrometheusGolden(t *testing.T) {
 	m.AddClassShed(0)
 	m.AddBatchDequeue(3)
 	m.AddBatchDequeue(1)
-	m.AddSteal(2)
 	m.AddPark()
 	m.AddPark()
 

@@ -76,14 +76,6 @@ type Span struct {
 	// Class is the request's QoS admission class ("background", "standard",
 	// "critical"); empty for untyped submissions and probes.
 	Class string `json:"class,omitempty"`
-	// Shard is the engine queue shard the request was enqueued on, -1 when
-	// the request never reached a shard (rejected, shed, or not an engine
-	// request). Queue-wait attribution by shard shows whether the rotor
-	// spread load or one shard ran hot.
-	Shard int32 `json:"shard"`
-	// Stolen reports the request was moved off its shard by a work-stealing
-	// peer rather than served by the shard's own worker.
-	Stolen bool `json:"stolen,omitempty"`
 	// Poisoned reports the request was rejected (or condemned) by the
 	// poison quarantine (ErrPoisoned).
 	Poisoned bool `json:"poisoned,omitempty"`
@@ -153,21 +145,6 @@ func (sp *Span) AddHedge() {
 func (sp *Span) SetClass(class string) {
 	if sp != nil {
 		sp.Class = class
-	}
-}
-
-// SetShard records the engine queue shard the request landed on. Nil-safe.
-func (sp *Span) SetShard(i int) {
-	if sp != nil {
-		sp.Shard = int32(i)
-	}
-}
-
-// MarkStolen records that a work-stealing peer moved the request off its
-// shard. Nil-safe.
-func (sp *Span) MarkStolen() {
-	if sp != nil {
-		sp.Stolen = true
 	}
 }
 
@@ -294,7 +271,6 @@ func (t *Tracer) Start(kind Kind, start time.Time, words int) *Span {
 		Start: start,
 		Words: words,
 		Plane: -1,
-		Shard: -1,
 	}
 	t.openMu.Lock()
 	t.open[sp.ID] = sp

@@ -104,15 +104,6 @@ func Unshuffle(i, k, m int) int {
 	return high | RotateRight(i&lowMask, k)
 }
 
-// Shuffle computes the inverse of Unshuffle: the low k bits of i are rotated
-// left by one position while the high m-k bits are kept fixed.
-func Shuffle(i, k, m int) int {
-	checkUnshuffleArgs(i, k, m)
-	lowMask := 1<<uint(k) - 1
-	high := i &^ lowMask
-	return high | RotateLeft(i&lowMask, k)
-}
-
 func checkUnshuffleArgs(i, k, m int) {
 	if m < 1 || m > MaxOrder || k < 1 || k > m {
 		panic(fmt.Sprintf("wiring: unshuffle parameters k=%d m=%d out of range", k, m))

@@ -182,11 +182,20 @@ func TestUnshuffleBaselineProperty(t *testing.T) {
 	}
 }
 
+// shuffle is the inverse of Unshuffle, the reference the tests below check
+// it against: the low k bits of i are rotated left by one position while the
+// high m-k bits are kept fixed.
+func shuffle(i, k, m int) int {
+	checkUnshuffleArgs(i, k, m)
+	lowMask := 1<<uint(k) - 1
+	return i&^lowMask | RotateLeft(i&lowMask, k)
+}
+
 func TestShuffleInvertsUnshuffle(t *testing.T) {
 	for m := 1; m <= 8; m++ {
 		for k := 1; k <= m; k++ {
 			for i := 0; i < 1<<uint(m); i++ {
-				if got := Shuffle(Unshuffle(i, k, m), k, m); got != i {
+				if got := shuffle(Unshuffle(i, k, m), k, m); got != i {
 					t.Fatalf("Shuffle(Unshuffle(%d, %d, %d)) = %d", i, k, m, got)
 				}
 			}
@@ -325,7 +334,7 @@ func TestShuffleUnshuffleAreMutualInversesAsPatterns(t *testing.T) {
 	for m := 1; m <= 6; m++ {
 		for k := 1; k <= m; k++ {
 			for i := 0; i < 1<<uint(m); i++ {
-				if got := Unshuffle(Shuffle(i, k, m), k, m); got != i {
+				if got := Unshuffle(shuffle(i, k, m), k, m); got != i {
 					t.Fatalf("m=%d k=%d: Unshuffle(Shuffle(%d)) = %d", m, k, i, got)
 				}
 			}

@@ -2,24 +2,24 @@ package bnbnet
 
 import (
 	"fmt"
-	"math/rand"
 
-	"repro/internal/perm"
+	"repro/internal/check"
 )
 
 // VerifyOptions configures a conformance run over a Network implementation.
 // The zero value is usable: it runs the default battery (exhaustive
-// enumeration when N <= 8, 50 random trials, all structured families, 20
-// BPC trials, seed 1).
+// enumeration when N <= 8, 50 random trials, all structured families, the
+// whole BPC class when m <= 4 and 20 BPC trials above, seed 1).
 type VerifyOptions struct {
 	// Exhaustive forces or suppresses full N! enumeration; by default it is
-	// enabled automatically for N <= 8.
+	// enabled automatically for N <= 8. Forcing it for N > 8 is an error.
 	Exhaustive *bool
 	// RandomTrials is the number of uniform random permutations to route
 	// (default 50).
 	RandomTrials int
 	// BPCTrials is the number of random bit-permute-complement permutations
-	// to route (default 20; skipped for non-power-of-two networks).
+	// to route when m > 4 (default 20); for m <= 4 the whole BPC class is
+	// enumerated, and non-power-of-two networks skip BPC.
 	BPCTrials int
 	// SkipFamilies disables the structured-family sweep.
 	SkipFamilies bool
@@ -45,16 +45,13 @@ func (r VerifyReport) OK() bool { return len(r.Failures) == 0 }
 
 // VerifyNetwork runs a standardized correctness battery against any
 // permutation-network implementation: every routed permutation must deliver
-// the word addressed to j on output j with its payload intact. It is the
-// test harness this repository applies to its own five networks, exported
-// so downstream implementations of the Network interface can reuse it.
+// the word addressed to j on output j with its payload intact. It is
+// Verify's sweep (internal/check) over one network, without the adversarial
+// climbs, exported so downstream implementations of the Network interface
+// can reuse it.
 func VerifyNetwork(n Network, opts VerifyOptions) (VerifyReport, error) {
 	if n == nil {
 		return VerifyReport{}, fmt.Errorf("bnbnet: nil network")
-	}
-	size := n.Inputs()
-	if size < 2 {
-		return VerifyReport{}, fmt.Errorf("bnbnet: network has %d inputs, need at least 2", size)
 	}
 	if opts.RandomTrials == 0 {
 		opts.RandomTrials = 50
@@ -62,89 +59,14 @@ func VerifyNetwork(n Network, opts VerifyOptions) (VerifyReport, error) {
 	if opts.BPCTrials == 0 {
 		opts.BPCTrials = 20
 	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	if opts.MaxFailures == 0 {
-		opts.MaxFailures = 5
-	}
-	exhaustive := size <= 8
-	if opts.Exhaustive != nil {
-		exhaustive = *opts.Exhaustive
-	}
-
-	var report VerifyReport
-	rng := rand.New(rand.NewSource(opts.Seed))
-	check := func(label string, p Perm) bool {
-		report.Checked++
-		out, err := n.RoutePerm(p)
-		if err != nil {
-			report.Failures = append(report.Failures,
-				fmt.Sprintf("%s: route error: %v", label, err))
-			return len(report.Failures) < opts.MaxFailures
-		}
-		if len(out) != size {
-			report.Failures = append(report.Failures,
-				fmt.Sprintf("%s: %d outputs for %d inputs", label, len(out), size))
-			return len(report.Failures) < opts.MaxFailures
-		}
-		for j, wd := range out {
-			if wd.Addr != j {
-				report.Failures = append(report.Failures,
-					fmt.Sprintf("%s: output %d carries address %d", label, j, wd.Addr))
-				return len(report.Failures) < opts.MaxFailures
-			}
-		}
-		for i, d := range p {
-			if out[d].Data != uint64(i) {
-				report.Failures = append(report.Failures,
-					fmt.Sprintf("%s: payload of input %d lost", label, i))
-				return len(report.Failures) < opts.MaxFailures
-			}
-		}
-		return true
-	}
-
-	if exhaustive {
-		report.ExhaustiveDone = true
-		perm.ForEach(size, func(p perm.Perm) bool {
-			return check("exhaustive", p)
-		})
-		if !report.OK() {
-			return report, nil
-		}
-	}
-	for t := 0; t < opts.RandomTrials; t++ {
-		if !check(fmt.Sprintf("random[%d]", t), RandomPerm(size, rng)) {
-			return report, nil
-		}
-	}
-	// Structured families and BPC apply only to power-of-two sizes.
-	m := 0
-	for x := size; x > 1; x >>= 1 {
-		m++
-	}
-	if 1<<uint(m) == size {
-		if !opts.SkipFamilies {
-			for _, f := range PermFamilies() {
-				p, err := GeneratePerm(f, m, rng)
-				if err != nil {
-					continue // family undefined for this m (e.g. transpose, odd m)
-				}
-				if !check(fmt.Sprintf("family[%v]", f), p) {
-					return report, nil
-				}
-			}
-		}
-		for t := 0; t < opts.BPCTrials; t++ {
-			p, err := perm.RandomBPC(m, rng).Perm()
-			if err != nil {
-				return report, err
-			}
-			if !check(fmt.Sprintf("bpc[%d]", t), p) {
-				return report, nil
-			}
-		}
-	}
-	return report, nil
+	rep, err := check.Sweep([]check.Network{n}, check.Options{
+		Exhaustive:        opts.Exhaustive,
+		RandomTrials:      opts.RandomTrials,
+		BPCTrials:         opts.BPCTrials,
+		AdversarialClimbs: -1,
+		SkipFamilies:      opts.SkipFamilies,
+		Seed:              opts.Seed,
+		MaxFailures:       opts.MaxFailures,
+	})
+	return VerifyReport{Checked: rep.Checked, ExhaustiveDone: rep.ExhaustiveDone, Failures: rep.Failures}, err
 }
