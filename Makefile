@@ -56,7 +56,7 @@ race:
 	$(GO) test -race ./...
 
 # Perf-trajectory smoke: run the bnbbench harness with quick sample counts
-# into a scratch dir and validate the output against the bnbbench/v7
+# into a scratch dir and validate the output against the bnbbench/v8
 # schema. The committed BENCH_<m>.json files are full runs; refresh them
 # after perf work with `$(GO) run ./cmd/bnbbench -m 3,5,7 -out .`.
 bench:

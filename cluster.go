@@ -109,7 +109,7 @@ var _ Network = (*Cluster)(nil)
 //	c, err := bnbnet.NewCluster("bnb", 10, bnbnet.WithShards(16)) // 16384 ports
 //
 // The plane options NewSupervised accepts configure each shard
-// identically (WithPlanes redundancy, WithPlanCache, WithHedge,
+// identically (WithPlanes redundancy, WithPlanCache, WithHedgeAuto,
 // WithHealthInterval, WithPlaneFaults, WithDataBits). A route runs every
 // shard on the caller's goroutine, so the engine options WithWorkers,
 // WithQueue, WithTimeout and WithShedding are rejected; bound a route with

@@ -17,11 +17,12 @@ import (
 )
 
 // Report is the machine-readable result of one bnbbench run at one order —
-// the BENCH_<m>.json payload. Schema "bnbbench/v7" (v2 added the compiled
+// the BENCH_<m>.json payload. Schema "bnbbench/v8" (v2 added the compiled
 // route-plan section; v3 the hitless-reconfiguration profile; v4 the
 // tail-tolerance profile; v5 the sharded-queue engine counters; v6 the
-// multi-shard cluster fabric sweep; v7 the host reference); Validate
-// checks an emitted file against it.
+// multi-shard cluster fabric sweep; v7 the host reference; v8 dropped the
+// engine counters that one queue fixes); Validate checks an emitted file
+// against it.
 type Report struct {
 	Schema string `json:"schema"`
 	M      int    `json:"m"`
@@ -171,13 +172,9 @@ type NetworkResult struct {
 }
 
 // EngineResult is one point of the serving-engine throughput sweep. The
-// v5 counters expose the engine queue: how many dequeues the run took (and
-// how many requests each carried on average — one, since a worker takes one
-// request per dequeue) and how often workers parked. steals and
-// stolen_requests date from per-worker queues with work stealing; with one
-// queue they read 0. The validator enforces two invariants: every served
-// request was dequeued exactly once (batched + stolen == requests), and a
-// steal moves at least one request (stolen >= steals).
+// queue counters count the run's dequeues and how often workers parked. A
+// worker takes one request per dequeue, so the validator requires exactly
+// one dequeue per served request (batch_dequeues == requests).
 type EngineResult struct {
 	Workers      int     `json:"workers"`
 	Requests     int     `json:"requests"`
@@ -185,12 +182,8 @@ type EngineResult struct {
 	P50Ns        int64   `json:"p50_ns"`
 	P99Ns        int64   `json:"p99_ns"`
 
-	BatchDequeues   int64   `json:"batch_dequeues"`
-	BatchedRequests int64   `json:"batched_requests"`
-	MeanBatch       float64 `json:"mean_batch"`
-	Steals          int64   `json:"steals"`
-	StolenRequests  int64   `json:"stolen_requests"`
-	WorkerParks     int64   `json:"worker_parks"`
+	BatchDequeues int64 `json:"batch_dequeues"`
+	WorkerParks   int64 `json:"worker_parks"`
 }
 
 // PlanResultV2 profiles the compiled route-plan path added by bnbbench/v2:
@@ -264,7 +257,7 @@ func defaultConfig(m int, families []string, workers []int, quick bool) benchCon
 // runBench measures every configured family and sweep at order cfg.m.
 func runBench(cfg benchConfig) (Report, error) {
 	rep := Report{
-		Schema: "bnbbench/v7",
+		Schema: "bnbbench/v8",
 		M:      cfg.m,
 		N:      1 << uint(cfg.m),
 		Go:     runtime.Version(),
@@ -972,12 +965,8 @@ func benchEngine(workers int, cfg benchConfig) (EngineResult, error) {
 		P50Ns:        s.P50.Nanoseconds(),
 		P99Ns:        s.P99.Nanoseconds(),
 
-		BatchDequeues:   s.BatchDequeues,
-		BatchedRequests: s.BatchedRequests,
-		MeanBatch:       s.MeanBatch(),
-		Steals:          s.Steals,
-		StolenRequests:  s.StolenRequests,
-		WorkerParks:     s.WorkerParks,
+		BatchDequeues: s.BatchDequeues,
+		WorkerParks:   s.WorkerParks,
 	}, nil
 }
 

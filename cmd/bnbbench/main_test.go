@@ -133,7 +133,7 @@ func TestValidateRejections(t *testing.T) {
 		payload []byte
 		want    string
 	}{
-		{"unknown field", []byte(`{"schema":"bnbbench/v7","bogus":1}`), "decode"},
+		{"unknown field", []byte(`{"schema":"bnbbench/v8","bogus":1}`), "decode"},
 		{"wrong schema", marshal(func() Report { r := rep; r.Schema = "bnbbench/v2"; return r }()), "schema"},
 		{"n mismatch", marshal(func() Report { r := rep; r.N = 7; return r }()), "2^m"},
 		{"missing family", marshal(func() Report {
@@ -186,17 +186,10 @@ func TestValidateRejections(t *testing.T) {
 		{"dequeue accounting broken", marshal(func() Report {
 			r := rep
 			eng := append([]EngineResult(nil), r.Engine...)
-			eng[0].BatchedRequests++
+			eng[0].BatchDequeues++
 			r.Engine = eng
 			return r
 		}()), "dequeues"},
-		{"steal without stolen requests", marshal(func() Report {
-			r := rep
-			eng := append([]EngineResult(nil), r.Engine...)
-			eng[0].Steals = eng[0].StolenRequests + 1
-			r.Engine = eng
-			return r
-		}()), "stolen requests"},
 		{"inverted QoS order", marshal(func() Report {
 			r := rep
 			classes := append([]ClassPoint(nil), r.Tail.Classes...)

@@ -30,8 +30,8 @@ func Validate(r io.Reader) (Report, error) {
 }
 
 func checkReport(rep Report) error {
-	if rep.Schema != "bnbbench/v7" {
-		return fmt.Errorf("schema %q, want bnbbench/v7", rep.Schema)
+	if rep.Schema != "bnbbench/v8" {
+		return fmt.Errorf("schema %q, want bnbbench/v8", rep.Schema)
 	}
 	if rep.M < 1 || rep.N != 1<<uint(rep.M) {
 		return fmt.Errorf("m = %d with n = %d; want n = 2^m", rep.M, rep.N)
@@ -77,23 +77,13 @@ func checkReport(rep Report) error {
 			return fmt.Errorf("engine sweep workers=%d: routes_per_sec %v, p50 %d, p99 %d",
 				er.Workers, er.RoutesPerSec, er.P50Ns, er.P99Ns)
 		}
-		// Queue accounting: every served request was dequeued exactly once
-		// (stolen is 0 with one queue), and a steal moves >= 1 request.
-		if got := er.BatchedRequests + er.StolenRequests; got != int64(er.Requests) {
-			return fmt.Errorf("engine sweep workers=%d: batched %d + stolen %d = %d dequeues, want %d requests",
-				er.Workers, er.BatchedRequests, er.StolenRequests, got, er.Requests)
+		// Queue accounting: every served request was dequeued exactly once.
+		if er.BatchDequeues != int64(er.Requests) {
+			return fmt.Errorf("engine sweep workers=%d: %d dequeues, want %d requests",
+				er.Workers, er.BatchDequeues, er.Requests)
 		}
-		if er.StolenRequests < er.Steals {
-			return fmt.Errorf("engine sweep workers=%d: %d stolen requests across %d steals",
-				er.Workers, er.StolenRequests, er.Steals)
-		}
-		if er.BatchedRequests < er.BatchDequeues {
-			return fmt.Errorf("engine sweep workers=%d: %d batched requests across %d batch dequeues",
-				er.Workers, er.BatchedRequests, er.BatchDequeues)
-		}
-		if er.MeanBatch < 0 || er.WorkerParks < 0 {
-			return fmt.Errorf("engine sweep workers=%d: negative mean_batch %v or worker_parks %d",
-				er.Workers, er.MeanBatch, er.WorkerParks)
+		if er.WorkerParks < 0 {
+			return fmt.Errorf("engine sweep workers=%d: negative worker_parks %d", er.Workers, er.WorkerParks)
 		}
 	}
 	for _, pr := range rep.Planes {

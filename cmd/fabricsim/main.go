@@ -16,8 +16,8 @@
 // fault schedule, reporting delivery rates and the supervisor's failover /
 // repair / readmit counters. The run exits nonzero if the supervised stack
 // drops or misroutes anything. -slow adds latency-fault chaos (stalled route
-// passes) to plane 0 and -hedge arms tail-tolerant hedged routing — a fixed
-// delay or "auto" to track observed latency.
+// passes) to plane 0 and -hedge auto arms tail-tolerant hedged routing with
+// a delay that tracks observed latency.
 //
 // With -reconfig R (alongside -planes) the tool runs the hitless-rollout
 // experiment of DESIGN.md §13 instead: while the request stream is in
@@ -74,7 +74,7 @@ func main() {
 		chaosSeed = flag.Int64("chaos-seed", 2026, "seed of the deterministic chaos schedule")
 		planes    = flag.Int("planes", 0, "run K >= 2 supervised redundant planes (with -chaos striking plane 0) instead of the fabric loop")
 		requests  = flag.Int("requests", 10000, "requests for the -planes availability run")
-		hedge     = flag.String("hedge", "", `with -planes: hedged routing — a duration (e.g. "200us") for a fixed hedge delay, or "auto" to derive it from observed latency`)
+		hedge     = flag.String("hedge", "", `with -planes: "auto" arms hedged routing, with the hedge delay derived from observed latency`)
 		slow      = flag.Duration("slow", 0, "with -planes: latency-fault chaos on plane 0 — each struck cycle stalls a route pass by this much")
 		slowRate  = flag.Float64("slow-rate", 0.1, "with -slow: per-cycle rate of the latency faults")
 		reconfig  = flag.Int("reconfig", 0, "with -planes: perform R live Reconfigure rollouts while the request stream is in flight")
@@ -245,16 +245,12 @@ func runPlanes(netName string, m, k, requests int, seed int64, chaos float64, ch
 		return fmt.Errorf("-planes %d: need at least 2 planes", k)
 	}
 	var hedgeOpt bnbnet.Option
-	switch {
-	case hedge == "":
-	case hedge == "auto":
+	switch hedge {
+	case "":
+	case "auto":
 		hedgeOpt = bnbnet.WithHedgeAuto()
 	default:
-		d, err := time.ParseDuration(hedge)
-		if err != nil || d <= 0 {
-			return fmt.Errorf(`-hedge %q: want a positive duration or "auto"`, hedge)
-		}
-		hedgeOpt = bnbnet.WithHedge(d)
+		return fmt.Errorf(`-hedge %q: want "auto" (the hedge delay is derived from observed latency)`, hedge)
 	}
 	var plan *bnbnet.FaultPlan
 	if chaos > 0 || slow > 0 {

@@ -133,7 +133,7 @@ func NewEngine(n Network, opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("bnbnet: WithFaults applies to New; pass the faulty network to NewEngine instead")
 	}
 	if o.anySet(optSupervised) {
-		return nil, fmt.Errorf("bnbnet: WithPlanes, WithPlaneFaults, WithHealthInterval and WithHedge apply to NewSupervised, not NewEngine")
+		return nil, fmt.Errorf("bnbnet: WithPlanes, WithPlaneFaults, WithHealthInterval and WithHedgeAuto apply to NewSupervised, not NewEngine")
 	}
 	if o.anySet(optFabric) {
 		return nil, fmt.Errorf("bnbnet: WithVOQ and WithDegraded apply to NewFabric, not NewEngine")

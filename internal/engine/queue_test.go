@@ -56,13 +56,14 @@ func TestWakeupServesClassesInPriorityOrder(t *testing.T) {
 	const n = 8
 	parked := make(chan struct{})
 	release := make(chan struct{})
+	// The first hook call holds the worker until the backlog is staged;
+	// later calls (after the staged wakeup) pass through.
+	var hold sync.Once
 	lockHook = func() {
-		select {
-		case parked <- struct{}{}:
+		hold.Do(func() {
+			parked <- struct{}{}
 			<-release
-		default:
-			// Later parks (after the staged wakeup) pass through.
-		}
+		})
 	}
 	defer func() { lockHook = nil }()
 

@@ -14,6 +14,10 @@ import (
 // thread-safe, so proceeding under a straggler is correct, just noisier.
 const drainWait = 100 * time.Millisecond
 
+// rebuildAfter is the number of consecutive failed readmission probe passes
+// after which a quarantined plane is rebuilt through Config.Rebuild.
+const rebuildAfter = 3
+
 // healthLoop is the supervisor's background control plane: a periodic sweep
 // over every plane, kicked immediately when the hot path detects a failure.
 func (s *Supervisor) healthLoop() {
@@ -116,8 +120,8 @@ func (s *Supervisor) tryReadmit(p *planeState, dst, src []core.Word, from State)
 		e := err
 		p.lastErr.Store(&e)
 		failed := p.failedProbes.Add(1)
-		if s.rebuild != nil && int(failed) >= s.rebuildAfter {
-			if r, rerr := s.rebuild(p.id); rerr == nil && r != nil && r.Inputs() == s.n &&
+		if s.rebuild != nil && failed >= rebuildAfter {
+			if r, rerr := s.rebuild(); rerr == nil && r != nil && r.Inputs() == s.n &&
 				p.router.CompareAndSwap(box, &routerBox{r: r}) {
 				p.repairs.Add(1)
 				s.repairs.Add(1)

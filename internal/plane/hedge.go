@@ -4,8 +4,8 @@ package plane
 // that answers correctly at 50x latency defeats functional health checking —
 // probes pass, verification passes, only time is lost. With hedging enabled
 // the supervisor races the tail instead of waiting it out: the primary
-// attempt gets a head start of the hedge delay (fixed, or derived from the
-// fleet's latency EWMAs), then the request is re-issued on the next healthy
+// attempt gets a head start of the hedge delay (derived from the fleet's
+// latency EWMAs), then the request is re-issued on the next healthy
 // plane and the first response wins. Losers are abandoned safely: attempts
 // route into pooled scratch buffers against a private copy of src, a CAS
 // claim picks exactly one winner to copy into the caller's dst, and a
@@ -60,14 +60,10 @@ func (s *Supervisor) getBuf() []core.Word {
 
 func (s *Supervisor) putBuf(b []core.Word) { s.bufPool.Put(&b) }
 
-// hedgeDelay resolves this request's hedge delay: the fixed configured
-// delay, or — under the auto policy — hedgeAutoFactor times the fastest
-// eligible plane's latency EWMA. Returns 0 when the fleet is too cold to
-// derive a delay; the caller then serves sequentially.
+// hedgeDelay resolves this request's hedge delay: hedgeAutoFactor times
+// the fastest eligible plane's latency EWMA. Returns 0 when the fleet is
+// too cold to derive a delay; the caller then serves sequentially.
 func (s *Supervisor) hedgeDelay(elig []*planeState) time.Duration {
-	if s.hedge > 0 {
-		return s.hedge
-	}
 	var best int64
 	for _, p := range elig {
 		if v := p.latEwma.Load(); v > 0 && (best == 0 || v < best) {
@@ -78,14 +74,15 @@ func (s *Supervisor) hedgeDelay(elig []*planeState) time.Duration {
 }
 
 // routeHedged serves one request first-response-wins over the healthy
-// planes. The second return reports whether the hedged path handled the
-// request at all: with fewer than two eligible planes, or no derivable auto
-// delay, the caller falls back to the sequential path. Plane failures fail
-// over to further planes immediately (without waiting for the timer), the
-// timer itself fires at most one hedge, and when every healthy attempt
-// fails the degraded pass over suspect and quarantined planes runs exactly
-// as it does sequentially.
-func (s *Supervisor) routeHedged(planes []*planeState, start int, dst, src []core.Word, sp *trace.Span) (error, bool) {
+// planes. It reports whether it settled the request, with the request's
+// outcome. Unsettled, it returns nil when it did not hedge at all (fewer
+// than two eligible planes, or no derivable delay), and otherwise the last
+// failure of its healthy attempts; the caller's cascade then resumes from
+// the healthy or the suspect planes. Plane failures fail over to further
+// planes immediately (without waiting for the timer), and the timer itself
+// fires at most one hedge. fp and hasFP are the caller's lazily computed
+// request fingerprint.
+func (s *Supervisor) routeHedged(planes []*planeState, start int, dst, src []core.Word, sp *trace.Span, fp *uint64, hasFP *bool) (settled bool, err error) {
 	k := len(planes)
 	elig := make([]*planeState, 0, k)
 	for off := 0; off < k; off++ {
@@ -95,11 +92,11 @@ func (s *Supervisor) routeHedged(planes []*planeState, start int, dst, src []cor
 		}
 	}
 	if len(elig) < 2 {
-		return nil, false
+		return false, nil
 	}
 	delay := s.hedgeDelay(elig)
 	if delay <= 0 {
-		return nil, false
+		return false, nil
 	}
 
 	// Attempts never touch the caller's buffers: they race into pooled
@@ -146,8 +143,6 @@ func (s *Supervisor) routeHedged(planes []*planeState, start int, dst, src []cor
 	pending := 1   // launched attempts not yet reported
 	hedgeIdx := -1 // index launched by the hedge timer, for the win counter
 	var lastErr error
-	var fp uint64
-	var hasFP bool
 	launch(0)
 	if hedgeYield != nil {
 		hedgeYield()
@@ -166,7 +161,7 @@ func (s *Supervisor) routeHedged(planes []*planeState, start int, dst, src []cor
 					s.hedgeWins.Add(1)
 					s.m.AddHedgeWin()
 				}
-				return nil, true
+				return true, nil
 			}
 			switch {
 			case r.err == nil:
@@ -174,13 +169,13 @@ func (s *Supervisor) routeHedged(planes []*planeState, start int, dst, src []cor
 				// buffers are already pooled. Nothing to do.
 				continue
 			case isRequestError(r.err):
-				return r.err, true
+				return true, r.err
 			default:
 				sp.AddFailover()
 				lastErr = r.err
-				if perr := s.poisonStrike(srcCopy, &fp, &hasFP, elig[r.idx].id, r.err); perr != nil {
+				if perr := s.poisonStrike(src, fp, hasFP, elig[r.idx].id, r.err); perr != nil {
 					sp.MarkPoisoned()
-					return perr, true
+					return true, perr
 				}
 			}
 			// A failed attempt fails over to the next eligible plane
@@ -202,7 +197,6 @@ func (s *Supervisor) routeHedged(planes []*planeState, start int, dst, src []cor
 			}
 		}
 	}
-	// Every healthy attempt failed: degrade rather than go dark, exactly
-	// like the sequential path's second pass.
-	return s.routeDegraded(planes, start, dst, src, sp, lastErr, &fp, &hasFP), true
+	// Every healthy attempt failed: the caller degrades from here.
+	return false, lastErr
 }

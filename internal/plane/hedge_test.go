@@ -24,6 +24,14 @@ func hedgeConfig(planes ...Router) Config {
 	}
 }
 
+// seedHedgeDelay primes every plane's latency EWMA so that the auto hedge
+// delay reads d until live passes move it.
+func seedHedgeDelay(s *Supervisor, d time.Duration) {
+	for _, p := range s.snapshot() {
+		p.latEwma.Store(int64(d / hedgeAutoFactor))
+	}
+}
+
 // gatedRouter delivers with a distinguishable payload after its gate opens,
 // and signals each completed pass — the controllable plane of the hedge-race
 // schedules.
@@ -103,11 +111,12 @@ func TestHedgePrimaryWinsWithoutFiring(t *testing.T) {
 	p0 := openGated(n, 1000)
 	p1 := openGated(n, 2000)
 	cfg := hedgeConfig(p0, p1)
-	cfg.Hedge = time.Hour // the timer must never decide this test
+	cfg.HedgeAuto = true
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seedHedgeDelay(s, time.Hour) // the timer must never decide this test
 	defer s.Close()
 
 	dst := make([]core.Word, n)
@@ -139,11 +148,12 @@ func TestHedgeFiresAndWins(t *testing.T) {
 	p0 := newGated(n, 1000) // gated shut: the stalled primary
 	p1 := openGated(n, 2000)
 	cfg := hedgeConfig(p0, p1)
-	cfg.Hedge = time.Millisecond
+	cfg.HedgeAuto = true
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seedHedgeDelay(s, time.Millisecond)
 	defer s.Close()
 
 	src := identitySrc(n)
@@ -181,11 +191,12 @@ func TestHedgeSingleDeliveryUnderContention(t *testing.T) {
 	p0 := newGated(n, 1000)
 	p1 := newGated(n, 2000)
 	cfg := hedgeConfig(p0, p1)
-	cfg.Hedge = time.Millisecond
+	cfg.HedgeAuto = true
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seedHedgeDelay(s, time.Millisecond)
 	defer s.Close()
 
 	src := identitySrc(n)
@@ -225,11 +236,12 @@ func TestHedgeFailoverBeforeTimer(t *testing.T) {
 	const n = 8
 	bad := &funcRouter{n: n, fn: misdeliver}
 	cfg := hedgeConfig(bad, good(n))
-	cfg.Hedge = time.Hour // a timer that can never fire proves the failover is immediate
+	cfg.HedgeAuto = true
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seedHedgeDelay(s, time.Hour) // a timer that can never fire proves the failover is immediate
 	defer s.Close()
 
 	dst := make([]core.Word, n)
@@ -254,16 +266,39 @@ func TestHedgeFailoverBeforeTimer(t *testing.T) {
 
 // TestHedgeFallsBackSequential pins the fallback edges: a fleet with fewer
 // than two eligible planes, or an auto-hedge fleet with no latency history,
-// serves sequentially — correctly, with the timer never armed.
+// serves sequentially — correctly, with the timer never armed; and a
+// request whose every healthy attempt fails under the hedge goes on to the
+// suspect planes, like a sequential one.
 func TestHedgeFallsBackSequential(t *testing.T) {
 	const n = 8
-	t.Run("single eligible plane", func(t *testing.T) {
-		cfg := hedgeConfig(good(n), good(n))
-		cfg.Hedge = time.Millisecond
+	t.Run("every healthy attempt fails", func(t *testing.T) {
+		cfg := hedgeConfig(&funcRouter{n: n, fn: misdeliver}, &funcRouter{n: n, fn: misdeliver}, good(n))
+		cfg.HedgeAuto = true
+		cfg.PoisonThreshold = -1 // isolate the cascade from the poison quarantine
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		stopHealth(s) // the failures must not move the suspect plane
+		seedHedgeDelay(s, time.Hour)
+		s.plane(2).state.Store(int32(Suspect))
+		dst := make([]core.Word, n)
+		if err := s.RouteInto(dst, identitySrc(n)); err != nil {
+			t.Fatalf("RouteInto: %v", err)
+		}
+		wantIdentity(t, dst)
+		if got := s.plane(2).served.Load(); got != 1 {
+			t.Errorf("suspect plane served %d requests, want 1", got)
+		}
+	})
+	t.Run("single eligible plane", func(t *testing.T) {
+		cfg := hedgeConfig(good(n), good(n))
+		cfg.HedgeAuto = true
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seedHedgeDelay(s, time.Millisecond)
 		defer s.Close()
 		s.plane(1).state.Store(int32(Quarantined))
 		dst := make([]core.Word, n)
@@ -315,12 +350,13 @@ func TestAllPlanesQuarantinedFailsFast(t *testing.T) {
 			cfg := hedgeConfig(&funcRouter{n: n, fn: misdeliver}, &funcRouter{n: n, fn: misdeliver})
 			cfg.PoisonThreshold = -1 // isolate the outage path from the poison quarantine
 			if hedged {
-				cfg.Hedge = time.Millisecond
+				cfg.HedgeAuto = true
 			}
 			s, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			seedHedgeDelay(s, time.Millisecond)
 			defer s.Close()
 			s.plane(0).state.Store(int32(Quarantined))
 			s.plane(1).state.Store(int32(Quarantined))
@@ -345,11 +381,12 @@ func TestAllPlanesQuarantinedFailsFast(t *testing.T) {
 func TestHedgeClosedSupervisor(t *testing.T) {
 	const n = 8
 	cfg := hedgeConfig(good(n), good(n))
-	cfg.Hedge = time.Millisecond
+	cfg.HedgeAuto = true
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seedHedgeDelay(s, time.Millisecond)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -366,12 +403,13 @@ func TestHedgeMetricsFlow(t *testing.T) {
 	var m metrics.Metrics
 	p0 := newGated(n, 1000)
 	cfg := hedgeConfig(p0, openGated(n, 2000))
-	cfg.Hedge = time.Millisecond
+	cfg.HedgeAuto = true
 	cfg.Metrics = &m
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seedHedgeDelay(s, time.Millisecond)
 	defer s.Close()
 	dst := make([]core.Word, n)
 	if err := s.RouteInto(dst, identitySrc(n)); err != nil {

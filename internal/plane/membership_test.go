@@ -358,8 +358,7 @@ func TestDeterministicSwapReadmitSchedule(t *testing.T) {
 			s, err := New(Config{
 				Planes:         []Router{old, good(n)},
 				HealthInterval: time.Hour,
-				RebuildAfter:   1,
-				Rebuild: func(int) (Router, error) {
+				Rebuild: func() (Router, error) {
 					rebuilds.Add(1)
 					return good(n), nil
 				},

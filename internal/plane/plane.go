@@ -109,32 +109,24 @@ func (s State) String() string {
 type Config struct {
 	// Planes are the redundant routers; at least 2, all with equal Inputs.
 	Planes []Router
-	// Rebuild, when non-nil, constructs a replacement for the plane with the
-	// given stable id — the repair action for faults that do not heal on
-	// their own. The supervisor invokes it after RebuildAfter consecutive
-	// failed readmit probes of a quarantined plane.
-	Rebuild func(id int) (Router, error)
-	// RebuildAfter is the number of consecutive failed readmission probe
-	// passes before Rebuild is invoked; <= 0 selects 3.
-	RebuildAfter int
+	// Rebuild, when non-nil, constructs a fresh plane — the repair action
+	// for faults that do not heal on their own. The supervisor invokes it
+	// after rebuildAfter consecutive failed readmit probes of a quarantined
+	// plane.
+	Rebuild func() (Router, error)
 	// Diagnoser, when non-nil, localizes a quarantined plane's stuck-at
-	// fault and its probe set replaces Probes. Exact diagnosis is feasible
-	// for small orders; larger fabrics probe with the canonical battery.
+	// fault and supplies the health-check probe set. Exact diagnosis is
+	// feasible for small orders; without a diagnoser the supervisor probes
+	// with fault.CanonicalProbes of the plane order.
 	Diagnoser *fault.Diagnoser
-	// Probes is the health-check probe set when no Diagnoser is given;
-	// empty selects fault.CanonicalProbes of the plane order.
-	Probes []perm.Perm
 	// HealthInterval is the period of the background health sweep; <= 0
 	// selects 10ms. Failures additionally kick the sweep immediately.
 	HealthInterval time.Duration
-	// Hedge, when positive, enables hedged routing with a fixed delay: a
-	// request still in flight after Hedge is re-issued on the next healthy
-	// plane and the first response wins.
-	Hedge time.Duration
-	// HedgeAuto enables hedged routing with an adaptive delay derived from
-	// the per-plane latency EWMAs (a multiple of the fastest healthy
-	// plane's); ignored when Hedge is set. Until the fleet has latency
-	// history, requests serve sequentially.
+	// HedgeAuto enables hedged routing: a request still in flight after
+	// the hedge delay — a multiple of the fastest healthy plane's latency
+	// EWMA — is re-issued on the next healthy plane and the first response
+	// wins. Until the fleet has latency history, requests serve
+	// sequentially.
 	HedgeAuto bool
 	// SlowFactor tunes slow-plane detection: a successful pass slower than
 	// SlowFactor times the fastest other healthy plane's latency EWMA (and
@@ -227,16 +219,14 @@ type Supervisor struct {
 	m      *metrics.Metrics
 	tracer *trace.Tracer
 
-	probes       []perm.Perm
-	diag         *fault.Diagnoser
-	rebuild      func(i int) (Router, error)
-	rebuildAfter int
-	interval     time.Duration
+	probes   []perm.Perm
+	diag     *fault.Diagnoser
+	rebuild  func() (Router, error)
+	interval time.Duration
 
-	// Tail-tolerance knobs, resolved from Config in New. hedge > 0 selects
-	// the fixed delay; hedgeAuto derives it from the latency EWMAs;
-	// slowFactor <= 0 disables slow-plane detection.
-	hedge       time.Duration
+	// Tail-tolerance knobs, resolved from Config in New. hedgeAuto derives
+	// the hedge delay from the latency EWMAs; slowFactor <= 0 disables
+	// slow-plane detection.
 	hedgeAuto   bool
 	slowFactor  float64
 	slowFloorNs int64
@@ -305,31 +295,21 @@ func New(cfg Config) (*Supervisor, error) {
 	if 1<<uint(m) != n {
 		return nil, fmt.Errorf("plane: %d ports is not a power of two: %w", n, neterr.ErrBadSize)
 	}
-	probes := cfg.Probes
-	if cfg.Diagnoser != nil {
-		if cfg.Diagnoser.M() != m {
-			return nil, fmt.Errorf("plane: diagnoser built for order %d, planes have order %d", cfg.Diagnoser.M(), m)
-		}
-		probes = cfg.Diagnoser.Probes()
-	} else if len(probes) == 0 {
+	var probes []perm.Perm
+	switch {
+	case cfg.Diagnoser == nil:
 		probes = fault.CanonicalProbes(m)
-	}
-	for i, p := range probes {
-		if len(p) != n {
-			return nil, fmt.Errorf("plane: probe %d has %d entries, want %d: %w", i, len(p), n, neterr.ErrBadSize)
-		}
+	case cfg.Diagnoser.M() != m:
+		return nil, fmt.Errorf("plane: diagnoser built for order %d, planes have order %d", cfg.Diagnoser.M(), m)
+	default:
+		probes = cfg.Diagnoser.Probes()
 	}
 	interval := cfg.HealthInterval
 	if interval <= 0 {
 		interval = 10 * time.Millisecond
 	}
-	rebuildAfter := cfg.RebuildAfter
-	if rebuildAfter <= 0 {
-		rebuildAfter = 3
-	}
-	hedging := cfg.Hedge > 0 || cfg.HedgeAuto
 	slowFactor := cfg.SlowFactor
-	if slowFactor <= 0 && hedging {
+	if slowFactor <= 0 && cfg.HedgeAuto {
 		slowFactor = 8
 	}
 	slowFloor := cfg.SlowFloor
@@ -345,22 +325,20 @@ func New(cfg Config) (*Supervisor, error) {
 		poison = newPoisonTable(cfg.PoisonThreshold, cfg.PoisonTTL)
 	}
 	s := &Supervisor{
-		n:            n,
-		m:            cfg.Metrics,
-		tracer:       cfg.Tracer,
-		probes:       probes,
-		diag:         cfg.Diagnoser,
-		rebuild:      cfg.Rebuild,
-		rebuildAfter: rebuildAfter,
-		interval:     interval,
-		hedge:        cfg.Hedge,
-		hedgeAuto:    cfg.HedgeAuto && cfg.Hedge <= 0,
-		slowFactor:   slowFactor,
-		slowFloorNs:  int64(slowFloor),
-		slowAfter:    int64(slowAfter),
-		poison:       poison,
-		kick:         make(chan struct{}, 1),
-		stop:         make(chan struct{}),
+		n:           n,
+		m:           cfg.Metrics,
+		tracer:      cfg.Tracer,
+		probes:      probes,
+		diag:        cfg.Diagnoser,
+		rebuild:     cfg.Rebuild,
+		interval:    interval,
+		hedgeAuto:   cfg.HedgeAuto,
+		slowFactor:  slowFactor,
+		slowFloorNs: int64(slowFloor),
+		slowAfter:   int64(slowAfter),
+		poison:      poison,
+		kick:        make(chan struct{}, 1),
+		stop:        make(chan struct{}),
 	}
 	members := make([]*planeState, len(cfg.Planes))
 	for i, r := range cfg.Planes {
@@ -390,6 +368,15 @@ func (s *Supervisor) PlaneIDs() []int {
 		out[i] = p.id
 	}
 	return out
+}
+
+// Router returns the router the plane with the given id routes through
+// now, or nil when no current member has that id.
+func (s *Supervisor) Router(id int) Router {
+	if p := s.byID(id); p != nil {
+		return p.get()
+	}
+	return nil
 }
 
 // PlanesAdded returns the number of planes admitted at runtime.
@@ -555,45 +542,24 @@ func (s *Supervisor) routeInto(dst, src []core.Word, sp *trace.Span) error {
 	// MaxInt on 32-bit platforms (and MaxInt64 anywhere), yielding a
 	// negative start and a panic on the plane index.
 	start := int((s.rotor.Add(1) - 1) % uint64(k))
-	if s.hedge > 0 || s.hedgeAuto {
-		if err, handled := s.routeHedged(planes, start, dst, src, sp); handled {
-			return err
-		}
-	}
 	var lastErr error
-	// Pass 1: healthy planes.
-	for off := 0; off < k; off++ {
-		p := planes[(start+off)%k]
-		if State(p.state.Load()) != Healthy {
-			continue
-		}
-		err := s.routeOn(p, dst, src, sp)
-		sp.AddAttempt()
-		if err == nil {
-			sp.SetPlane(p.id)
-			return nil
-		}
-		if isRequestError(err) {
+	from := Healthy
+	if s.hedgeAuto {
+		settled, err := s.routeHedged(planes, start, dst, src, sp, &fp, &hasFP)
+		if settled {
 			return err
 		}
-		sp.AddFailover()
-		lastErr = err
-		if perr := s.poisonStrike(src, &fp, &hasFP, p.id, err); perr != nil {
-			sp.MarkPoisoned()
-			return perr
+		if err != nil {
+			// Every healthy plane failed under the hedge: degrade.
+			lastErr, from = err, Suspect
 		}
 	}
-	return s.routeDegraded(planes, start, dst, src, sp, lastErr, &fp, &hasFP)
-}
-
-// routeDegraded is the no-healthy-plane-delivered tail shared by the
-// sequential and hedged paths: serve degraded rather than going dark,
-// trying suspect planes first, then quarantined ones. Every route is still
-// verified, so a wrong answer cannot leak. Admitting planes stay out
-// (unproven) and draining planes stay out (leaving).
-func (s *Supervisor) routeDegraded(planes []*planeState, start int, dst, src []core.Word, sp *trace.Span, lastErr error, fp *uint64, hasFP *bool) error {
-	k := len(planes)
-	for _, want := range []State{Suspect, Quarantined} {
+	// The serving cascade walks Healthy, Suspect and Quarantined (three
+	// consecutive states) in order: when no healthy plane delivers, serve
+	// degraded rather than going dark. Every route is still verified, so a
+	// wrong answer cannot leak. Admitting planes stay out (unproven) and
+	// draining planes stay out (leaving).
+	for want := from; want <= Quarantined; want++ {
 		for off := 0; off < k; off++ {
 			p := planes[(start+off)%k]
 			if State(p.state.Load()) != want {
@@ -610,7 +576,7 @@ func (s *Supervisor) routeDegraded(planes []*planeState, start int, dst, src []c
 			}
 			sp.AddFailover()
 			lastErr = err
-			if perr := s.poisonStrike(src, fp, hasFP, p.id, err); perr != nil {
+			if perr := s.poisonStrike(src, &fp, &hasFP, p.id, err); perr != nil {
 				sp.MarkPoisoned()
 				return perr
 			}

@@ -182,8 +182,7 @@ func TestRepairAndReadmit(t *testing.T) {
 	var m metrics.Metrics
 	s, err := New(Config{
 		Planes:         []Router{&funcRouter{n: n, fn: misdeliver}, good(n)},
-		Rebuild:        func(i int) (Router, error) { rebuilds.Add(1); return good(n), nil },
-		RebuildAfter:   2,
+		Rebuild:        func() (Router, error) { rebuilds.Add(1); return good(n), nil },
 		HealthInterval: time.Millisecond,
 		Metrics:        &m,
 	})
@@ -192,7 +191,7 @@ func TestRepairAndReadmit(t *testing.T) {
 	}
 	defer s.Close()
 	rng := rand.New(rand.NewSource(3))
-	// First touch of plane 0 fails over; the health checker then needs two
+	// First touch of plane 0 fails over; the health checker then needs three
 	// failed probe passes to trigger the rebuild and one clean pass to
 	// readmit.
 	deadline := time.Now().Add(5 * time.Second)

@@ -189,7 +189,7 @@ func TestHedgingArmsSlowDetection(t *testing.T) {
 	s, err := New(Config{
 		Planes:         []Router{good(n), good(n)},
 		HealthInterval: time.Hour,
-		Hedge:          time.Hour,
+		HedgeAuto:      true,
 		SlowAfter:      1,
 	})
 	if err != nil {

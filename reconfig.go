@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/plancache"
+	"repro/internal/plane"
 	"repro/internal/trace"
 )
 
@@ -79,19 +80,14 @@ func (s *Supervised) AddPlane(ctx context.Context) (int, error) {
 // addPlane builds, optionally pre-warms, admits and awaits one plane.
 // Callers hold reconfigMu.
 func (s *Supervised) addPlane(ctx context.Context, donor *plancache.Cache, topK int) (int, error) {
-	r, cached, err := s.build()
+	r, err := s.build()
 	if err != nil {
 		return 0, err
 	}
-	if cached != nil {
-		s.warm(cached, donor, topK)
-	}
+	s.warm(r, donor, topK)
 	id, err := s.sup.AddPlane(r)
 	if err != nil {
 		return 0, err
-	}
-	if cached != nil {
-		s.pcs.set(id, cached.cache)
 	}
 	if err := s.sup.AwaitHealthy(ctx, id); err != nil {
 		return id, err
@@ -101,8 +97,8 @@ func (s *Supervised) addPlane(ctx context.Context, donor *plancache.Cache, topK 
 
 // RemovePlane drains the identified plane and detaches it from the serving
 // set: the plane stops receiving new requests immediately, RemovePlane
-// waits for its in-flight requests to land, then removes it and drops its
-// plan cache. At least two planes must remain. If ctx expires before the
+// waits for its in-flight requests to land, then removes it with its plan
+// cache. At least two planes must remain. If ctx expires before the
 // drain completes, the plane is parked in Quarantine — the health checker
 // readmits it once idle probes pass — and the membership is unchanged.
 // Once a Drain or Close has begun, RemovePlane fails with ErrDraining or
@@ -113,16 +109,7 @@ func (s *Supervised) RemovePlane(ctx context.Context, id int) error {
 	if err := s.e.AdmissionErr(); err != nil {
 		return fmt.Errorf("bnbnet: remove plane: %w", err)
 	}
-	return s.removePlane(ctx, id)
-}
-
-// removePlane detaches one plane and its cache. Callers hold reconfigMu.
-func (s *Supervised) removePlane(ctx context.Context, id int) error {
-	if err := s.sup.RemovePlane(ctx, id); err != nil {
-		return err
-	}
-	s.pcs.drop(id)
-	return nil
+	return s.sup.RemovePlane(ctx, id)
 }
 
 // Reconfigure rolls the supervised fleet onto a freshly built plane set
@@ -180,10 +167,10 @@ func (s *Supervised) reconfigure(ctx context.Context, o reconfigOptions) error {
 	if target < len(keep) {
 		keep = keep[:target]
 	}
-	// Grow first: added planes warm from the first original's cache — the
-	// registry's view of current traffic — and are fully probed before the
-	// supervisor lets them serve.
-	donor := s.pcs.get(originals[0])
+	// Grow first: added planes warm from the first original's cache — a
+	// view of current traffic — and are fully probed before the supervisor
+	// lets them serve.
+	donor := s.planCache(originals[0])
 	for grow := target - len(originals); grow > 0; grow-- {
 		if _, err := s.addPlane(ctx, donor, o.warmTopK); err != nil {
 			return fmt.Errorf("bnbnet: reconfigure: adding plane: %w", err)
@@ -192,23 +179,18 @@ func (s *Supervised) reconfigure(ctx context.Context, o reconfigOptions) error {
 	// Rolling in-place swap of every surviving plane: fresh router, fresh
 	// cache pre-warmed from the plane's own outgoing cache.
 	for _, id := range keep {
-		r, cached, err := s.build()
+		r, err := s.build()
 		if err != nil {
 			return fmt.Errorf("bnbnet: reconfigure: rebuilding plane %d: %w", id, err)
 		}
-		if cached != nil {
-			s.warm(cached, s.pcs.get(id), o.warmTopK)
-		}
+		s.warm(r, s.planCache(id), o.warmTopK)
 		if err := s.sup.SwapPlane(ctx, id, r); err != nil {
 			return fmt.Errorf("bnbnet: reconfigure: %w", err)
-		}
-		if cached != nil {
-			s.pcs.set(id, cached.cache)
 		}
 	}
 	// Shrink last, newest members first, never below the redundancy floor.
 	for _, id := range originals[len(keep):] {
-		if err := s.removePlane(ctx, id); err != nil {
+		if err := s.sup.RemovePlane(ctx, id); err != nil {
 			return fmt.Errorf("bnbnet: reconfigure: %w", err)
 		}
 	}
@@ -218,14 +200,14 @@ func (s *Supervised) reconfigure(ctx context.Context, o reconfigOptions) error {
 // warm seeds a fresh plane's plan cache with up to topK of the donor
 // cache's hottest plans, admitting each plan only after it replays
 // correctly on the new plane's own network via the wired reference path.
-// It reports how many plans were admitted; each lands one PlanWarms tick
-// in the metrics sink.
-func (s *Supervised) warm(cached *cachedPlanRouter, donor *plancache.Cache, topK int) int {
-	if donor == nil || topK <= 0 {
-		return 0
+// An uncached plane is left alone. Each admitted plan lands one PlanWarms
+// tick in the metrics sink.
+func (s *Supervised) warm(r plane.Router, donor *plancache.Cache, topK int) {
+	cached, ok := r.(*cachedPlanRouter)
+	if !ok || donor == nil || topK <= 0 {
+		return
 	}
 	n := cached.b.Inputs()
-	warmed := 0
 	for _, pl := range donor.Hot(topK) {
 		if pl.Inputs() != n {
 			continue
@@ -250,7 +232,5 @@ func (s *Supervised) warm(cached *cachedPlanRouter, donor *plancache.Cache, topK
 		}
 		cached.cache.Insert(pl)
 		s.m.AddPlanWarm()
-		warmed++
 	}
-	return warmed
 }

@@ -3,9 +3,13 @@ package bnbnet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -257,6 +261,83 @@ func TestReconfigureWarmsPlanCaches(t *testing.T) {
 	if misses != misses0 || hits != hits0+int64(len(perms)) {
 		t.Errorf("post-rollout cache traffic hits/misses grew by %d/%d, want %d/0 (pre-warm must absorb every compile)",
 			hits-hits0, misses-misses0, len(perms))
+	}
+}
+
+// rebuildRaceRuns numbers the families TestRebuildRacingSwapKeepsLiveCaches
+// registers, so repeated runs (-count) never collide in the registry.
+var rebuildRaceRuns atomic.Int64
+
+// TestRebuildRacingSwapKeepsLiveCaches pins that Stats reports the plan
+// cache each plane routes through, even when the health checker's rebuild
+// of a plane loses to a Reconfigure swap of the same plane. The family's
+// third build — the checker's rebuild of the stuck-at plane 0, after the
+// two construction builds — blocks until a Reconfigure has swapped every
+// plane; the released rebuild then finds its plane already replaced, and
+// its router (and cache) are discarded. Every plane that serves afterwards
+// must report a cache that saw its lookups.
+func TestRebuildRacingSwapKeepsLiveCaches(t *testing.T) {
+	const m = 3
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	var builds atomic.Int64
+	family := fmt.Sprintf("bnb-rebuild-race-%d", rebuildRaceRuns.Add(1))
+	if err := Register(family, func(m, _ int) (Network, error) {
+		if builds.Add(1) == 3 {
+			entered <- struct{}{}
+			<-release
+		}
+		return New("bnb", m)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTracer(1024)
+	s, err := NewSupervised(family, m, WithWorkers(1), WithTracer(tr),
+		WithHealthInterval(time.Millisecond),
+		WithPlaneFaults(0, StuckAt(FaultElements(m)[0], true)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	defer unblock() // a failing test must not leave the checker blocked
+	select {
+	case <-entered: // the checker is rebuilding plane 0
+	case <-time.After(10 * time.Second):
+		t.Fatal("the health checker never rebuilt the stuck-at plane")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Reconfigure(ctx); err != nil {
+		t.Fatalf("Reconfigure: %v", err)
+	}
+	// The blocked checker starts no span, and nothing else does until
+	// traffic flows: the first span started after the release is the
+	// checker's next probe pass, so the rebuild has settled by then.
+	mark := tr.Started()
+	unblock()
+	deadline := time.Now().Add(10 * time.Second)
+	for tr.Started() == mark {
+		if time.Now().After(deadline) {
+			t.Fatal("no probe pass after the rebuild was released")
+		}
+		runtime.Gosched()
+	}
+	rng := rand.New(rand.NewSource(22))
+	for i := 0; i < 256; i++ {
+		if _, errs := s.RoutePermBatch([]Perm{RandomPerm(s.Inputs(), rng)}); errs[0] != nil {
+			t.Fatalf("request %d: %v", i, errs[0])
+		}
+	}
+	st := s.Stats()
+	if len(st.PlanCaches) != len(st.Planes) {
+		t.Fatalf("%d plan caches for %d planes", len(st.PlanCaches), len(st.Planes))
+	}
+	for i, p := range st.Planes {
+		if c := st.PlanCaches[i]; p.Served > 0 && c.Hits+c.Misses == 0 {
+			t.Errorf("plane %d served %d requests, but its reported plan cache saw no lookup: %+v", p.ID, p.Served, c)
+		}
 	}
 }
 

@@ -138,7 +138,6 @@ type options struct {
 
 	shards int
 
-	hedge     time.Duration
 	hedgeAuto bool
 
 	errs []error
@@ -372,29 +371,15 @@ func WithPlaneFaults(plane int, plan *FaultPlan) Option {
 	}
 }
 
-// WithHedge arms tail-tolerant hedged routing on the supervisor: a request
-// still unanswered after the given delay is re-issued on the next healthy
-// plane and the first response wins, with the losing attempt abandoned
-// safely. Hedging also enables slow-plane detection — planes chronically
-// slower than the fleet's fastest latency EWMA are quarantined through the
-// same machinery as misrouting ones. The delay must be positive; use
-// WithHedgeAuto to derive it from the observed latencies instead.
-// NewSupervised only.
-func WithHedge(d time.Duration) Option {
-	return func(o *options) {
-		if d <= 0 {
-			o.reject("WithHedge(%v): delay must be positive (use WithHedgeAuto to derive it from observed latency)", d)
-			return
-		}
-		o.set |= optHedge
-		o.hedge = d
-	}
-}
-
-// WithHedgeAuto is WithHedge with the delay derived per request from the
-// fleet's per-plane latency EWMAs (a multiple of the fastest healthy
-// plane's), so the hedge fires around the observed tail instead of a fixed
-// guess. Until the first latencies are observed, requests serve sequentially.
+// WithHedgeAuto arms tail-tolerant hedged routing on the supervisor: a
+// request still unanswered after the hedge delay is re-issued on the next
+// healthy plane and the first response wins, with the losing attempt
+// abandoned safely. The delay is derived per request from the fleet's
+// per-plane latency EWMAs (a multiple of the fastest healthy plane's), so
+// the hedge fires around the observed tail; until the first latencies are
+// observed, requests serve sequentially. Hedging also enables slow-plane
+// detection — planes chronically slower than the fleet's fastest latency
+// EWMA are quarantined through the same machinery as misrouting ones.
 // NewSupervised only.
 func WithHedgeAuto() Option {
 	return func(o *options) { o.set |= optHedge; o.hedgeAuto = true }
@@ -462,7 +447,7 @@ func New(family string, m int, opts ...Option) (Network, error) {
 		return nil, fmt.Errorf("bnbnet: WithTimeout, WithShedding, WithTracer and WithDebugAddr apply to NewEngine, not New")
 	}
 	if o.anySet(optSupervised) {
-		return nil, fmt.Errorf("bnbnet: WithPlanes, WithPlaneFaults, WithHealthInterval and WithHedge apply to NewSupervised, not New")
+		return nil, fmt.Errorf("bnbnet: WithPlanes, WithPlaneFaults, WithHealthInterval and WithHedgeAuto apply to NewSupervised, not New")
 	}
 	if o.anySet(optFabric) {
 		return nil, fmt.Errorf("bnbnet: WithVOQ and WithDegraded apply to NewFabric, not New")

@@ -59,7 +59,8 @@ type Stats struct {
 	// Metrics is the attached sink's snapshot, nil without WithMetrics.
 	Metrics *MetricsSnapshot
 	// PlanCaches holds the live plan-cache counters: at most one entry for
-	// an engine, one per plane (in PlaneIDs order) for a supervised front.
+	// an engine, one per plane for a supervised front, where PlanCaches[i]
+	// belongs to Planes[i].
 	PlanCaches []PlanCacheStats
 	// Planes holds the per-plane serving and repair counters (supervised
 	// only).

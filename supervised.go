@@ -47,77 +47,24 @@ const diagMaxOrder = 5
 // compiled-plan surface. Pass WithPlanCache(0) to opt out.
 const defaultPlanCacheEntries = 128
 
-// planeCacheRegistry tracks the live plan cache of every supervised plane,
-// keyed by the plane's stable id — membership positions shift as planes are
-// added and removed at runtime, ids never do. Caches are strictly per-plane
-// — sharing one across planes would let a plan compiled on a faulty plane
-// serve traffic on healthy ones — and a plane rebuild or a Reconfigure swap
-// installs a fresh cache under the id, so a replaced router can never serve
-// plans compiled before the repair (DESIGN.md §12). The mutex only guards
-// registry mutations during construction, rebuild and reconfiguration; the
-// hot path never touches the registry.
-type planeCacheRegistry struct {
-	mu     sync.Mutex
-	caches map[int]*plancache.Cache
-}
-
-func (r *planeCacheRegistry) set(id int, c *plancache.Cache) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.caches[id] = c
-	r.mu.Unlock()
-}
-
-func (r *planeCacheRegistry) drop(id int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	delete(r.caches, id)
-	r.mu.Unlock()
-}
-
-func (r *planeCacheRegistry) get(id int) *plancache.Cache {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.caches[id]
-}
-
-// statsFor snapshots the caches of the given plane ids, in order; planes
-// without a cache (faulted ones) report zero stats.
-func (r *planeCacheRegistry) statsFor(ids []int) []PlanCacheStats {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]PlanCacheStats, len(ids))
-	for i, id := range ids {
-		out[i] = r.caches[id].Stats()
-	}
-	return out
-}
-
 // planeSet is the redundant-planes half of a supervised stack: the plane
-// supervisor with its health checker, the per-plane plan-cache registry,
-// and the builder every runtime plane comes from. Supervised runs an
-// engine in front of one; a cluster shard routes through one directly, on
-// the caller's goroutine.
+// supervisor with its health checker and the builder every runtime plane
+// comes from. Supervised runs an engine in front of one; a cluster shard
+// routes through one directly, on the caller's goroutine.
 type planeSet struct {
 	sup *plane.Supervisor
-	pcs *planeCacheRegistry // nil when plan caching is disabled
 
-	// build constructs one fresh, fault-free plane of the configured family,
-	// returning its compiled-plan fast path (nil when the plane routes
-	// uncached). AddPlane, Reconfigure and the supervisor's repair action all
-	// rebuild through it, so every plane that enters service at runtime is
-	// built exactly like the originals.
-	build func() (plane.Router, *cachedPlanRouter, error)
+	// build constructs one fresh, fault-free plane of the configured family.
+	// AddPlane, Reconfigure and the supervisor's repair action all rebuild
+	// through it, so every plane that enters service at runtime is built
+	// exactly like the originals, with its own fresh plan cache: a cache is
+	// never shared across planes (a plan compiled on a faulty plane must
+	// not serve a healthy one) nor handed to a successor (DESIGN.md §12).
+	build func() (plane.Router, error)
+
+	// cached reports whether plan caching is on, so Stats lists one cache
+	// per plane; faulted and plan-incapable planes report zero stats.
+	cached bool
 
 	// diag is the health checker's exact fault dictionary, nil above
 	// diagMaxOrder. It is immutable, so one serves every shard of a cluster.
@@ -139,10 +86,8 @@ type Supervised struct {
 	e   *engine.Engine
 	dbg *DebugServer // nil unless WithDebugAddr was set
 
-	// reconfigMu serializes membership operations — AddPlane, RemovePlane,
-	// Reconfigure — at the supervised level, keeping the cache registry and
-	// the supervisor's membership in lockstep. It is never taken on the
-	// routing path.
+	// reconfigMu serializes AddPlane, RemovePlane and Reconfigure. It is
+	// never taken on the routing path.
 	reconfigMu sync.Mutex
 }
 
@@ -218,7 +163,7 @@ func newDiagnoser(family string, m int) (*fault.Diagnoser, error) {
 // supervisor: NewSupervised puts an engine in front of it, NewCluster
 // routes each shard through one. Option validation is the caller's; only
 // the plane options (WithPlanes, WithPlaneFaults, WithHealthInterval,
-// WithHedge, WithPlanCache, WithDataBits) and the sinks are read here.
+// WithHedgeAuto, WithPlanCache, WithDataBits) and the sinks are read here.
 func newPlaneSet(family string, m int, o options, diag *fault.Diagnoser) (*planeSet, error) {
 	builders.RLock()
 	b := builders.m[family]
@@ -242,42 +187,20 @@ func newPlaneSet(family string, m int, o options, diag *fault.Diagnoser) (*plane
 	if !o.anySet(optPlanCache) {
 		cacheEntries = defaultPlanCacheEntries
 	}
-	var pcs *planeCacheRegistry
-	if cacheEntries > 0 {
-		pcs = &planeCacheRegistry{caches: make(map[int]*plancache.Cache, k)}
-	}
-	// build constructs one clean plane and hands back its compiled-plan fast
-	// path (nil when the family routes uncached), so callers can register the
-	// fresh cache once the plane's id is known. It backs the supervisor's
-	// repair action and every runtime membership operation, so a rebuilt or
-	// reconfigured plane is always fault-free — and gets a fresh plan cache,
-	// never its predecessor's.
-	build := func() (plane.Router, *cachedPlanRouter, error) {
+	build := func() (plane.Router, error) {
 		n, err := b(m, o.dataBits)
-		if err != nil {
-			return nil, nil, err
-		}
-		if cacheEntries > 0 {
-			if cached, ok := newCachedPlanRouter(n, cacheEntries, o.metrics); ok {
-				return cached, cached, nil
-			}
-			if o.anySet(optPlanCache) {
-				return nil, nil, fmt.Errorf("bnbnet: WithPlanCache requires a network with the compiled-plan surface (family %q offers none; see AsPlanRouter)", family)
-			}
-		}
-		return engineRouter(n), nil, nil
-	}
-	// rebuildPlane is the supervisor's repair action, keyed by the plane's
-	// stable id.
-	rebuildPlane := func(id int) (plane.Router, error) {
-		r, cached, err := build()
 		if err != nil {
 			return nil, err
 		}
-		if cached != nil {
-			pcs.set(id, cached.cache)
+		if cacheEntries > 0 {
+			if cached, ok := newCachedPlanRouter(n, cacheEntries, o.metrics); ok {
+				return cached, nil
+			}
+			if o.anySet(optPlanCache) {
+				return nil, fmt.Errorf("bnbnet: WithPlanCache requires a network with the compiled-plan surface (family %q offers none; see AsPlanRouter)", family)
+			}
 		}
-		return r, nil
+		return engineRouter(n), nil
 	}
 	planes := make([]plane.Router, k)
 	for i := 0; i < k; i++ {
@@ -296,21 +219,17 @@ func newPlaneSet(family string, m int, o options, diag *fault.Diagnoser) (*plane
 			planes[i] = engineRouter(fn)
 			continue
 		}
-		r, cached, err := build()
+		r, err := build()
 		if err != nil {
 			return nil, err
-		}
-		if cached != nil {
-			pcs.set(i, cached.cache) // initial plane ids are 0..k-1
 		}
 		planes[i] = r
 	}
 	sup, err := plane.New(plane.Config{
 		Planes:         planes,
-		Rebuild:        rebuildPlane,
+		Rebuild:        build,
 		Diagnoser:      diag,
 		HealthInterval: o.healthInterval,
-		Hedge:          o.hedge,
 		HedgeAuto:      o.hedgeAuto,
 		Metrics:        o.metrics,
 		Tracer:         o.tracer,
@@ -318,16 +237,30 @@ func newPlaneSet(family string, m int, o options, diag *fault.Diagnoser) (*plane
 	if err != nil {
 		return nil, err
 	}
-	return &planeSet{sup: sup, pcs: pcs, build: build, diag: diag, m: o.metrics, tracer: o.tracer}, nil
+	return &planeSet{sup: sup, build: build, cached: cacheEntries > 0, diag: diag, m: o.metrics, tracer: o.tracer}, nil
 }
 
-// planeStats snapshots the set's per-plane serving and plan-cache counters.
+// planCache returns the plan cache the identified plane routes through now:
+// nil for an uncached plane or an id no longer in the membership.
+func (ps *planeSet) planCache(id int) *plancache.Cache {
+	if c, ok := ps.sup.Router(id).(*cachedPlanRouter); ok {
+		return c.cache
+	}
+	return nil
+}
+
+// planeStats snapshots the set's per-plane serving and plan-cache counters;
+// PlanCaches[i] belongs to Planes[i].
 func (ps *planeSet) planeStats() ([]PlaneStats, []PlanCacheStats) {
 	planes := ps.sup.PlaneStats()
-	if ps.pcs == nil {
+	if !ps.cached {
 		return planes, nil
 	}
-	return planes, ps.pcs.statsFor(ps.sup.PlaneIDs())
+	caches := make([]PlanCacheStats, len(planes))
+	for i, p := range planes {
+		caches[i] = ps.planCache(p.ID).Stats()
+	}
+	return planes, caches
 }
 
 // Submit enqueues one routing request; see Engine.Submit.
@@ -402,7 +335,7 @@ func (s *Supervised) PlaneStats() []PlaneStats { return s.sup.PlaneStats() }
 // Failovers returns the number of planes drained and failed away from.
 func (s *Supervised) Failovers() int64 { return s.sup.Failovers() }
 
-// Hedges returns the number of hedge attempts fired (WithHedge/WithHedgeAuto).
+// Hedges returns the number of hedge attempts fired (WithHedgeAuto).
 func (s *Supervised) Hedges() int64 { return s.sup.Hedges() }
 
 // HedgeWins returns the number of requests won by a hedge attempt rather
