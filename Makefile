@@ -7,12 +7,15 @@ GO ?= go
 all: build vet test
 
 # Full pre-merge gate: vet (plus staticcheck when installed), the
-# race-detector suite, a 32-bit cross-compile (pins int-width bugs like the
+# race-detector suite, ten race-detector passes over the engine queue's
+# claim, stress and priority tests (state the waiters and the workers
+# both reach), a 32-bit cross-compile (pins int-width bugs like the
 # rotor truncation) and a 32-bit run of the packages whose bit-plane
 # kernel is shift-and-mask code, plus gbn's runner, fault's
 # rejection goldens and the cluster's looping decomposition (XOR and shift
 # index math; amd64 hosts run 386 test binaries natively), the
-# zero-allocation pin on the pooled routing hot path,
+# allocation pins (zero on the pooled routing hot path, one ticket per
+# engine request),
 # a short fuzz smoke of the fault-injected pooled path, the differential
 # verification battery up to m=4, and the benchmark module: perfbench is its
 # own Go module (replace repro => ../), so the root ./... never compiles it
@@ -23,6 +26,7 @@ check:
 	GOARCH=386 $(GO) build ./...
 	GOARCH=386 $(GO) test ./internal/arbiter ./internal/splitter ./internal/core ./internal/wiring ./internal/gbn ./internal/fault ./internal/cluster
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'Claim|QueueStress|PriorityOrder' ./internal/engine
 	$(GO) test -run=TestRouteAllocs .
 	$(GO) test -run='^$$' -fuzz FuzzPooledPathUnderFault -fuzztime 10s .
 	$(GO) run ./cmd/bnbverify -maxm 4

@@ -369,6 +369,36 @@ func TestRouteAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("cluster RouteInto of a cached permutation allocates %.1f objects per call, want 0", allocs)
 	}
+
+	// The engine path allocates one object per request, its Ticket, once
+	// both planes have the permutation's plan cached: the request is pooled,
+	// and the ticket settles through a WaitGroup rather than a channel.
+	sv, err := NewSupervised("bnb", 7, WithHealthInterval(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Close()
+	ssrc := make([]Word, sv.Inputs())
+	for i, d := range RandomPerm(sv.Inputs(), rng) {
+		ssrc[i] = Word{Addr: d, Data: uint64(i)}
+	}
+	sdst := make([]Word, sv.Inputs())
+	submitWait := func() {
+		tk, err := sv.Submit(sdst, ssrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for rep := 0; rep < 4; rep++ { // compile on both planes
+		submitWait()
+	}
+	allocs = testing.AllocsPerRun(100, submitWait)
+	if allocs != 1 {
+		t.Errorf("Supervised Submit+Wait of a cached permutation allocates %.1f objects per request, want 1 (the Ticket)", allocs)
+	}
 }
 
 // TestConcurrentEngineStress hammers one shared *BNB and one Engine from

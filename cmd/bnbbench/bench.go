@@ -192,6 +192,7 @@ type EngineResult struct {
 // where compiling amortizes over live routing, and a cache sweep showing how
 // the engine's lock-free plan cache converts workload repetition into hits.
 type PlanResultV2 struct {
+	// CompileNsPerOp and ReplayNsPerOp are medians over the samples.
 	CompileNsPerOp    float64 `json:"compile_ns_per_op"`
 	ReplayNsPerOp     float64 `json:"replay_ns_per_op"`
 	ReplayAllocsPerOp float64 `json:"replay_allocs_per_op"`
@@ -736,7 +737,7 @@ func benchPlan(cfg benchConfig) (PlanResultV2, error) {
 		}
 		compile[i] = time.Since(start).Nanoseconds()
 	}
-	compileNs, _, _ := summarize(compile)
+	compileNs := medianNs(compile)
 
 	// Replay: pure wire-following over one compiled plan.
 	pl, err := pr.Compile(perms[0])
@@ -759,7 +760,7 @@ func benchPlan(cfg benchConfig) (PlanResultV2, error) {
 		}
 		replay[i] = time.Since(start).Nanoseconds()
 	}
-	replayNs, _, _ := summarize(replay)
+	replayNs := medianNs(replay)
 	res := PlanResultV2{
 		CompileNsPerOp:    compileNs,
 		ReplayNsPerOp:     replayNs,
@@ -777,7 +778,7 @@ func benchPlan(cfg benchConfig) (PlanResultV2, error) {
 			}
 			live[i] = time.Since(start).Nanoseconds()
 		}
-		liveNs, _, _ := summarize(live)
+		liveNs := medianNs(live)
 		if liveNs > replayNs {
 			res.BreakEvenRoutes = compileNs / (liveNs - replayNs)
 		}
@@ -868,9 +869,10 @@ func summarize(samples []int64) (mean float64, p50, p99 int64) {
 	return mean, pick(0.50), pick(0.99)
 }
 
-// medianNs is the middle sample. The decompose figure is a median, gated
-// against the route's p50, because a mean of 64 samples lets one host
-// stall fail a whole regeneration.
+// medianNs is the middle sample. The decompose figure and the plan
+// section's compile, replay and live figures are medians, because the
+// validator gates them (decompose against the route's p50, replay against
+// compile) and a mean lets one host stall fail a whole regeneration.
 func medianNs(samples []int64) float64 {
 	_, p50, _ := summarize(samples)
 	return float64(p50)

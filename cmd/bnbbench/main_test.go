@@ -257,6 +257,39 @@ func TestDecomposeStallPassesValidation(t *testing.T) {
 	}
 }
 
+// TestPlanStallPassesValidation pins the same for the plan section. A quick
+// run takes 300 replay samples; one stalled 1000x (a 1.2 ms host stall is
+// several thousand replays at m=3) lifts their mean above the compile
+// figure, but the recorded median stays below it and the report validates,
+// while a replay median at the compile median is still rejected.
+func TestPlanStallPassesValidation(t *testing.T) {
+	rep, err := runBench(tinyConfig())
+	if err != nil {
+		t.Fatalf("runBench: %v", err)
+	}
+	compile := int64(rep.Plan.CompileNsPerOp)
+	base := compile * 6 / 10
+	replay := make([]int64, 300)
+	for i := range replay {
+		replay[i] = base
+	}
+	replay[17] = 1000 * base
+	if mean, _, _ := summarize(replay); mean <= float64(compile) {
+		t.Fatalf("stalled mean %v ns not above the compile median %d ns; the stall tests nothing", mean, compile)
+	}
+	rep.Plan.ReplayNsPerOp = medianNs(replay)
+	if err := checkReport(rep); err != nil {
+		t.Fatalf("one stalled replay sample failed validation: %v", err)
+	}
+	for i := range replay {
+		replay[i] = compile
+	}
+	rep.Plan.ReplayNsPerOp = medianNs(replay)
+	if err := checkReport(rep); err == nil || !strings.Contains(err.Error(), "replay") {
+		t.Fatalf("replay median at the compile median: err = %v, want a replay rejection", err)
+	}
+}
+
 func TestCLIRunEmitsAndValidatesFile(t *testing.T) {
 	dir := t.TempDir()
 	if err := run("3", "bnb,batcher,benes", "1", true, dir, "", 0); err != nil {

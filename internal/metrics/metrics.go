@@ -98,11 +98,12 @@ type Metrics struct {
 	classSubmitted  [NumClasses]atomic.Int64
 	classSheds      [NumClasses]atomic.Int64
 
-	// Engine queue counters: dequeues and the requests they carried, and
-	// worker park (blocking wait) cycles.
+	// Engine queue counters: dequeues and the requests they carried, worker
+	// park (blocking wait) cycles, and requests their waiters claimed.
 	batchDequeues   atomic.Int64
 	batchedRequests atomic.Int64
 	workerParks     atomic.Int64
+	claims          atomic.Int64
 }
 
 // NumClasses is the number of QoS admission classes the engine serves.
@@ -339,6 +340,14 @@ func (m *Metrics) AddPark() {
 	}
 }
 
+// AddClaim counts one request taken off the engine queue and routed by the
+// caller waiting on it instead of a worker.
+func (m *Metrics) AddClaim() {
+	if m != nil {
+		m.claims.Add(1)
+	}
+}
+
 // AddDrain counts one graceful engine drain (Drain, not an abrupt Close).
 func (m *Metrics) AddDrain() {
 	if m != nil {
@@ -461,6 +470,9 @@ type Snapshot struct {
 	// takes another's work. They stay so that readers of the former
 	// per-worker queues' counters keep building.
 	BatchDequeues, BatchedRequests, Steals, StolenRequests, WorkerParks int64
+	// Claims counts the dequeues that a request's own waiter made and
+	// routed, instead of a worker (a subset of BatchDequeues).
+	Claims int64
 }
 
 // MeanBatch returns BatchedRequests/BatchDequeues — the average number of
@@ -524,6 +536,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		BatchDequeues:   m.batchDequeues.Load(),
 		BatchedRequests: m.batchedRequests.Load(),
 		WorkerParks:     m.workerParks.Load(),
+		Claims:          m.claims.Load(),
 	}
 	for c := 0; c < NumClasses; c++ {
 		s.ClassSubmitted[c] = m.classSubmitted[c].Load()
@@ -622,8 +635,8 @@ func (s Snapshot) String() string {
 			s.ClassSheds[0], s.ClassSheds[1], s.ClassSheds[2])
 	}
 	if s.BatchDequeues != 0 || s.WorkerParks != 0 {
-		line += fmt.Sprintf(" batches=%d batched=%d mean_batch=%.1f parks=%d",
-			s.BatchDequeues, s.BatchedRequests, s.MeanBatch(), s.WorkerParks)
+		line += fmt.Sprintf(" batches=%d batched=%d mean_batch=%.1f parks=%d claims=%d",
+			s.BatchDequeues, s.BatchedRequests, s.MeanBatch(), s.WorkerParks, s.Claims)
 	}
 	return line
 }

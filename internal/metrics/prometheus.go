@@ -56,6 +56,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, ns string) error {
 		{"batch_dequeues_total", "Dequeues from the engine queue.", m.batchDequeues.Load()},
 		{"batched_requests_total", "Requests carried by engine queue dequeues.", m.batchedRequests.Load()},
 		{"worker_parks_total", "Engine worker park (blocking wait) cycles.", m.workerParks.Load()},
+		{"claimed_requests_total", "Engine requests routed by their own waiter instead of a worker.", m.claims.Load()},
 	}
 	for _, c := range counters {
 		if _, err := fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s counter\n%s_%s %d\n",

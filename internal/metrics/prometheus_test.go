@@ -51,6 +51,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	m.AddBatchDequeue(1)
 	m.AddPark()
 	m.AddPark()
+	m.AddClaim()
 
 	var buf bytes.Buffer
 	if err := m.WritePrometheus(&buf, "bnb"); err != nil {

@@ -35,8 +35,9 @@ const (
 )
 
 // Span is one request's life through the serving stack. Fields are written
-// by the goroutine currently carrying the request (submitter, then worker)
-// and are frozen once Finish or Flush publishes the span into the ring.
+// by the goroutine currently carrying the request (submitter, then the
+// worker or the waiter that claimed it) and are frozen once Finish or Flush
+// publishes the span into the ring.
 type Span struct {
 	// ID is the span's sequence number, assigned at Start; IDs order spans
 	// by admission, ring positions order them by completion.
@@ -47,11 +48,12 @@ type Span struct {
 	Start time.Time `json:"start"`
 	// Words is the request's port count.
 	Words int `json:"words"`
-	// QueueWait is the time from Submit until a worker picked the request
-	// up; zero for spans that never queued (probes, shed requests).
+	// QueueWait is the time from Submit until a worker or the claiming
+	// waiter picked the request up; zero for spans that never queued
+	// (probes, shed requests).
 	QueueWait time.Duration `json:"queue_wait"`
-	// Service is the time from worker pickup to completion, failover
-	// attempts included.
+	// Service is the time from pickup to completion, failover attempts
+	// included.
 	Service time.Duration `json:"service"`
 	// Total is the end-to-end latency (queue wait + service).
 	Total time.Duration `json:"total"`
@@ -82,6 +84,9 @@ type Span struct {
 	// Shed reports the request was rejected by admission control, or found
 	// no supervised plane in service (ErrOverloaded).
 	Shed bool `json:"shed,omitempty"`
+	// Claimed reports the request was taken off the engine queue and routed
+	// by the caller waiting on it, not by a worker.
+	Claimed bool `json:"claimed,omitempty"`
 	// Aborted reports the span was flushed at Close before its request
 	// finished, so its timings cover only the observed prefix.
 	Aborted bool `json:"aborted,omitempty"`
@@ -160,6 +165,13 @@ func (sp *Span) MarkPoisoned() {
 func (sp *Span) MarkShed() {
 	if sp != nil {
 		sp.Shed = true
+	}
+}
+
+// MarkClaimed records that the request's waiter routed it. Nil-safe.
+func (sp *Span) MarkClaimed() {
+	if sp != nil {
+		sp.Claimed = true
 	}
 }
 
