@@ -13,11 +13,13 @@ all: build vet test
 # rotor truncation) and a 32-bit run of the packages whose bit-plane
 # kernel is shift-and-mask code, plus gbn's runner, fault's
 # rejection goldens and the cluster's looping decomposition (XOR and shift
-# index math; amd64 hosts run 386 test binaries natively), the
-# allocation pins (zero on the pooled routing hot path, one ticket per
-# engine request),
-# a short fuzz smoke of the fault-injected pooled path, the differential
-# verification battery up to m=4, and the benchmark module: perfbench is its
+# index math; amd64 hosts run 386 test binaries natively), one run
+# without -race (whose instrumentation allocates, so the pins skip under
+# it) of the allocation pins: zero on the pooled routing hot path, one
+# ticket per engine request, what Compile keeps (objects and bytes) and
+# what a plan-cache insert adds; a short fuzz smoke of the fault-injected
+# pooled path, the differential verification battery up to m=4, and the
+# benchmark module: perfbench is its
 # own Go module (replace repro => ../), so the root ./... never compiles it
 # and a removed public name would otherwise break it unnoticed.
 check:
@@ -27,7 +29,7 @@ check:
 	GOARCH=386 $(GO) test ./internal/arbiter ./internal/splitter ./internal/core ./internal/wiring ./internal/gbn ./internal/fault ./internal/cluster
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Claim|QueueStress|PriorityOrder' ./internal/engine
-	$(GO) test -run=TestRouteAllocs .
+	$(GO) test -run='Allocs$$' . ./internal/core ./internal/plancache
 	$(GO) test -run='^$$' -fuzz FuzzPooledPathUnderFault -fuzztime 10s .
 	$(GO) run ./cmd/bnbverify -maxm 4
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...

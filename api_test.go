@@ -330,16 +330,17 @@ func TestRouteAllocs(t *testing.T) {
 	}
 
 	// Compile allocates only what the Plan keeps, independent of the order:
-	// the public and core Plan headers, the permutation copy, the one flat
-	// array of every switch column and the wire map. The route's word
-	// vector and the recorder come with the pooled scratch.
+	// the public and core Plan headers, the one flat array of every switch
+	// column and the wire map, which is the plan's only copy of the
+	// permutation. The route's word vector and the recorder come with the
+	// pooled scratch.
 	allocs = testing.AllocsPerRun(100, func() {
 		if _, err := b.Compile(p); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 5 {
-		t.Errorf("Compile allocates %.1f objects per call, want 5", allocs)
+	if allocs != 4 {
+		t.Errorf("Compile allocates %.1f objects per call, want 4", allocs)
 	}
 
 	// A cluster route of a repeated permutation allocates nothing once every

@@ -2,6 +2,8 @@ package bnbnet
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -115,10 +117,11 @@ func permFromBytes(n int, data []byte) Perm {
 // FuzzPlanRoundTrip drives the compiled-plan surface with fuzz-derived
 // permutations at fuzz-chosen orders: Compile must accept every valid
 // permutation, Replay must deliver word-for-word what the live self-routing
-// pass delivers, and a batch whose addresses no longer match the plan must
-// be rejected with ErrPlanMismatch instead of misdelivering — the contract
-// the reconfiguration pre-warm path leans on when it replays old plans on a
-// fresh plane.
+// pass delivers, Perm must give back the compiled permutation, and a batch
+// whose addresses no longer match the plan must be rejected with
+// ErrPlanMismatch, naming the readdressed input, instead of misdelivering —
+// the contract the reconfiguration pre-warm path leans on when it replays
+// old plans on a fresh plane.
 func FuzzPlanRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 2})
@@ -144,6 +147,9 @@ func FuzzPlanRoundTrip(f *testing.F) {
 		pl, err := b.Compile(p)
 		if err != nil {
 			t.Fatalf("Compile rejected valid permutation %v: %v", p, err)
+		}
+		if got := pl.Perm(); !got.Equal(p) {
+			t.Fatalf("Perm() = %v, compiled %v", got, p)
 		}
 		src := make([]Word, n)
 		for i, d := range p {
@@ -176,8 +182,12 @@ func FuzzPlanRoundTrip(f *testing.F) {
 		mutated := make([]Word, n)
 		copy(mutated, src)
 		mutated[i].Addr = (mutated[i].Addr + 1) % n
-		if err := b.Replay(pl, replayed, mutated); !errors.Is(err, ErrPlanMismatch) {
+		err = b.Replay(pl, replayed, mutated)
+		if !errors.Is(err, ErrPlanMismatch) {
 			t.Fatalf("Replay of a mutated batch (input %d readdressed): err = %v, want ErrPlanMismatch", i, err)
+		}
+		if want := fmt.Sprintf("input %d addressed to %d,", i, mutated[i].Addr); !strings.Contains(err.Error(), want) {
+			t.Fatalf("mismatch error %q does not name the readdressed input (want %q)", err, want)
 		}
 		// A plan from a different order must be rejected the same way.
 		if m > 1 {

@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/neterr"
 	"repro/internal/perm"
@@ -30,16 +31,33 @@ import (
 // replays.
 type Plan struct {
 	m int
-	// p is the compiled permutation: input i exits on output p[i].
-	p perm.Perm
+	// key is AddrHash of the compiled permutation's words, the plan
+	// cache's key, recorded once at compile.
+	key uint64
 	// cols is the bitset image of every switch column, columnWords(m)
 	// words each, column colIndex(m,i,j) holding nested column j of main
 	// stage i: bit k is the exchange state of global switch k of that
 	// column (0 <= k < N/2), packed 64 per word.
 	cols []uint64
 	// wire is the end-to-end wire map: wire[j] is the input index whose word
-	// exits on output j (wire[p[i]] == i).
+	// exits on output j. It is the plan's only copy of the permutation:
+	// input wire[j] is addressed to j.
 	wire []int32
+}
+
+// FNV-1a parameters of AddrHash.
+const hashOffset, hashPrime = 14695981039346656037, 1099511628211
+
+// AddrHash is the FNV-1a hash of a batch's destination address sequence:
+// the plan cache's key and the plane supervisor's request fingerprint. A
+// Plan records the hash of its own permutation (Key). Alloc-free.
+func AddrHash(src []Word) uint64 {
+	h := uint64(hashOffset)
+	for _, wd := range src {
+		h ^= uint64(wd.Addr)
+		h *= hashPrime
+	}
+	return h
 }
 
 // colIndex flattens the (main stage, nested column) coordinates: main stage i
@@ -63,30 +81,40 @@ func (pl *Plan) M() int { return pl.m }
 // Inputs returns the port count N = 2^m of the plan.
 func (pl *Plan) Inputs() int { return 1 << uint(pl.m) }
 
-// Perm returns a copy of the compiled permutation.
+// Perm returns the compiled permutation, inverted from the wire map.
 func (pl *Plan) Perm() perm.Perm {
-	out := make(perm.Perm, len(pl.p))
-	copy(out, pl.p)
+	out := make(perm.Perm, len(pl.wire))
+	for j, i := range pl.wire {
+		out[i] = j
+	}
 	return out
 }
 
-// Dest returns the output input i exits on under the compiled
-// permutation, without copying the permutation.
-func (pl *Plan) Dest(i int) int { return pl.p[i] }
+// Key returns AddrHash of the words that offer the compiled permutation,
+// recorded at compile.
+func (pl *Plan) Key() uint64 { return pl.key }
 
 // Matches reports whether src offers the compiled permutation: N words
-// with src[i].Addr == Dest(i) for every input i. It copies nothing.
+// with src[wire[j]].Addr == j for every output j. It copies nothing.
 func (pl *Plan) Matches(src []Word) bool {
-	if len(src) != len(pl.p) {
-		return false
-	}
-	for i, d := range pl.p {
-		if src[i].Addr != d {
-			return false
+	return len(src) == len(pl.wire) && pl.mismatch(src) < 0
+}
+
+// mismatch returns the first output j whose wired word src[wire[j]] is not
+// addressed to j, or -1 when src offers the compiled permutation. src must
+// hold N words.
+func (pl *Plan) mismatch(src []Word) int {
+	for j, i := range pl.wire {
+		if src[i].Addr != j {
+			return j
 		}
 	}
-	return true
+	return -1
 }
+
+// Equal reports whether two plans compiled the same permutation: their
+// wire maps agree.
+func (pl *Plan) Equal(o *Plan) bool { return slices.Equal(pl.wire, o.wire) }
 
 // SwitchCount returns the number of recorded switch decisions,
 // (N/2)·(1/2)m(m+1): one per 2x2 switch of the one-bit control plane.
@@ -110,13 +138,6 @@ func (n *Network) Compile(p perm.Perm) (*Plan, error) {
 	if len(p) != N {
 		return nil, fmt.Errorf("bnb: permutation length %d, want %d: %w", len(p), N, neterr.ErrBadSize)
 	}
-	pl := &Plan{
-		m:    n.m,
-		p:    make(perm.Perm, N),
-		cols: make([]uint64, columnWords(n.m)*n.m*(n.m+1)/2),
-		wire: make([]int32, N),
-	}
-	copy(pl.p, p)
 	sc := n.pool.Get().(*scratch)
 	defer n.release(sc)
 	for i, d := range p {
@@ -124,6 +145,12 @@ func (n *Network) Compile(p perm.Perm) (*Plan, error) {
 	}
 	if err := sc.load(sc.words); err != nil {
 		return nil, err
+	}
+	pl := &Plan{
+		m:    n.m,
+		key:  AddrHash(sc.words),
+		cols: make([]uint64, columnWords(n.m)*n.m*(n.m+1)/2),
+		wire: make([]int32, N),
 	}
 	sc.cols = pl.cols
 	if err := n.pass(sc, sc.record); err != nil {
@@ -141,10 +168,11 @@ func (n *Network) Compile(p perm.Perm) (*Plan, error) {
 
 // Replay routes src into dst along a compiled plan — pure wire-following,
 // zero heap allocations when dst and src are distinct slices. The source
-// addresses must match the plan's permutation (src[i].Addr == p[i]); a
-// mismatched batch fails with ErrPlanMismatch instead of misdelivering. dst
-// may be the same slice as src (the replay then stages through pooled
-// scratch) but must not partially overlap it. Safe for concurrent use.
+// addresses must match the plan's permutation (Matches); a mismatched batch
+// fails with ErrPlanMismatch, naming an input whose address is wrong,
+// instead of misdelivering. dst may be the same slice as src (the replay
+// then stages through pooled scratch) but must not partially overlap it.
+// Safe for concurrent use.
 func (n *Network) Replay(pl *Plan, dst, src []Word) error {
 	if pl == nil {
 		return fmt.Errorf("bnb: nil plan")
@@ -155,13 +183,10 @@ func (n *Network) Replay(pl *Plan, dst, src []Word) error {
 	if err := n.checkSizes(dst, src); err != nil {
 		return err
 	}
-	if !pl.Matches(src) {
-		for i, wd := range src {
-			if wd.Addr != pl.p[i] {
-				return fmt.Errorf("bnb: input %d addressed to %d, plan expects %d: %w",
-					i, wd.Addr, pl.p[i], neterr.ErrPlanMismatch)
-			}
-		}
+	if j := pl.mismatch(src); j >= 0 {
+		i := pl.wire[j]
+		return fmt.Errorf("bnb: input %d addressed to %d, plan expects %d: %w",
+			i, src[i].Addr, j, neterr.ErrPlanMismatch)
 	}
 	if &dst[0] == &src[0] {
 		sc := n.pool.Get().(*scratch)

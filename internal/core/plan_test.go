@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/neterr"
@@ -23,8 +24,9 @@ func testPerms(t *testing.T, m int) []perm.Perm {
 }
 
 // TestCompileAgreesWithSliced checks that Compile records exactly the
-// switch decisions of the bit-sliced reference model, bit for bit, and that
-// the wire map is the inverse of the compiled permutation.
+// switch decisions of the bit-sliced reference model, bit for bit, that
+// the wire map is the inverse of the compiled permutation, and that the
+// recorded key is the words' AddrHash.
 func TestCompileAgreesWithSliced(t *testing.T) {
 	for m := 1; m <= 4; m++ {
 		n, err := New(m, 16)
@@ -63,6 +65,9 @@ func TestCompileAgreesWithSliced(t *testing.T) {
 			}
 			if pl.SwitchCount() != recorded {
 				t.Fatalf("m=%d: plan counts %d switches, reference %d", m, pl.SwitchCount(), recorded)
+			}
+			if pl.Key() != AddrHash(words) {
+				t.Fatalf("m=%d perm %v: Key %x, AddrHash of its words %x", m, p, pl.Key(), AddrHash(words))
 			}
 		}
 	}
@@ -215,6 +220,53 @@ func TestReplayInPlace(t *testing.T) {
 	}
 }
 
+// TestCompileAllocs pins what Compile allocates: only what the plan keeps,
+// its header, the one flat array of switch columns and the wire map — 3
+// objects at every order, and at most the wire map's 4·N bytes plus the
+// columns' bytes plus 128 B for the header and size-class rounding (376 B
+// at m = 5, 864 B at m = 7). The route's buffers come with the pooled
+// scratch. Run without -race: the detector's instrumentation allocates.
+func TestCompileAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; run without -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, m := range []int{5, 7} {
+		n, err := New(m, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		N := n.Inputs()
+		rng := rand.New(rand.NewSource(int64(m)))
+		perms := make([]perm.Perm, 256)
+		for i := range perms {
+			perms[i] = perm.Random(N, rng)
+		}
+		next := 0
+		compile := func() {
+			if _, err := n.Compile(perms[next%len(perms)]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		if allocs := testing.AllocsPerRun(100, compile); allocs != 3 {
+			t.Errorf("m=%d: Compile allocates %.1f objects per call, want 3", m, allocs)
+		}
+		const calls = 1000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range calls {
+			compile()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / calls
+		bound := 4*N + 8*columnWords(m)*m*(m+1)/2 + 128
+		if bytes > uint64(bound) {
+			t.Errorf("m=%d: Compile allocates %d B per call, want at most %d", m, bytes, bound)
+		}
+	}
+}
+
 // TestPlanErrors covers every refusal of the plan API.
 func TestPlanErrors(t *testing.T) {
 	n, err := New(3, 16)
@@ -289,8 +341,8 @@ func TestPlanErrors(t *testing.T) {
 		t.Fatalf("plan.Perm() = %v", got)
 	}
 	got[0] = 99 // must be a copy
-	if pl.p[0] == 99 {
-		t.Fatal("plan.Perm() aliases the plan's permutation")
+	if !pl.Perm().Equal(perm.Reversal(N)) {
+		t.Fatal("writing through plan.Perm()'s result changed the plan")
 	}
 }
 

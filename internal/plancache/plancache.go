@@ -27,8 +27,9 @@ import (
 // fill, lookup and eviction at will. Production leaves it nil.
 var Yield func()
 
-// entry is one cached plan, keyed by the permutation the immutable plan
-// already holds; touched is the CLOCK reference bit.
+// entry is one cached plan; touched is the CLOCK reference bit. hash is the
+// plan's Key, copied into the entry so that a scan reads the entries alone
+// and loads a plan only when its key matches.
 type entry struct {
 	hash    uint64
 	plan    *core.Plan
@@ -89,29 +90,6 @@ func (c *Cache) Capacity() int {
 	return len(c.shards) * c.perShard
 }
 
-// FNV-1a parameters of the cache's permutation hash.
-const offset64, prime64 = 14695981039346656037, 1099511628211
-
-// hashAddrs is FNV-1a over the destination addresses.
-func hashAddrs(src []core.Word) uint64 {
-	h := uint64(offset64)
-	for _, wd := range src {
-		h ^= uint64(wd.Addr)
-		h *= prime64
-	}
-	return h
-}
-
-// hashPlan is hashAddrs over a plan's permutation, read in place.
-func hashPlan(pl *core.Plan) uint64 {
-	h := uint64(offset64)
-	for i := range pl.Inputs() {
-		h ^= uint64(pl.Dest(i))
-		h *= prime64
-	}
-	return h
-}
-
 // Lookup returns the cached plan whose permutation matches the batch's
 // destination addresses, or nil on a miss. The scan is wait-free: one atomic
 // pointer load and an element-wise compare against the hash-matching
@@ -120,7 +98,7 @@ func (c *Cache) Lookup(src []core.Word) *core.Plan {
 	if c == nil {
 		return nil
 	}
-	h := hashAddrs(src)
+	h := core.AddrHash(src)
 	sh := &c.shards[h>>c.shift]
 	snap := sh.entries.Load()
 	if Yield != nil {
@@ -143,13 +121,15 @@ func (c *Cache) Lookup(src []core.Word) *core.Plan {
 // least-recently-used-approximate victim when the shard is full. It reports
 // whether an existing plan was evicted. Inserting a permutation that is
 // already cached is a no-op (the incumbent wins — both plans are equivalent,
-// and keeping the incumbent preserves its recency state). Nil-safe (drops
-// the plan).
+// and keeping the incumbent preserves its recency state). The plan's
+// recorded Key picks the shard, and a duplicate is found by comparing wire
+// maps, so an insert derives nothing from the plan. Nil-safe (drops the
+// plan).
 func (c *Cache) Insert(plan *core.Plan) (evicted bool) {
 	if c == nil || plan == nil {
 		return false
 	}
-	h := hashPlan(plan)
+	h := plan.Key()
 	sh := &c.shards[h>>c.shift]
 	var e *entry
 	for {
@@ -159,7 +139,7 @@ func (c *Cache) Insert(plan *core.Plan) (evicted bool) {
 			cur = *snap
 		}
 		for _, old := range cur {
-			if old.hash == h && samePerm(old.plan, plan) {
+			if old.hash == h && old.plan.Equal(plan) {
 				return false
 			}
 		}
@@ -197,19 +177,6 @@ func (c *Cache) Insert(plan *core.Plan) (evicted bool) {
 			return drop >= 0
 		}
 	}
-}
-
-// samePerm reports whether two plans compiled the same permutation.
-func samePerm(a, b *core.Plan) bool {
-	if a.Inputs() != b.Inputs() {
-		return false
-	}
-	for i := range a.Inputs() {
-		if a.Dest(i) != b.Dest(i) {
-			return false
-		}
-	}
-	return true
 }
 
 // Hot returns up to k cached plans, preferring entries whose CLOCK

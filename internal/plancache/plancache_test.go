@@ -103,7 +103,8 @@ func TestFillLookup(t *testing.T) {
 // TestInsertAllocs pins what Insert allocates: for a new permutation the
 // entry and the shard's next entry slice with its published header,
 // nothing more, and for one already cached nothing at all. The key is the
-// plan's own permutation, read in place, so no N-int copy of it is made.
+// one Compile recorded and the duplicate check compares wire maps in
+// place, so no copy or inverse of the permutation is made.
 // Every insert in the first loop is of a permutation the eight-entry cache
 // no longer holds, so none of them stops at the duplicate check.
 func TestInsertAllocs(t *testing.T) {

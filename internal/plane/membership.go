@@ -59,7 +59,6 @@ func (s *Supervisor) AddPlane(r Router) (int, error) {
 	next = append(next, p)
 	s.planes.Store(&next)
 	s.memberMu.Unlock()
-	s.added.Add(1)
 	s.m.AddPlaneAdded()
 	s.publishGauges()
 	s.kickChecker()
@@ -109,7 +108,6 @@ func (s *Supervisor) RemovePlane(ctx context.Context, id int) error {
 		}
 	}
 	s.planes.Store(&next)
-	s.removed.Add(1)
 	s.m.AddPlaneRemoved()
 	s.publishGauges()
 	return nil

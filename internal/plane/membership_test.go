@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/neterr"
 	"repro/internal/perm"
 )
@@ -21,9 +22,11 @@ import (
 // not a readmit.
 func TestAddPlaneAdmission(t *testing.T) {
 	const n = 8
+	var sink metrics.Metrics
 	s, err := New(Config{
 		Planes:         []Router{good(n), good(n)},
 		HealthInterval: time.Hour,
+		Metrics:        &sink,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +71,7 @@ func TestAddPlaneAdmission(t *testing.T) {
 	if got := s.Readmits(); got != 0 {
 		t.Errorf("admission counted as a readmit (%d); it must not", got)
 	}
-	if got := s.PlanesAdded(); got != 1 {
+	if got := sink.Snapshot().PlanesAdded; got != 1 {
 		t.Errorf("PlanesAdded = %d, want 1", got)
 	}
 	// Now the plane serves: pin the rotor so the next request starts there.
@@ -106,9 +109,11 @@ func TestAddPlaneRejections(t *testing.T) {
 // membership shrinks, and the redundancy floor (two planes) holds.
 func TestRemovePlaneDrainsAndDetaches(t *testing.T) {
 	const n = 8
+	var sink metrics.Metrics
 	s, err := New(Config{
 		Planes:         []Router{good(n), good(n), good(n)},
 		HealthInterval: time.Hour,
+		Metrics:        &sink,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +131,7 @@ func TestRemovePlaneDrainsAndDetaches(t *testing.T) {
 	if got := s.PlaneIDs(); got[0] != 0 || got[1] != 2 {
 		t.Fatalf("PlaneIDs after removal = %v, want [0 2]", got)
 	}
-	if got := s.PlanesRemoved(); got != 1 {
+	if got := sink.Snapshot().PlanesRemoved; got != 1 {
 		t.Errorf("PlanesRemoved = %d, want 1", got)
 	}
 	// The redundancy floor: a 2-plane supervisor refuses to shrink.

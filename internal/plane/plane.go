@@ -146,9 +146,6 @@ type Config struct {
 	// fingerprint must hard-fail on before it is rejected with ErrPoisoned;
 	// 0 selects 2, negative disables the poison quarantine.
 	PoisonThreshold int
-	// PoisonTTL is how long a poisoned fingerprint stays rejected after its
-	// last strike; <= 0 selects 30s.
-	PoisonTTL time.Duration
 	// Metrics, when non-nil, receives failover/repair/readmit counters and
 	// the plane-state gauges. Routing observations stay with the engine.
 	Metrics *metrics.Metrics
@@ -236,16 +233,12 @@ type Supervisor struct {
 	// poison is the poison-request quarantine; nil when disabled.
 	poison *poisonTable
 
-	failovers     atomic.Int64
-	repairs       atomic.Int64
-	readmits      atomic.Int64
-	added         atomic.Int64
-	removed       atomic.Int64
-	hedges        atomic.Int64
-	hedgeWins     atomic.Int64
-	slowQuars     atomic.Int64
-	poisonMarks   atomic.Int64
-	poisonRejects atomic.Int64
+	failovers atomic.Int64
+	repairs   atomic.Int64
+	readmits  atomic.Int64
+	hedges    atomic.Int64
+	hedgeWins atomic.Int64
+	slowQuars atomic.Int64
 
 	kick chan struct{}
 	stop chan struct{}
@@ -322,7 +315,7 @@ func New(cfg Config) (*Supervisor, error) {
 	}
 	var poison *poisonTable
 	if cfg.PoisonThreshold >= 0 {
-		poison = newPoisonTable(cfg.PoisonThreshold, cfg.PoisonTTL)
+		poison = newPoisonTable(cfg.PoisonThreshold, poisonTTL)
 	}
 	s := &Supervisor{
 		n:           n,
@@ -379,12 +372,6 @@ func (s *Supervisor) Router(id int) Router {
 	return nil
 }
 
-// PlanesAdded returns the number of planes admitted at runtime.
-func (s *Supervisor) PlanesAdded() int64 { return s.added.Load() }
-
-// PlanesRemoved returns the number of planes drained and detached at runtime.
-func (s *Supervisor) PlanesRemoved() int64 { return s.removed.Load() }
-
 // Failovers returns the number of planes drained and failed away from.
 func (s *Supervisor) Failovers() int64 { return s.failovers.Load() }
 
@@ -403,14 +390,6 @@ func (s *Supervisor) HedgeWins() int64 { return s.hedgeWins.Load() }
 // SlowQuarantines returns the number of planes drained for chronic
 // slowness (as opposed to misrouting).
 func (s *Supervisor) SlowQuarantines() int64 { return s.slowQuars.Load() }
-
-// PoisonMarks returns the number of request fingerprints the poison
-// quarantine has condemned.
-func (s *Supervisor) PoisonMarks() int64 { return s.poisonMarks.Load() }
-
-// PoisonedRejects returns the number of requests rejected with ErrPoisoned
-// at admission.
-func (s *Supervisor) PoisonedRejects() int64 { return s.poisonRejects.Load() }
 
 // States returns the current state of every plane, in membership order.
 func (s *Supervisor) States() []State {
@@ -525,9 +504,8 @@ func (s *Supervisor) routeInto(dst, src []core.Word, sp *trace.Span) error {
 	var fp uint64
 	var hasFP bool
 	if s.poison != nil && s.poison.size.Load() > 0 {
-		fp, hasFP = fingerprint(src), true
+		fp, hasFP = core.AddrHash(src), true
 		if s.poison.isPoisoned(fp) {
-			s.poisonRejects.Add(1)
 			s.m.AddPoisonedReject()
 			sp.MarkPoisoned()
 			return fmt.Errorf("plane: request fingerprint %016x quarantined: %w", fp, neterr.ErrPoisoned)
@@ -601,11 +579,10 @@ func (s *Supervisor) poisonStrike(src []core.Word, fp *uint64, hasFP *bool, plan
 		return nil
 	}
 	if !*hasFP {
-		*fp, *hasFP = fingerprint(src), true
+		*fp, *hasFP = core.AddrHash(src), true
 	}
 	poisoned, became := s.poison.strike(*fp, planeID)
 	if became {
-		s.poisonMarks.Add(1)
 		s.m.AddPoisonMark()
 	}
 	if !poisoned {

@@ -4,11 +4,11 @@ package plane
 // routing failures on multiple *distinct* planes is the request's fault, not
 // any plane's — one adversarial arrangement must not walk the fleet, tripping
 // a quarantine on every plane it touches. The supervisor fingerprints the
-// offered source addresses, records each plane-blamed hard failure against
-// the fingerprint, and once the strike set spans PoisonThreshold distinct
-// planes the request is rejected with ErrPoisoned: immediately mid-request
-// (stopping the cascade at the threshold) and at admission for as long as
-// the entry's TTL keeps it quarantined.
+// offered source addresses (core.AddrHash), records each plane-blamed hard
+// failure against the fingerprint, and once the strike set spans
+// PoisonThreshold distinct planes the request is rejected with ErrPoisoned:
+// immediately mid-request (stopping the cascade at the threshold) and at
+// admission for as long as the entry's TTL keeps it quarantined.
 //
 // Transient failures (errors.Is ErrTransient) never strike: chaos that heals
 // blames the window, not the request, so a 1% chaos soak cannot poison its
@@ -18,32 +18,19 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/core"
 )
 
 const (
 	// defaultPoisonThreshold is the number of distinct planes a fingerprint
 	// must hard-fail on before it is quarantined.
 	defaultPoisonThreshold = 2
-	// defaultPoisonTTL is how long a quarantined fingerprint stays rejected
-	// (and how long stale strike entries survive) after its last strike.
-	defaultPoisonTTL = 30 * time.Second
+	// poisonTTL is how long a quarantined fingerprint stays rejected (and
+	// how long stale strike entries survive) after its last strike.
+	poisonTTL = 30 * time.Second
 	// poisonMaxEntries bounds the strike table; eviction drops expired
 	// entries first, then the least recently struck.
 	poisonMaxEntries = 1024
 )
-
-// fingerprint hashes the offered source addresses (FNV-1a over the Addr
-// sequence) — the routing-relevant identity of a request. Alloc-free.
-func fingerprint(src []core.Word) uint64 {
-	h := uint64(14695981039346656037)
-	for _, w := range src {
-		h ^= uint64(uint32(w.Addr))
-		h *= 1099511628211
-	}
-	return h
-}
 
 // poisonEntry is one fingerprint's strike record.
 type poisonEntry struct {
@@ -71,9 +58,6 @@ type poisonTable struct {
 func newPoisonTable(threshold int, ttl time.Duration) *poisonTable {
 	if threshold <= 0 {
 		threshold = defaultPoisonThreshold
-	}
-	if ttl <= 0 {
-		ttl = defaultPoisonTTL
 	}
 	return &poisonTable{
 		entries:   make(map[uint64]*poisonEntry),

@@ -7,16 +7,19 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/neterr"
 )
 
 // poisonConfig builds a supervisor config with the health checker parked and
 // slow detection disarmed, so the tests exercise the poison ledger alone.
+// Its metrics sink counts the poison marks and admission rejects.
 func poisonConfig(planes ...Router) Config {
 	return Config{
 		Planes:         planes,
 		HealthInterval: time.Hour,
 		SlowFloor:      time.Hour,
+		Metrics:        new(metrics.Metrics),
 	}
 }
 
@@ -46,7 +49,7 @@ func TestPoisonCascadeStops(t *testing.T) {
 	if !errors.Is(err, neterr.ErrMisrouted) {
 		t.Errorf("cascade error %v lost its triggering cause (ErrMisrouted)", err)
 	}
-	if got := s.PoisonMarks(); got != 1 {
+	if got := s.m.Snapshot().PoisonMarks; got != 1 {
 		t.Errorf("PoisonMarks = %d, want 1", got)
 	}
 	// The cascade stopped at the two-plane threshold: the third plane never
@@ -61,10 +64,10 @@ func TestPoisonCascadeStops(t *testing.T) {
 	if !errors.Is(err, neterr.ErrPoisoned) {
 		t.Errorf("resubmitted poisoned request: err = %v, want ErrPoisoned", err)
 	}
-	if got := s.PoisonedRejects(); got != 1 {
+	if got := s.m.Snapshot().PoisonedRejects; got != 1 {
 		t.Errorf("PoisonedRejects = %d, want 1", got)
 	}
-	if got := s.PoisonMarks(); got != 1 {
+	if got := s.m.Snapshot().PoisonMarks; got != 1 {
 		t.Errorf("PoisonMarks after admission reject = %d, want still 1", got)
 	}
 
@@ -102,7 +105,7 @@ func TestPoisonTransientExemption(t *testing.T) {
 	if errors.Is(err, neterr.ErrPoisoned) {
 		t.Errorf("transient failures poisoned the request: %v", err)
 	}
-	if got := s.PoisonMarks(); got != 0 {
+	if got := s.m.Snapshot().PoisonMarks; got != 0 {
 		t.Errorf("PoisonMarks = %d, want 0 — transient failures must not strike", got)
 	}
 	// And the request is re-admitted freely.
@@ -129,7 +132,7 @@ func TestPoisonRequiresDistinctPlanes(t *testing.T) {
 		}
 		wantIdentity(t, dst)
 	}
-	if got := s.PoisonMarks(); got != 0 {
+	if got := s.m.Snapshot().PoisonMarks; got != 0 {
 		t.Errorf("PoisonMarks = %d, want 0 — a single plane's failures cannot poison", got)
 	}
 }
@@ -155,7 +158,7 @@ func TestPoisonDisabled(t *testing.T) {
 	if errors.Is(err, neterr.ErrPoisoned) {
 		t.Errorf("poison disabled yet the error classifies as ErrPoisoned: %v", err)
 	}
-	if got := s.PoisonMarks(); got != 0 {
+	if got := s.m.Snapshot().PoisonMarks; got != 0 {
 		t.Errorf("PoisonMarks = %d, want 0 when disabled", got)
 	}
 }
@@ -201,14 +204,14 @@ func TestPoisonTableEviction(t *testing.T) {
 }
 
 // TestFingerprintAllocFree pins the admission hot path: fingerprinting a
-// request allocates nothing.
+// request (core.AddrHash) allocates nothing.
 func TestFingerprintAllocFree(t *testing.T) {
 	src := identitySrc(64)
 	var sink uint64
 	if allocs := testing.AllocsPerRun(100, func() {
-		sink = fingerprint(src)
+		sink = core.AddrHash(src)
 	}); allocs != 0 {
-		t.Errorf("fingerprint allocates %v per run, want 0", allocs)
+		t.Errorf("core.AddrHash allocates %v per run, want 0", allocs)
 	}
 	_ = sink
 }
@@ -220,10 +223,10 @@ func TestFingerprintDistinguishesArrangements(t *testing.T) {
 	a := identitySrc(8)
 	b := identitySrc(8)
 	b[0].Addr, b[1].Addr = b[1].Addr, b[0].Addr
-	if fingerprint(a) == fingerprint(b) {
+	if core.AddrHash(a) == core.AddrHash(b) {
 		t.Error("swapped source addresses fingerprint identically")
 	}
-	if fingerprint(a) != fingerprint(identitySrc(8)) {
+	if core.AddrHash(a) != core.AddrHash(identitySrc(8)) {
 		t.Error("identical requests fingerprint differently")
 	}
 }

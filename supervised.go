@@ -314,12 +314,6 @@ func (s *Supervised) Planes() int { return s.sup.Planes() }
 // never reused, so a detached plane's id stays meaningful in traces.
 func (s *Supervised) PlaneIDs() []int { return s.sup.PlaneIDs() }
 
-// PlanesAdded returns the number of planes admitted at runtime.
-func (s *Supervised) PlanesAdded() int64 { return s.sup.PlanesAdded() }
-
-// PlanesRemoved returns the number of planes drained and detached at runtime.
-func (s *Supervised) PlanesRemoved() int64 { return s.sup.PlanesRemoved() }
-
 // InFlight returns the number of admitted requests not yet completed.
 func (s *Supervised) InFlight() int64 { return s.e.InFlight() }
 
@@ -345,14 +339,6 @@ func (s *Supervised) HedgeWins() int64 { return s.sup.HedgeWins() }
 // SlowQuarantines returns the number of planes quarantined for chronic
 // slowness against the fleet's latency EWMAs.
 func (s *Supervised) SlowQuarantines() int64 { return s.sup.SlowQuarantines() }
-
-// PoisonMarks returns the number of request fingerprints quarantined after
-// hard-failing on multiple distinct planes.
-func (s *Supervised) PoisonMarks() int64 { return s.sup.PoisonMarks() }
-
-// PoisonedRejects returns the number of requests rejected at admission with
-// ErrPoisoned because their fingerprint is quarantined.
-func (s *Supervised) PoisonedRejects() int64 { return s.sup.PoisonedRejects() }
 
 // Repairs returns the number of plane rebuilds.
 func (s *Supervised) Repairs() int64 { return s.sup.Repairs() }
