@@ -9,19 +9,22 @@ all: build vet test
 # Full pre-merge gate: vet (plus staticcheck when installed), the
 # race-detector suite, ten race-detector passes over the engine queue's
 # claim, stress and priority tests (state the waiters and the workers
-# both reach), a 32-bit cross-compile (pins int-width bugs like the
-# rotor truncation) and a 32-bit run of the packages whose bit-plane
-# kernel is shift-and-mask code, plus gbn's runner, fault's
+# both reach) and over the plane supervisor's rebuild-rule tests (a
+# plane's hard-failure count, which the hot path's failures and the health
+# checker's rebuilds both write), a 32-bit cross-compile (pins int-width
+# bugs like the rotor truncation) and a 32-bit run of the packages whose
+# bit-plane kernel is shift-and-mask code, plus gbn's runner, fault's
 # rejection goldens and the cluster's looping decomposition (XOR and shift
 # index math; amd64 hosts run 386 test binaries natively), one run
 # without -race (whose instrumentation allocates, so the pins skip under
 # it) of the allocation pins: zero on the pooled routing hot path, one
-# ticket per engine request, what Compile keeps (objects and bytes) and
-# what a plan-cache insert adds; a short fuzz smoke of the fault-injected
-# pooled path, the differential verification battery up to m=4, and the
-# benchmark module: perfbench is its
-# own Go module (replace repro => ../), so the root ./... never compiles it
-# and a removed public name would otherwise break it unnoticed.
+# ticket per engine request, what Compile keeps (objects and bytes), what
+# a plan-cache insert adds and what building a supervised stack or a
+# cluster allocates (no fault dictionary); a short fuzz smoke of the
+# fault-injected pooled path, the differential verification battery up to
+# m=4, and the benchmark module: perfbench is its own Go module (replace
+# repro => ../), so the root ./... never compiles it and a removed public
+# name would otherwise break it unnoticed.
 check:
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
@@ -29,6 +32,7 @@ check:
 	GOARCH=386 $(GO) test ./internal/arbiter ./internal/splitter ./internal/core ./internal/wiring ./internal/gbn ./internal/fault ./internal/cluster
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Claim|QueueStress|PriorityOrder' ./internal/engine
+	$(GO) test -race -count=10 -run '^TestRebuild' ./internal/plane
 	$(GO) test -run='Allocs$$' . ./internal/core ./internal/plancache
 	$(GO) test -run='^$$' -fuzz FuzzPooledPathUnderFault -fuzztime 10s .
 	$(GO) run ./cmd/bnbverify -maxm 4

@@ -79,8 +79,8 @@ type Cluster struct {
 	shardOrder int
 	proto      Network // one bare instance of the shard family, for Cost/Delay
 
-	// buildShard constructs one fresh shard exactly like the originals,
-	// sharing their fault diagnoser; AddShard grows the fleet through it.
+	// buildShard constructs one fresh shard exactly like the originals;
+	// AddShard grows the fleet through it.
 	buildShard func() (*planeSet, error)
 
 	fab atomic.Pointer[clusterFabric]
@@ -118,9 +118,9 @@ var _ Network = (*Cluster)(nil)
 // attaches one shared sink and WithTracer one span recorder: every shard
 // route is counted as one route and recorded as one request span with
 // zero queue wait, so a cluster route adds S to the sink's route count.
-// The shards share one fault diagnoser, built once. Shards can be added
-// and drained at runtime with AddShard and RemoveShard; Close shuts the
-// whole fleet down.
+// Each shard's health checker probes with the canonical battery and builds
+// no fault dictionary. Shards can be added and drained at runtime with
+// AddShard and RemoveShard; Close shuts the whole fleet down.
 func NewCluster(family string, m int, opts ...Option) (*Cluster, error) {
 	o, err := gatherOptions(opts)
 	if err != nil {
@@ -146,10 +146,6 @@ func NewCluster(family string, m int, opts ...Option) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	diag, err := newDiagnoser(family, m)
-	if err != nil {
-		return nil, err
-	}
 	c := &Cluster{
 		family:     family,
 		shardOrder: m,
@@ -157,7 +153,7 @@ func NewCluster(family string, m int, opts ...Option) (*Cluster, error) {
 		m:          o.metrics,
 		tracer:     o.tracer,
 	}
-	c.buildShard = func() (*planeSet, error) { return newPlaneSet(family, m, o, diag) }
+	c.buildShard = func() (*planeSet, error) { return newPlaneSet(family, m, o) }
 	shards := make([]*planeSet, 0, s)
 	fail := func(err error) (*Cluster, error) {
 		for _, sh := range shards {

@@ -502,26 +502,3 @@ func TestClusterCancelledRoutesNoShard(t *testing.T) {
 		t.Fatalf("InFlight = %d after the cancelled route", c.InFlight())
 	}
 }
-
-// TestClusterSharesDiagnoser pins that the m <= 5 fault dictionary is
-// built once per cluster: every shard, including one AddShard builds,
-// holds the same diagnoser.
-func TestClusterSharesDiagnoser(t *testing.T) {
-	c, err := NewCluster("bnb", 3, WithShards(3))
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	defer c.Close()
-	if _, err := c.AddShard(context.Background()); err != nil {
-		t.Fatalf("AddShard: %v", err)
-	}
-	shards := c.fab.Load().shards
-	if len(shards) != 4 || shards[0].diag == nil {
-		t.Fatalf("want 4 shards with a diagnoser, got %d (diagnoser %p)", len(shards), shards[0].diag)
-	}
-	for i, sh := range shards {
-		if sh.diag != shards[0].diag {
-			t.Fatalf("shard %d has its own diagnoser", i)
-		}
-	}
-}

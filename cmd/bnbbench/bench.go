@@ -440,11 +440,11 @@ func benchTail(cfg benchConfig) (TailResult, error) {
 				return 0, 0, 0, errs[0]
 			}
 		}
-		hedges, wins := sup.Hedges(), sup.HedgeWins()
 		if err := sup.Close(); err != nil {
 			return 0, 0, 0, err
 		}
-		return sink.Snapshot().P99.Nanoseconds(), hedges, wins, nil
+		snap := sink.Snapshot()
+		return snap.P99.Nanoseconds(), snap.Hedges, snap.HedgeWins, nil
 	}
 	healthy, _, _, err := p99()
 	if err != nil {

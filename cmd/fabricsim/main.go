@@ -348,16 +348,20 @@ func runPlanes(netName string, m, k, requests int, seed int64, chaos float64, ch
 	if hedgeOpt != nil {
 		supOpts = append(supOpts, hedgeOpt)
 	}
+	// The supervisor's counters are read from the sink, which is therefore
+	// always attached (the debug run's shared one when -debug is set).
+	sink := bnbnet.NewMetrics()
 	if dbg != nil {
-		supOpts = append(supOpts, bnbnet.WithMetrics(dbg.sink), bnbnet.WithTracer(dbg.tracer))
+		sink = dbg.sink
+		supOpts = append(supOpts, bnbnet.WithTracer(dbg.tracer))
 	}
+	supOpts = append(supOpts, bnbnet.WithMetrics(sink))
 	sup, err := bnbnet.NewSupervised(netName, m, supOpts...)
 	if err != nil {
 		return err
 	}
 	supOut := drive(sup.RoutePermBatch)
-	failovers, repairs, readmits := sup.Failovers(), sup.Repairs(), sup.Readmits()
-	hedges, hedgeWins, slowQuars := sup.Hedges(), sup.HedgeWins(), sup.SlowQuarantines()
+	snap := sink.Snapshot()
 	states := sup.PlaneStates()
 	if err := sup.Close(); err != nil {
 		return err
@@ -373,9 +377,9 @@ func runPlanes(netName string, m, k, requests int, seed int64, chaos float64, ch
 		float64(supOut.delivered)/float64(requests), supOut.elapsed.Round(time.Millisecond))
 	tw.Flush()
 	fmt.Printf("supervisor: failovers=%d repairs=%d readmits=%d states=%v\n",
-		failovers, repairs, readmits, states)
+		snap.Failovers, snap.Repairs, snap.Readmits, states)
 	if hedgeOpt != nil || slow > 0 {
-		fmt.Printf("tail: hedges=%d hedge_wins=%d slow_quarantines=%d\n", hedges, hedgeWins, slowQuars)
+		fmt.Printf("tail: hedges=%d hedge_wins=%d slow_quarantines=%d\n", snap.Hedges, snap.HedgeWins, snap.SlowQuarantines)
 	}
 	if supOut.delivered != requests || supOut.misrouted != 0 {
 		return fmt.Errorf("supervised stack delivered %d/%d requests (%d misrouted); redundancy must absorb a single faulty plane (reproduce with -seed %d -chaos-seed %d)",
@@ -511,8 +515,6 @@ func runReconfig(netName string, m, k, requests, rollouts, warmTopK int, seed in
 	}
 	drainLatency := time.Since(drainStart)
 	snap := sink.Snapshot()
-	reconfigs, warms := snap.Reconfigs, snap.PlanWarms
-	failovers, readmits := sup.Failovers(), sup.Readmits()
 	states := sup.PlaneStates()
 	if err := sup.Close(); err != nil {
 		return err
@@ -530,10 +532,10 @@ func runReconfig(netName string, m, k, requests, rollouts, warmTopK int, seed in
 	}
 	fmt.Printf("drain latency: %v\n", drainLatency.Round(time.Microsecond))
 	fmt.Printf("supervisor: reconfigs=%d plan warms=%d failovers=%d readmits=%d states=%v\n",
-		reconfigs, warms, failovers, readmits, states)
-	if delivered != total || misrouted != 0 || reconfigs != int64(rollouts) {
+		snap.Reconfigs, snap.PlanWarms, snap.Failovers, snap.Readmits, states)
+	if delivered != total || misrouted != 0 || snap.Reconfigs != int64(rollouts) {
 		return fmt.Errorf("rollout was not hitless: %d/%d delivered, %d misrouted, %d/%d reconfigurations (reproduce with -seed %d -chaos-seed %d)",
-			delivered, total, misrouted, reconfigs, rollouts, seed, chaosSeed)
+			delivered, total, misrouted, snap.Reconfigs, rollouts, seed, chaosSeed)
 	}
 	fmt.Printf("every request was delivered across %d live rollouts; the reconfiguration was hitless.\n", rollouts)
 	return nil

@@ -155,8 +155,10 @@ func NewDiagnoser(m int) (*Diagnoser, error) {
 // check starts from: identity, bit-complement, reversal, bit-reversal,
 // butterfly, and the perfect-shuffle powers. They are the canonical prefix
 // of the diagnoser's probe set and a cheap order-m health battery on their
-// own — building them costs O(m·N), no fault dictionary — which is what the
-// plane supervisor probes with at orders too large for exact diagnosis.
+// own — building them costs O(m·N), no fault dictionary — which is the one
+// battery the plane supervisor probes with at every order. It is not
+// complete: some single stuck-at faults pass every probe (2 of 12 at m=2,
+// 96 of 480 at m=5, 768 of 3,584 at m=7), and only traffic exposes them.
 func CanonicalProbes(m int) []perm.Perm {
 	n := 1 << uint(m)
 	probes := []perm.Perm{perm.Identity(n), perm.BitComplement(m), perm.Reversal(n), perm.BitReversal(m), perm.Butterfly(m)}

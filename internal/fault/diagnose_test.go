@@ -209,6 +209,55 @@ func TestStuckAtSignatureGolden(t *testing.T) {
 	}
 }
 
+// TestCanonicalProbesBlindFaults pins how many single stuck-at faults the
+// plane supervisor's probe battery cannot see, exhaustively over both
+// polarities of every element for m = 1..7: a fault is blind when every
+// CanonicalProbes permutation still routes cleanly under it. About a fifth
+// of the faults are blind from m=4 on; verified live traffic finds them,
+// and the supervisor's hard-failure rebuild repairs them (DESIGN.md §9).
+func TestCanonicalProbesBlindFaults(t *testing.T) {
+	golden := map[int]int{1: 0, 2: 2, 3: 8, 4: 32, 5: 96, 6: 288, 7: 768}
+	for m := 1; m <= 7; m++ {
+		net, err := core.New(m, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := net.Inputs()
+		probes := CanonicalProbes(m)
+		src := make([]core.Word, n)
+		dst := make([]core.Word, n)
+		passes := func(f Fault) bool {
+			for _, p := range probes {
+				for i, d := range p {
+					src[i] = core.Word{Addr: d, Data: uint64(i)}
+				}
+				if net.RouteIntoOverride(dst, src, f.stick) != nil {
+					return false
+				}
+				for j := range dst {
+					if dst[j].Addr != j {
+						return false
+					}
+				}
+			}
+			return true
+		}
+		blind, total := 0, 0
+		for _, e := range Elements(m) {
+			for _, cross := range []bool{false, true} {
+				total++
+				if passes(StuckAt(e, cross).Faults[0]) {
+					blind++
+				}
+			}
+		}
+		t.Logf("m=%d: %d of %d single stuck-at faults pass every canonical probe", m, blind, total)
+		if blind != golden[m] {
+			t.Errorf("m=%d: %d blind faults, golden %d", m, blind, golden[m])
+		}
+	}
+}
+
 // TestMultiStuckRejectionGolden pins which rejection a route reports when
 // several stuck-at elements are live at once: for m = 3..7, 3,000 seeded
 // random permutations per order are each routed through an Injector

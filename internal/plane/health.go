@@ -9,13 +9,10 @@ import (
 	"repro/internal/trace"
 )
 
-// drainWait bounds how long the health checker waits for a suspect plane's
-// in-flight requests to land before diagnosing anyway; routing is
-// thread-safe, so proceeding under a straggler is correct, just noisier.
-const drainWait = 100 * time.Millisecond
-
-// rebuildAfter is the number of consecutive failed readmission probe passes
-// after which a quarantined plane is rebuilt through Config.Rebuild.
+// rebuildAfter is the repair threshold: a quarantined plane is rebuilt
+// through Config.Rebuild after rebuildAfter consecutive failed readmission
+// probe passes, or once rebuildAfter hard failures have taken it out of
+// service since its router was installed.
 const rebuildAfter = 3
 
 // healthLoop is the supervisor's background control plane: a periodic sweep
@@ -39,10 +36,12 @@ func (s *Supervisor) healthLoop() {
 }
 
 // sweep advances every plane's state machine one step: suspect planes are
-// drained, diagnosed, and quarantined; quarantined planes are probed for
-// readmission (rebuilt after rebuildAfter consecutive failed passes);
-// admitting planes are probed for first admission; healthy idle planes are
-// probed so a fault on a cold plane is found before live traffic hits it.
+// quarantined and probed for readmission; quarantined planes are probed for
+// readmission (rebuilt first when their failures call for it); admitting
+// planes are probed for first admission; healthy idle planes are probed so
+// a fault on a cold plane is found before live traffic hits it. A suspect
+// plane is not drained first: routing is thread-safe, and a straggler
+// still in flight holds the router it started on.
 // Every repair-side transition is a CompareAndSwap from the state the
 // checker observed: a membership operation that concurrently marks the
 // plane Draining wins, and the checker backs off — a plane on its way out
@@ -51,8 +50,6 @@ func (s *Supervisor) sweep(dst, src []core.Word) {
 	for _, p := range s.snapshot() {
 		switch State(p.state.Load()) {
 		case Suspect:
-			s.drain(p)
-			s.diagnose(p)
 			if !p.state.CompareAndSwap(int32(Suspect), int32(Quarantined)) {
 				continue // now Draining: membership owns this plane
 			}
@@ -66,51 +63,31 @@ func (s *Supervisor) sweep(dst, src []core.Word) {
 			// Opportunistic idle probe: skip planes carrying live traffic —
 			// their routes are verified inline anyway.
 			if p.inflight.Load() == 0 {
-				if err := s.tracedProbePass(p, p.get(), dst, src); err != nil {
-					s.fail(p, err)
+				box := p.router.Load()
+				if err := s.tracedProbePass(p, box.r, dst, src); err != nil {
+					s.fail(p, box, err)
 				}
 			}
 		}
 	}
 }
 
-// drain waits (bounded) for the plane's in-flight requests to land.
-func (s *Supervisor) drain(p *planeState) {
-	deadline := time.Now().Add(drainWait)
-	for p.inflight.Load() > 0 && time.Now().Before(deadline) {
-		select {
-		case <-s.stop:
-			return
-		case <-time.After(50 * time.Microsecond):
-		}
-	}
-}
-
-// diagnose localizes the drained plane's fault when a diagnoser is
-// configured. The outcome is advisory — repair policy keys on probe passes,
-// not on the dictionary — but it is recorded for operators and tests.
-func (s *Supervisor) diagnose(p *planeState) {
-	if s.diag == nil {
-		return
-	}
-	d, err := s.diag.Diagnose(p.get())
-	if err != nil {
-		return
-	}
-	p.lastDiag.Store(&d)
-}
-
 // tryReadmit runs a full probe pass over the quarantined (or admitting)
 // plane and promotes it to Healthy on a clean pass — by CompareAndSwap
 // from the state the caller observed, so a concurrent Draining mark wins.
-// After rebuildAfter consecutive failed passes the plane is rebuilt from
-// its constructor — the repair for faults that do not heal on their own —
-// and probed again on the next sweep. First admissions (from Admitting)
-// do not count as readmits: the plane was never in service. A pass whose
-// router SwapPlane replaced while it ran is stale: its failure belongs to
-// the router that is gone, so it neither counts toward the rebuild nor
-// overwrites the new router.
+// The plane is rebuilt from its constructor — the repair for faults that
+// do not heal on their own — before the pass once rebuildAfter hard
+// failures have taken it out of service, which catches a fault the probes
+// miss, and after rebuildAfter consecutive failed passes, which catches
+// one they see; a rebuilt plane is probed on this sweep or the next. First
+// admissions (from Admitting) do not count as readmits: the plane was never
+// in service. A pass whose router SwapPlane replaced while it ran is
+// stale: its failure belongs to the router that is gone, so it neither
+// counts toward the rebuild nor overwrites the new router.
 func (s *Supervisor) tryReadmit(p *planeState, dst, src []core.Word, from State) {
+	if p.hardQuars.Load() >= rebuildAfter {
+		s.tryRebuild(p, p.router.Load())
+	}
 	begin := time.Now()
 	box := p.router.Load()
 	if err := s.tracedProbePass(p, box.r, dst, src); err != nil {
@@ -119,15 +96,8 @@ func (s *Supervisor) tryReadmit(p *planeState, dst, src []core.Word, from State)
 		}
 		e := err
 		p.lastErr.Store(&e)
-		failed := p.failedProbes.Add(1)
-		if s.rebuild != nil && failed >= rebuildAfter {
-			if r, rerr := s.rebuild(); rerr == nil && r != nil && r.Inputs() == s.n &&
-				p.router.CompareAndSwap(box, &routerBox{r: r}) {
-				p.repairs.Add(1)
-				s.repairs.Add(1)
-				s.m.AddRepair()
-				p.failedProbes.Store(0)
-			}
+		if p.failedProbes.Add(1) >= rebuildAfter {
+			s.tryRebuild(p, box)
 		}
 		return
 	}
@@ -163,10 +133,26 @@ func (s *Supervisor) tryReadmit(p *planeState, dst, src []core.Word, from State)
 	}
 	if from == Quarantined {
 		p.readmits.Add(1)
-		s.readmits.Add(1)
 		s.m.AddReadmit()
 	}
 	s.publishGauges()
+}
+
+// tryRebuild replaces the plane's router box with a freshly built router,
+// by CompareAndSwap so a rebuild that loses to a concurrent SwapPlane is
+// discarded whole, and restarts both rebuild counts for the new router.
+func (s *Supervisor) tryRebuild(p *planeState, box *routerBox) {
+	if s.rebuild == nil {
+		return
+	}
+	r, err := s.rebuild()
+	if err != nil || r == nil || r.Inputs() != s.n || !p.router.CompareAndSwap(box, &routerBox{r: r}) {
+		return
+	}
+	p.repairs.Add(1)
+	s.m.AddRepair()
+	p.failedProbes.Store(0)
+	p.hardQuars.Store(0)
 }
 
 // tracedProbePass routes the full probe set through the plane's router r

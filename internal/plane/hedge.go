@@ -158,7 +158,6 @@ func (s *Supervisor) routeHedged(planes []*planeState, start int, dst, src []cor
 				s.putBuf(r.buf)
 				sp.SetPlane(elig[r.idx].id)
 				if r.idx == hedgeIdx {
-					s.hedgeWins.Add(1)
 					s.m.AddHedgeWin()
 				}
 				return true, nil

@@ -21,6 +21,7 @@ func hedgeConfig(planes ...Router) Config {
 		Planes:         planes,
 		HealthInterval: time.Hour,
 		SlowFloor:      time.Hour,
+		Metrics:        new(metrics.Metrics),
 	}
 }
 
@@ -133,8 +134,8 @@ func TestHedgePrimaryWinsWithoutFiring(t *testing.T) {
 	if got := markOf(t, dst); got != 1000 {
 		t.Errorf("delivery carries mark %d, want the primary's 1000", got)
 	}
-	if s.Hedges() != 0 || s.HedgeWins() != 0 {
-		t.Errorf("hedges = %d, wins = %d; the timer must not fire under an hour-long delay", s.Hedges(), s.HedgeWins())
+	if wins := s.m.Snapshot().HedgeWins; s.Hedges() != 0 || wins != 0 {
+		t.Errorf("hedges = %d, wins = %d; the timer must not fire under an hour-long delay", s.Hedges(), wins)
 	}
 }
 
@@ -164,8 +165,8 @@ func TestHedgeFiresAndWins(t *testing.T) {
 	if got := markOf(t, dst); got != 2000 {
 		t.Errorf("delivery carries mark %d, want the hedge's 2000", got)
 	}
-	if s.Hedges() != 1 || s.HedgeWins() != 1 {
-		t.Errorf("hedges = %d, wins = %d, want 1 and 1", s.Hedges(), s.HedgeWins())
+	if wins := s.m.Snapshot().HedgeWins; s.Hedges() != 1 || wins != 1 {
+		t.Errorf("hedges = %d, wins = %d, want 1 and 1", s.Hedges(), wins)
 	}
 	// The loser is abandoned, not leaked: the caller owns its buffers again —
 	// scribble over them while the primary is still stalled — then release
@@ -223,7 +224,7 @@ func TestHedgeSingleDeliveryUnderContention(t *testing.T) {
 		}
 		markOf(t, dst)
 	}
-	if wins := s.HedgeWins(); wins > s.Hedges() {
+	if wins := s.m.Snapshot().HedgeWins; wins > s.Hedges() {
 		t.Errorf("hedge wins %d exceed hedges %d", wins, s.Hedges())
 	}
 }

@@ -20,9 +20,8 @@ import (
 //     Healthy→Suspect edge and the health checker's repair edges, so a
 //     plane can never be resurrected once it has started leaving;
 //   - a plane leaves (or has its router replaced) only after its in-flight
-//     count reaches zero — the same drain the quarantine path uses — so no
-//     request ever runs on a router that has been handed back to the
-//     caller.
+//     count reaches zero, so no request ever runs on a router that has been
+//     handed back to the caller.
 
 // swapYield, when non-nil, is invoked by SwapPlane between the drain
 // completing and the new router being installed — the mid-swap preemption
@@ -155,8 +154,9 @@ func (s *Supervisor) SwapPlane(ctx context.Context, id int, r Router) error {
 	}
 	p.router.Store(&routerBox{r: r})
 	// The replacement passed a full probe pass moments ago; any readmit
-	// probation belonged to the old router.
+	// probation and hard-failure count belonged to the old router.
 	p.failedProbes.Store(0)
+	p.hardQuars.Store(0)
 	p.state.Store(int32(Healthy))
 	s.publishGauges()
 	if drainErr != nil {

@@ -68,7 +68,7 @@ func TestAddPlaneAdmission(t *testing.T) {
 	if got := State(s.plane(2).state.Load()); got != Healthy {
 		t.Fatalf("after sweep: added plane state = %v, want healthy", got)
 	}
-	if got := s.Readmits(); got != 0 {
+	if got := readmits(s); got != 0 {
 		t.Errorf("admission counted as a readmit (%d); it must not", got)
 	}
 	if got := sink.Snapshot().PlanesAdded; got != 1 {

@@ -1,17 +1,19 @@
 // Package plane is the self-healing redundancy layer of the serving stack:
 // a Supervisor runs K >= 2 identical router planes behind one routing
 // front, detects a failing plane on its first misroute or probe failure,
-// drains and fails over from it, localizes the fault with the probe-set
-// diagnoser, repairs the plane (constructor rebuild, or heal-window expiry
-// under transient chaos), and readmits it only after a clean full probe
-// pass.
+// fails over from it, repairs the plane (constructor rebuild, or heal-window
+// expiry under transient chaos), and readmits it only after a clean full
+// probe pass. One probe battery, fault.CanonicalProbes of the plane order,
+// serves every order; a fault the battery misses is found by the verified
+// live traffic, and a plane whose hard failures keep taking it out of
+// service is rebuilt.
 //
 // The paper's network has exactly one path per (input, output) pair, so a
 // single stuck element breaks permutations until it is found and bypassed.
-// PR 2 built the detection machinery (the injector's classification and the
-// exact Diagnoser); this package closes the loop into a control plane: the
-// redundancy literature's detect → isolate → repair → readmit cycle, the
-// piece rearrangeable deployments assume around a fabric.
+// The fault injector classifies such failures; this package closes the loop
+// into a control plane: the redundancy literature's detect → isolate →
+// repair → readmit cycle, the piece rearrangeable deployments assume around
+// a fabric.
 //
 // Concurrency contract: the hot path (RouteInto) takes no locks — plane
 // states, in-flight counts and the rotor are atomics — so a routing call
@@ -53,8 +55,8 @@ const (
 	// Suspect planes failed a route or a probe and are draining; the hot
 	// path stops picking them the moment the state flips.
 	Suspect
-	// Quarantined planes are under diagnosis and repair; they rejoin only
-	// after a clean full probe pass.
+	// Quarantined planes are under repair; they rejoin only after a clean
+	// full probe pass.
 	Quarantined
 	// Admitting planes were added at runtime and are probing their way into
 	// service; they carry no live traffic until a clean full probe pass
@@ -111,14 +113,10 @@ type Config struct {
 	Planes []Router
 	// Rebuild, when non-nil, constructs a fresh plane — the repair action
 	// for faults that do not heal on their own. The supervisor invokes it
-	// after rebuildAfter consecutive failed readmit probes of a quarantined
-	// plane.
+	// on a quarantined plane after rebuildAfter consecutive failed readmit
+	// probe passes, or after rebuildAfter hard failures took the plane out
+	// of service since its router was installed.
 	Rebuild func() (Router, error)
-	// Diagnoser, when non-nil, localizes a quarantined plane's stuck-at
-	// fault and supplies the health-check probe set. Exact diagnosis is
-	// feasible for small orders; without a diagnoser the supervisor probes
-	// with fault.CanonicalProbes of the plane order.
-	Diagnoser *fault.Diagnoser
 	// HealthInterval is the period of the background health sweep; <= 0
 	// selects 10ms. Failures additionally kick the sweep immediately.
 	HealthInterval time.Duration
@@ -184,10 +182,15 @@ type planeState struct {
 	// readmit, on rebuild and when SwapPlane installs a new router. The
 	// health checker and SwapPlane both write it, so it is atomic.
 	failedProbes atomic.Int32
+	// hardQuars counts the quarantines a hard (not ErrTransient) failure
+	// started since the plane's router was installed. It survives
+	// readmission, so a fault the probes miss, which live traffic trips
+	// again after every readmit, still earns a rebuild; a rebuild or
+	// SwapPlane resets it. The hot path's fail and the health checker
+	// both write it.
+	hardQuars atomic.Int32
 	// lastErr records the failure that triggered the current quarantine.
 	lastErr atomic.Pointer[error]
-	// lastDiag records the most recent diagnosis outcome, for Stats.
-	lastDiag atomic.Pointer[fault.Diagnosis]
 }
 
 // routerBox wraps the router so swaps are one atomic pointer store.
@@ -217,7 +220,6 @@ type Supervisor struct {
 	tracer *trace.Tracer
 
 	probes   []perm.Perm
-	diag     *fault.Diagnoser
 	rebuild  func() (Router, error)
 	interval time.Duration
 
@@ -234,11 +236,7 @@ type Supervisor struct {
 	poison *poisonTable
 
 	failovers atomic.Int64
-	repairs   atomic.Int64
-	readmits  atomic.Int64
 	hedges    atomic.Int64
-	hedgeWins atomic.Int64
-	slowQuars atomic.Int64
 
 	kick chan struct{}
 	stop chan struct{}
@@ -288,15 +286,6 @@ func New(cfg Config) (*Supervisor, error) {
 	if 1<<uint(m) != n {
 		return nil, fmt.Errorf("plane: %d ports is not a power of two: %w", n, neterr.ErrBadSize)
 	}
-	var probes []perm.Perm
-	switch {
-	case cfg.Diagnoser == nil:
-		probes = fault.CanonicalProbes(m)
-	case cfg.Diagnoser.M() != m:
-		return nil, fmt.Errorf("plane: diagnoser built for order %d, planes have order %d", cfg.Diagnoser.M(), m)
-	default:
-		probes = cfg.Diagnoser.Probes()
-	}
 	interval := cfg.HealthInterval
 	if interval <= 0 {
 		interval = 10 * time.Millisecond
@@ -321,8 +310,7 @@ func New(cfg Config) (*Supervisor, error) {
 		n:           n,
 		m:           cfg.Metrics,
 		tracer:      cfg.Tracer,
-		probes:      probes,
-		diag:        cfg.Diagnoser,
+		probes:      fault.CanonicalProbes(m),
 		rebuild:     cfg.Rebuild,
 		interval:    interval,
 		hedgeAuto:   cfg.HedgeAuto,
@@ -375,21 +363,8 @@ func (s *Supervisor) Router(id int) Router {
 // Failovers returns the number of planes drained and failed away from.
 func (s *Supervisor) Failovers() int64 { return s.failovers.Load() }
 
-// Repairs returns the number of plane rebuilds.
-func (s *Supervisor) Repairs() int64 { return s.repairs.Load() }
-
-// Readmits returns the number of quarantined planes readmitted to service.
-func (s *Supervisor) Readmits() int64 { return s.readmits.Load() }
-
 // Hedges returns the number of hedge attempts the timer fired.
 func (s *Supervisor) Hedges() int64 { return s.hedges.Load() }
-
-// HedgeWins returns the number of requests the hedged attempt won.
-func (s *Supervisor) HedgeWins() int64 { return s.hedgeWins.Load() }
-
-// SlowQuarantines returns the number of planes drained for chronic
-// slowness (as opposed to misrouting).
-func (s *Supervisor) SlowQuarantines() int64 { return s.slowQuars.Load() }
 
 // States returns the current state of every plane, in membership order.
 func (s *Supervisor) States() []State {
@@ -426,9 +401,6 @@ type Stats struct {
 	// LastError is the failure that triggered the most recent quarantine,
 	// empty if the plane never failed.
 	LastError string
-	// Diagnosis describes the most recent diagnosis outcome, empty if the
-	// plane was never diagnosed.
-	Diagnosis string
 }
 
 // PlaneStats returns the per-plane view, in membership order.
@@ -449,16 +421,6 @@ func (s *Supervisor) PlaneStats() []Stats {
 		}
 		if e := p.lastErr.Load(); e != nil {
 			st.LastError = (*e).Error()
-		}
-		if d := p.lastDiag.Load(); d != nil {
-			switch {
-			case d.Healthy:
-				st.Diagnosis = "healthy"
-			case d.Found:
-				st.Diagnosis = fmt.Sprintf("%v at %v", d.Fault.Kind, d.Fault.Elem)
-			default:
-				st.Diagnosis = "unlocalized"
-			}
 		}
 		out[i] = st
 	}
@@ -604,13 +566,13 @@ type spanRouter interface {
 func (s *Supervisor) routeOn(p *planeState, dst, src []core.Word, sp *trace.Span) error {
 	p.inflight.Add(1)
 	defer p.inflight.Add(-1)
-	r := p.get()
+	box := p.router.Load()
 	begin := time.Now()
 	var err error
-	if tr, ok := r.(spanRouter); ok {
+	if tr, ok := box.r.(spanRouter); ok {
 		err = tr.RouteIntoTraced(dst, src, sp)
 	} else {
-		err = r.RouteInto(dst, src)
+		err = box.r.RouteInto(dst, src)
 	}
 	if err == nil {
 		// Opportunistic live-traffic verification: output j must carry the
@@ -625,7 +587,7 @@ func (s *Supervisor) routeOn(p *planeState, dst, src []core.Word, sp *trace.Span
 	}
 	if err != nil {
 		if !isRequestError(err) {
-			s.fail(p, err)
+			s.fail(p, box, err)
 		}
 		return err
 	}
@@ -702,7 +664,6 @@ func (s *Supervisor) failSlow(p *planeState, ns, ref int64) {
 	p.slowStrikes.Store(0)
 	if p.state.CompareAndSwap(int32(Healthy), int32(Suspect)) {
 		p.slow.Store(true)
-		s.slowQuars.Add(1)
 		s.m.AddSlowQuarantine()
 		s.publishGauges()
 		select {
@@ -725,14 +686,21 @@ func isRequestError(err error) bool {
 	return errors.Is(err, neterr.ErrNotPermutation) || errors.Is(err, neterr.ErrBadSize)
 }
 
-// fail records a plane failure: the first failure flips Healthy -> Suspect,
-// which instantly drains the plane (the hot path stops picking it), counts
-// one failover, and kicks the health checker to diagnose and repair.
-func (s *Supervisor) fail(p *planeState, err error) {
+// fail records a plane failure on the router box it happened on: the first
+// failure flips Healthy -> Suspect, which instantly drains the plane (the
+// hot path stops picking it), counts one failover, and kicks the health
+// checker to repair it. Only the failure that wins the flip counts toward
+// the plane's hard-failure rebuild, so requests failing together count as
+// one quarantine. A straggler that fails on a router a rebuild or SwapPlane
+// has since replaced cannot take the replacement out of service.
+func (s *Supervisor) fail(p *planeState, box *routerBox, err error) {
 	p.failures.Add(1)
 	e := err
 	p.lastErr.Store(&e)
-	if p.state.CompareAndSwap(int32(Healthy), int32(Suspect)) {
+	if p.router.Load() == box && p.state.CompareAndSwap(int32(Healthy), int32(Suspect)) {
+		if !errors.Is(err, neterr.ErrTransient) {
+			p.hardQuars.Add(1)
+		}
 		s.failovers.Add(1)
 		s.m.AddFailover()
 		s.publishGauges()

@@ -129,7 +129,7 @@ func TestDeterministicFailoverSchedule(t *testing.T) {
 	if got := State(s.plane(0).state.Load()); got != Quarantined {
 		t.Fatalf("after sweep 1: plane 0 state = %v, want quarantined", got)
 	}
-	if got := s.Readmits(); got != 0 {
+	if got := readmits(s); got != 0 {
 		t.Fatalf("after sweep 1: readmits = %d, want 0", got)
 	}
 
@@ -139,7 +139,7 @@ func TestDeterministicFailoverSchedule(t *testing.T) {
 	if got := State(s.plane(0).state.Load()); got != Healthy {
 		t.Fatalf("after sweep 2: plane 0 state = %v, want healthy", got)
 	}
-	if got := s.Readmits(); got != 1 {
+	if got := readmits(s); got != 1 {
 		t.Fatalf("after sweep 2: readmits = %d, want 1", got)
 	}
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 )
 
 // TestSlowPlaneQuarantineAndReadmit drives the full chronic-slowness cycle
@@ -27,6 +28,7 @@ func TestSlowPlaneQuarantineAndReadmit(t *testing.T) {
 		SlowFactor:     2,
 		SlowFloor:      time.Microsecond,
 		SlowAfter:      2,
+		Metrics:        new(metrics.Metrics),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +47,7 @@ func TestSlowPlaneQuarantineAndReadmit(t *testing.T) {
 	// the detector drains it.
 	stall.Store(true)
 	deadline := time.Now().Add(10 * time.Second)
-	for s.SlowQuarantines() == 0 {
+	for s.m.Snapshot().SlowQuarantines == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("slow plane never quarantined")
 		}
@@ -74,8 +76,8 @@ func TestSlowPlaneQuarantineAndReadmit(t *testing.T) {
 	if st := s.PlaneStats()[0]; st.State != Quarantined {
 		t.Fatalf("still-slow plane left quarantine: %+v", st)
 	}
-	if s.Readmits() != 0 {
-		t.Fatalf("Readmits = %d before the plane healed", s.Readmits())
+	if got := s.m.Snapshot().Readmits; got != 0 {
+		t.Fatalf("Readmits = %d before the plane healed", got)
 	}
 
 	// Healed: the next timed probe passes and the plane rejoins with a cold
@@ -83,7 +85,7 @@ func TestSlowPlaneQuarantineAndReadmit(t *testing.T) {
 	stall.Store(false)
 	waitFor("readmission", func() bool {
 		st := s.PlaneStats()[0]
-		return st.State == Healthy && s.Readmits() >= 1
+		return st.State == Healthy && s.m.Snapshot().Readmits >= 1
 	})
 	st := s.PlaneStats()[0]
 	if st.Slow {
@@ -140,6 +142,7 @@ func TestSlowDetectionNeedsReference(t *testing.T) {
 		SlowFactor:     2,
 		SlowFloor:      time.Nanosecond,
 		SlowAfter:      1,
+		Metrics:        new(metrics.Metrics),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,8 +155,8 @@ func TestSlowDetectionNeedsReference(t *testing.T) {
 	if st := State(p.state.Load()); st != Healthy {
 		t.Errorf("plane drained with no fleet reference: state %v", st)
 	}
-	if s.SlowQuarantines() != 0 {
-		t.Errorf("SlowQuarantines = %d, want 0", s.SlowQuarantines())
+	if got := s.m.Snapshot().SlowQuarantines; got != 0 {
+		t.Errorf("SlowQuarantines = %d, want 0", got)
 	}
 }
 
@@ -191,6 +194,7 @@ func TestHedgingArmsSlowDetection(t *testing.T) {
 		HealthInterval: time.Hour,
 		HedgeAuto:      true,
 		SlowAfter:      1,
+		Metrics:        new(metrics.Metrics),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,8 +204,8 @@ func TestHedgingArmsSlowDetection(t *testing.T) {
 	p := s.plane(0)
 	// One pass far beyond 8x the fleet reference (and the 100µs floor).
 	s.observeLatency(p, int64(time.Second))
-	if s.SlowQuarantines() != 1 {
-		t.Errorf("SlowQuarantines = %d, want 1 (hedging arms the detector)", s.SlowQuarantines())
+	if got := s.m.Snapshot().SlowQuarantines; got != 1 {
+		t.Errorf("SlowQuarantines = %d, want 1 (hedging arms the detector)", got)
 	}
 	if st := State(p.state.Load()); st != Suspect && st != Quarantined {
 		t.Errorf("struck plane state %v, want Suspect or Quarantined", st)

@@ -483,5 +483,5 @@ func TestReconfigureChaosSoak(t *testing.T) {
 		t.Error("three warmed rollouts recorded no PlanWarms")
 	}
 	t.Logf("chaos rollout soak: %d requests, failovers=%d readmits=%d reconfigs=%d warms=%d states=%v",
-		done, s.Failovers(), s.Readmits(), snap.Reconfigs, snap.PlanWarms, s.PlaneStates())
+		done, s.Failovers(), snap.Readmits, snap.Reconfigs, snap.PlanWarms, s.PlaneStates())
 }

@@ -2,9 +2,9 @@ package bnbnet
 
 // This file exposes the self-healing redundancy layer: NewSupervised runs
 // K >= 2 identical router planes behind one serving engine, with a
-// background health checker that detects a failing plane on its first
-// misroute or probe failure, drains it, diagnoses the fault, repairs the
-// plane, and readmits it after a clean full probe pass (DESIGN.md §9).
+// background health checker that takes a plane out of service on its first
+// misroute or probe failure, repairs it, and readmits it after a clean full
+// probe pass (DESIGN.md §9).
 
 import (
 	"context"
@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"repro/internal/engine"
-	"repro/internal/fault"
 	"repro/internal/plancache"
 	"repro/internal/plane"
 )
@@ -37,11 +36,6 @@ const (
 // PlaneStats is a point-in-time view of one supervised plane.
 type PlaneStats = plane.Stats
 
-// diagMaxOrder bounds the orders NewSupervised builds the exact fault
-// dictionary for; the construction cost grows with the fault universe, so
-// larger fabrics health-check with the canonical probe battery instead.
-const diagMaxOrder = 5
-
 // defaultPlanCacheEntries is the per-plane plan-cache capacity NewSupervised
 // selects when WithPlanCache is absent and the planes offer the
 // compiled-plan surface. Pass WithPlanCache(0) to opt out.
@@ -65,10 +59,6 @@ type planeSet struct {
 	// cached reports whether plan caching is on, so Stats lists one cache
 	// per plane; faulted and plan-incapable planes report zero stats.
 	cached bool
-
-	// diag is the health checker's exact fault dictionary, nil above
-	// diagMaxOrder. It is immutable, so one serves every shard of a cluster.
-	diag *fault.Diagnoser
 
 	m      *Metrics // nil unless WithMetrics was set
 	tracer *Tracer  // nil unless WithTracer was set
@@ -97,9 +87,10 @@ type Supervised struct {
 // WithTracer, WithDebugAddr) tune the front; WithHealthInterval sets the
 // probe cadence, and WithPlaneFaults injects a chaos plan into one plane
 // for resilience experiments. A request that fails on one plane fails
-// over to the next within the same call. For orders <= 5 the health
-// checker diagnoses quarantined planes with the exact probe dictionary;
-// larger orders probe with the canonical battery.
+// over to the next within the same call. The health checker probes every
+// plane with one battery at every order (fault.CanonicalProbes) and builds
+// no fault dictionary; a fault the battery misses is caught by the
+// verified live traffic, and a plane that keeps failing it is rebuilt.
 func NewSupervised(family string, m int, opts ...Option) (*Supervised, error) {
 	o, err := gatherOptions(opts)
 	if err != nil {
@@ -117,11 +108,7 @@ func NewSupervised(family string, m int, opts ...Option) (*Supervised, error) {
 	if o.anySet(optFabric) {
 		return nil, fmt.Errorf("bnbnet: WithVOQ and WithDegraded apply to NewFabric, not NewSupervised")
 	}
-	diag, err := newDiagnoser(family, m)
-	if err != nil {
-		return nil, err
-	}
-	ps, err := newPlaneSet(family, m, o, diag)
+	ps, err := newPlaneSet(family, m, o)
 	if err != nil {
 		return nil, err
 	}
@@ -148,23 +135,12 @@ func NewSupervised(family string, m int, opts ...Option) (*Supervised, error) {
 	return &Supervised{planeSet: ps, e: e, dbg: dbg}, nil
 }
 
-// newDiagnoser builds the exact fault dictionary the health checker uses
-// for a BNB plane of order 1..diagMaxOrder, and nil otherwise. It is the
-// costliest part of building a small supervised stack, so a cluster builds
-// it once for all its shards.
-func newDiagnoser(family string, m int) (*fault.Diagnoser, error) {
-	if family != "bnb" || m < 1 || m > diagMaxOrder {
-		return nil, nil
-	}
-	return fault.NewDiagnoser(m)
-}
-
 // newPlaneSet builds the planes of a supervised stack and starts their
 // supervisor: NewSupervised puts an engine in front of it, NewCluster
 // routes each shard through one. Option validation is the caller's; only
 // the plane options (WithPlanes, WithPlaneFaults, WithHealthInterval,
 // WithHedgeAuto, WithPlanCache, WithDataBits) and the sinks are read here.
-func newPlaneSet(family string, m int, o options, diag *fault.Diagnoser) (*planeSet, error) {
+func newPlaneSet(family string, m int, o options) (*planeSet, error) {
 	builders.RLock()
 	b := builders.m[family]
 	builders.RUnlock()
@@ -228,7 +204,6 @@ func newPlaneSet(family string, m int, o options, diag *fault.Diagnoser) (*plane
 	sup, err := plane.New(plane.Config{
 		Planes:         planes,
 		Rebuild:        build,
-		Diagnoser:      diag,
 		HealthInterval: o.healthInterval,
 		HedgeAuto:      o.hedgeAuto,
 		Metrics:        o.metrics,
@@ -237,7 +212,7 @@ func newPlaneSet(family string, m int, o options, diag *fault.Diagnoser) (*plane
 	if err != nil {
 		return nil, err
 	}
-	return &planeSet{sup: sup, build: build, cached: cacheEntries > 0, diag: diag, m: o.metrics, tracer: o.tracer}, nil
+	return &planeSet{sup: sup, build: build, cached: cacheEntries > 0, m: o.metrics, tracer: o.tracer}, nil
 }
 
 // planCache returns the plan cache the identified plane routes through now:
@@ -331,20 +306,6 @@ func (s *Supervised) Failovers() int64 { return s.sup.Failovers() }
 
 // Hedges returns the number of hedge attempts fired (WithHedgeAuto).
 func (s *Supervised) Hedges() int64 { return s.sup.Hedges() }
-
-// HedgeWins returns the number of requests won by a hedge attempt rather
-// than the primary.
-func (s *Supervised) HedgeWins() int64 { return s.sup.HedgeWins() }
-
-// SlowQuarantines returns the number of planes quarantined for chronic
-// slowness against the fleet's latency EWMAs.
-func (s *Supervised) SlowQuarantines() int64 { return s.sup.SlowQuarantines() }
-
-// Repairs returns the number of plane rebuilds.
-func (s *Supervised) Repairs() int64 { return s.sup.Repairs() }
-
-// Readmits returns the number of planes readmitted after quarantine.
-func (s *Supervised) Readmits() int64 { return s.sup.Readmits() }
 
 // Publish implements Router, registering the supervised front's live
 // Stats — plane states and counters, per-plane plan caches, in-flight

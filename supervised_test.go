@@ -5,7 +5,10 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -75,10 +78,10 @@ func TestSupervisedChaosAvailability(t *testing.T) {
 	}
 	// Transient chaos heals within a cycle, so the plane must come back.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Readmits() == 0 && time.Now().Before(deadline) {
+	for sink.Snapshot().Readmits == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if s.Readmits() == 0 {
+	if sink.Snapshot().Readmits == 0 {
 		t.Error("chaos plane never readmitted after healing")
 	}
 	snap := sink.Snapshot()
@@ -91,7 +94,120 @@ func TestSupervisedChaosAvailability(t *testing.T) {
 		t.Errorf("metrics recorded %d caller-visible request errors", snap.Errors)
 	}
 	t.Logf("chaos run: failovers=%d repairs=%d readmits=%d states=%v",
-		s.Failovers(), s.Repairs(), s.Readmits(), s.PlaneStates())
+		s.Failovers(), snap.Repairs, snap.Readmits, s.PlaneStates())
+}
+
+// TestSupervisedRepairsProbeBlindFault pins that a stuck switch the health
+// checker's probes miss is repaired at every order. StuckAt(stage 0,
+// column 0, switch 0, straight) passes every CanonicalProbes permutation at
+// m = 4..7, so only the verified live traffic trips it: each trip takes
+// the faulty plane out of service, the probes readmit it, and the third
+// hard quarantine (rebuildAfter) rebuilds it fault-free. So the run ends
+// with no failed request, at least one repair, and at most 3 failovers.
+func TestSupervisedRepairsProbeBlindFault(t *testing.T) {
+	const (
+		requests     = 2000
+		batch        = 8
+		maxFailovers = 3 // one per hard quarantine until the rebuild
+	)
+	for m := 4; m <= 7; m++ {
+		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {
+			sink := NewMetrics()
+			s, err := NewSupervised("bnb", m,
+				WithPlanes(2),
+				WithPlaneFaults(0, StuckAt(FaultElement{}, false)),
+				WithHealthInterval(time.Millisecond),
+				WithMetrics(sink),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			// Between batches, wait for the health checker to settle any
+			// quarantine, so a burst of routes cannot outrun it on a busy
+			// or single-CPU host.
+			deadline := time.Now().Add(10 * time.Second)
+			settle := func() {
+				for slices.ContainsFunc(s.PlaneStates(), func(st PlaneState) bool { return st != PlaneHealthy }) {
+					if time.Now().After(deadline) {
+						t.Fatalf("a plane never returned to service: %+v", s.PlaneStats())
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+			rng := rand.New(rand.NewSource(int64(m)))
+			failed := 0
+			for done := 0; done < requests; done += batch {
+				settle()
+				ps := make([]Perm, batch)
+				for i := range ps {
+					ps[i] = RandomPerm(s.Inputs(), rng)
+				}
+				outs, errs := s.RoutePermBatch(ps)
+				for i, err := range errs {
+					if err != nil {
+						failed++
+						continue
+					}
+					for j, w := range outs[i] {
+						if w.Addr != j {
+							t.Fatalf("delivered output %d carries address %d", j, w.Addr)
+						}
+					}
+				}
+			}
+			snap := sink.Snapshot()
+			t.Logf("m=%d: %d requests, %d failed, failovers=%d repairs=%d readmits=%d",
+				m, requests, failed, snap.Failovers, snap.Repairs, snap.Readmits)
+			if failed != 0 {
+				t.Errorf("%d of %d requests failed, want 0", failed, requests)
+			}
+			if snap.Repairs == 0 {
+				t.Errorf("the faulty plane was never rebuilt (failovers=%d, readmits=%d)", snap.Failovers, snap.Readmits)
+			}
+			if snap.Failovers > maxFailovers {
+				t.Errorf("failovers = %d, want at most %d", snap.Failovers, maxFailovers)
+			}
+		})
+	}
+}
+
+// TestBuildAllocs pins the heap bytes one constructor call allocates at
+// m=5: no serving constructor builds a fault dictionary (which took 76.7 MB
+// per build), so a supervised stack stays under 64 KB and a 4-shard cluster
+// under 256 KB. Each build is measured three times and the least is kept,
+// so a stray allocation elsewhere in the process cannot fail it.
+func TestBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; run without -race")
+	}
+	for _, c := range []struct {
+		name  string
+		limit uint64
+		build func() (io.Closer, error)
+	}{
+		{"NewSupervised(bnb, 5)", 64 << 10, func() (io.Closer, error) { return NewSupervised("bnb", 5) }},
+		{"NewCluster(bnb, 5, WithShards(4))", 256 << 10, func() (io.Closer, error) { return NewCluster("bnb", 5, WithShards(4)) }},
+	} {
+		least := ^uint64(0)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			stack, err := c.build()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if err := stack.Close(); err != nil {
+				t.Fatalf("%s: Close: %v", c.name, err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("%s allocates %d B", c.name, least)
+		if least >= c.limit {
+			t.Errorf("%s allocates %d B, want under %d", c.name, least, c.limit)
+		}
+	}
 }
 
 func TestSupervisedDefaultsAndAccessors(t *testing.T) {

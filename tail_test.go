@@ -112,17 +112,18 @@ func TestTailToleranceSoak(t *testing.T) {
 	if faulty.Hedges() == 0 {
 		t.Error("the hedge timer never fired across a 10k-request soak with 20ms stalls")
 	}
-	if faulty.HedgeWins() == 0 {
+	snap := faultySink.Snapshot()
+	if snap.HedgeWins == 0 {
 		t.Error("no hedge ever beat a stalled primary")
 	}
-	if wins := faulty.HedgeWins(); wins > faulty.Hedges() {
+	if wins := snap.HedgeWins; wins > faulty.Hedges() {
 		t.Errorf("hedge wins %d exceed hedges %d", wins, faulty.Hedges())
 	}
 
 	// The stalling plane must have been drained for slowness and readmitted
 	// once its window healed; give the health checker a bounded window to
 	// finish the cycle, then require a fully healthy fleet.
-	if faulty.SlowQuarantines() == 0 {
+	if snap.SlowQuarantines == 0 {
 		t.Error("the stalling plane was never quarantined for slowness")
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -133,12 +134,12 @@ func TestTailToleranceSoak(t *testing.T) {
 				allHealthy = false
 			}
 		}
-		if allHealthy && faulty.Readmits() >= 1 {
+		if allHealthy && faultySink.Snapshot().Readmits >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("fleet never returned to full health: readmits %d, stats %+v",
-				faulty.Readmits(), faulty.PlaneStats())
+				faultySink.Snapshot().Readmits, faulty.PlaneStats())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
