@@ -9,18 +9,21 @@ all: build vet test
 # Full pre-merge gate: vet (plus staticcheck when installed), the
 # race-detector suite, ten race-detector passes over the engine queue's
 # claim, stress and priority tests (state the waiters and the workers
-# both reach) and over the plane supervisor's rebuild-rule tests (a
-# plane's hard-failure count, which the hot path's failures and the health
-# checker's rebuilds both write), a 32-bit cross-compile (pins int-width
+# both reach), over the plane supervisor's rebuild-rule tests (a plane's
+# hard-failure count, which the hot path's failures and the health
+# checker's rebuilds both write) and over the in-flight gate's tests and
+# the drain schedules of the cluster and the plane supervisor (routes and
+# drains write a gate's count and waiter state at once), a 32-bit cross-compile (pins int-width
 # bugs like the rotor truncation) and a 32-bit run of the packages whose
 # bit-plane kernel is shift-and-mask code, plus gbn's runner, fault's
 # rejection goldens and the cluster's looping decomposition (XOR and shift
 # index math; amd64 hosts run 386 test binaries natively), one run
 # without -race (whose instrumentation allocates, so the pins skip under
-# it) of the allocation pins: zero on the pooled routing hot path, one
-# ticket per engine request, what Compile keeps (objects and bytes), what
-# a plan-cache insert adds and what building a supervised stack or a
-# cluster allocates (no fault dictionary); a short fuzz smoke of the
+# it) of the allocation pins: zero on the pooled routing hot path and on
+# a gate's Enter and Exit, one ticket per engine request, what Compile
+# keeps (objects and bytes), what a plan-cache insert adds and what
+# building a supervised stack or a cluster allocates (no fault
+# dictionary); a short fuzz smoke of the
 # fault-injected pooled path, the differential verification battery up to
 # m=4, and the benchmark module: perfbench is its own Go module (replace
 # repro => ../), so the root ./... never compiles it and a removed public
@@ -33,7 +36,9 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Claim|QueueStress|PriorityOrder' ./internal/engine
 	$(GO) test -race -count=10 -run '^TestRebuild' ./internal/plane
-	$(GO) test -run='Allocs$$' . ./internal/core ./internal/plancache
+	$(GO) test -race -count=10 ./internal/inflight
+	$(GO) test -race -count=10 -run 'DrainSchedule' . ./internal/plane
+	$(GO) test -run='Allocs$$' . ./internal/core ./internal/plancache ./internal/inflight
 	$(GO) test -run='^$$' -fuzz FuzzPooledPathUnderFault -fuzztime 10s .
 	$(GO) run ./cmd/bnbverify -maxm 4
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
@@ -66,7 +71,7 @@ race:
 	$(GO) test -race ./...
 
 # Perf-trajectory smoke: run the bnbbench harness with quick sample counts
-# into a scratch dir and validate the output against the bnbbench/v8
+# into a scratch dir and validate the output against the bnbbench/v9
 # schema. The committed BENCH_<m>.json files are full runs; refresh them
 # after perf work with `$(GO) run ./cmd/bnbbench -m 3,5,7 -out .`.
 bench:
@@ -106,8 +111,9 @@ chaos:
 	$(GO) run -race ./cmd/fabricsim -net bnb -m 5 -planes 3 -chaos 0.01 -requests 10000
 
 # Hitless-reconfiguration soak under the race detector: the lifecycle and
-# rollout suites (drain contracts, plane add/remove, cache pre-warm, the
-# 10k-request chaos rollout, the 100-iteration membership-churn leak check),
+# rollout suites (drain contracts, the cluster and plane drain schedules,
+# plane add/remove, cache pre-warm, the 10k-request chaos rollout, the
+# 100-iteration membership-churn leak check),
 # the compiled-plan round-trip fuzz smoke, then a fabricsim run performing
 # three live Reconfigure rollouts under 1% chaos that must deliver every
 # request — the run exits nonzero on any loss or misroute.
@@ -128,7 +134,8 @@ soak-tail:
 	$(GO) run -race ./cmd/fabricsim -net bnb -m 5 -planes 3 -slow 20ms -hedge auto -requests 10000
 
 # Cluster-fabric soak under the race detector: the cluster and serving
-# suites, then a fabricsim cluster run with a live shard add and drain
+# suites (the cluster drain schedules among them), then a fabricsim
+# cluster run with a live shard add and drain
 # mid-stream — every request must deliver word-for-word or the run exits
 # nonzero — and the bnbserve membership test hammering the HTTP and TCP
 # fronts during shard churn.

@@ -10,19 +10,18 @@ package bnbnet
 // Cluster satisfies the same Network / BulkRouter / TracedRouter /
 // PlanRouter surfaces as the monolithic networks and the same Router
 // serving contract as Engine and Supervised, and supports hitless shard
-// add/drain over the same snapshot-swap machinery the plane supervisor
-// uses.
+// add/drain by swapping membership snapshots, each with one in-flight gate.
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/inflight"
 	"repro/internal/trace"
 )
 
@@ -45,14 +44,14 @@ func (s clusterShard) RouteInto(dst, src []core.Word) error {
 }
 
 // clusterFabric is one immutable membership snapshot: the shard set, the
-// coordinator scattering over it, and the count of routes still using it.
-// Membership changes swap whole snapshots; a snapshot is retired once its
-// reference count drains, so a removed shard is never closed while a route
-// that acquired the old membership might still route through it.
+// coordinator scattering over it, and the gate counting the routes inside
+// it. Membership changes swap whole snapshots; a snapshot is retired once
+// its gate drains, so a removed shard is never closed while a route that
+// acquired the old membership might still route through it.
 type clusterFabric struct {
 	shards []*planeSet
 	co     *cluster.Coordinator
-	refs   atomic.Int64
+	gate   inflight.Gate
 }
 
 func newClusterFabric(shards []*planeSet) (*clusterFabric, error) {
@@ -96,7 +95,6 @@ type Cluster struct {
 	closed     atomic.Bool
 	drained    bool // a Drain completed; guarded by reconfigMu
 
-	inflight       atomic.Int64
 	added, removed atomic.Int64
 }
 
@@ -184,56 +182,29 @@ func NewCluster(family string, m int, opts ...Option) (*Cluster, error) {
 }
 
 // acquire pins the current membership snapshot for one route. The route
-// counts itself in flight before it checks the lifecycle, so a Drain or
-// Close that flips the lifecycle and then waits for the in-flight count
-// either sees the route or is seen by it. The re-check after taking a
-// reference catches a concurrent swap: a reference taken on an
-// already-retired snapshot is released and the load retried, so
-// membership operations waiting for a snapshot to drain never race with
-// late acquirers.
+// enters the snapshot's gate before it re-checks the snapshot and the
+// lifecycle, so a membership change or a Drain or Close, which publishes
+// first and then waits on the gate, either sees the route or is seen by
+// it: a route that entered a retired snapshot leaves and loads the new
+// one, and a route that sees the lifecycle closing leaves with its error.
 func (c *Cluster) acquire() (*clusterFabric, error) {
-	c.inflight.Add(1)
-	if c.closed.Load() {
-		c.inflight.Add(-1)
-		return nil, ErrClosed
-	}
-	if c.draining.Load() {
-		c.inflight.Add(-1)
-		return nil, ErrDraining
-	}
 	for {
 		f := c.fab.Load()
-		f.refs.Add(1)
-		if c.fab.Load() == f {
+		f.gate.Enter()
+		var err error
+		switch {
+		case c.closed.Load():
+			err = ErrClosed
+		case c.draining.Load():
+			err = ErrDraining
+		case c.fab.Load() == f:
 			return f, nil
 		}
-		f.refs.Add(-1)
-	}
-}
-
-func (c *Cluster) release(f *clusterFabric) {
-	f.refs.Add(-1)
-	c.inflight.Add(-1)
-}
-
-// waitFabric blocks until no route holds the retired snapshot. Routes run
-// on their callers' goroutines and never block on a queue, so the wait is
-// bounded by the in-flight routes' latency.
-func waitFabric(f *clusterFabric) {
-	for f.refs.Load() != 0 {
-		runtime.Gosched()
-	}
-}
-
-// waitRoutes blocks until no admitted route is in flight, or ctx expires.
-func (c *Cluster) waitRoutes(ctx context.Context) error {
-	for c.inflight.Load() != 0 {
-		if err := ctx.Err(); err != nil {
-			return err
+		f.gate.Exit()
+		if err != nil {
+			return nil, err
 		}
-		runtime.Gosched()
 	}
-	return nil
 }
 
 // Name implements Network, identifying the fabric as e.g. "cluster(bnb)".
@@ -288,7 +259,7 @@ func (c *Cluster) RouteIntoCtx(ctx context.Context, dst, src []Word) error {
 	if err != nil {
 		return err
 	}
-	defer c.release(f)
+	defer f.gate.Exit()
 	return f.co.Route(ctx, dst, src)
 }
 
@@ -337,7 +308,7 @@ func (c *Cluster) RouteTraced(words []Word) ([]Word, [][]Word, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	defer c.release(f)
+	defer f.gate.Exit()
 	p := make([]int, len(words))
 	for i, w := range words {
 		p[i] = w.Addr
@@ -374,7 +345,7 @@ func (c *Cluster) Compile(p Perm) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer c.release(f)
+	defer f.gate.Exit()
 	a, err := f.co.Decompose(p)
 	if err != nil {
 		return nil, err
@@ -397,7 +368,7 @@ func (c *Cluster) Replay(pl *Plan, dst, src []Word) error {
 	if err != nil {
 		return err
 	}
-	defer c.release(f)
+	defer f.gate.Exit()
 	return f.co.RouteAssigned(context.Background(), dst, src, pl.ca)
 }
 
@@ -423,9 +394,10 @@ func (c *Cluster) Delay() Delay {
 	return Delay{SwitchUnits: d.SwitchUnits + 2, FunctionUnits: d.FunctionUnits}
 }
 
-// InFlight returns the number of cluster routes admitted and not yet
-// settled.
-func (c *Cluster) InFlight() int64 { return c.inflight.Load() }
+// InFlight returns the number of routes inside the live membership
+// snapshot: admitted and not yet settled, plus, for a moment, a route that
+// is about to find the cluster draining or its membership changed.
+func (c *Cluster) InFlight() int64 { return c.fab.Load().gate.Count() }
 
 // Metrics returns the shared sink, or nil if none was configured.
 func (c *Cluster) Metrics() *Metrics { return c.m }
@@ -472,9 +444,10 @@ func (c *Cluster) AddShard(ctx context.Context) (int, error) {
 	}
 	c.fab.Store(nf)
 	// Quiesce the retired snapshot before returning so at most one
-	// membership is ever live — the invariant RemoveShard's teardown
-	// relies on.
-	waitFabric(old)
+	// membership is ever live — the invariant RemoveShard's teardown and
+	// Drain's single wait rely on. Routes never block on a queue, so the
+	// wait is bounded by the in-flight routes' latency.
+	_ = old.gate.Wait(context.Background()) // a background context never expires
 	c.added.Add(1)
 	return len(shards), nil
 }
@@ -506,7 +479,7 @@ func (c *Cluster) RemoveShard(ctx context.Context) (int, error) {
 		return 0, err
 	}
 	c.fab.Store(nf)
-	waitFabric(old)
+	_ = old.gate.Wait(context.Background())
 	old.shards[len(shards)].sup.Close()
 	c.removed.Add(1)
 	return len(shards), nil
@@ -524,7 +497,7 @@ func (c *Cluster) Drain(ctx context.Context) error {
 		return ErrClosed
 	}
 	c.draining.Store(true)
-	if err := c.waitRoutes(ctx); err != nil {
+	if err := c.fab.Load().gate.Wait(ctx); err != nil {
 		return err
 	}
 	c.drained = true
@@ -544,8 +517,9 @@ func (c *Cluster) Close() error {
 		}
 		return ErrClosed
 	}
-	_ = c.waitRoutes(context.Background()) // a background context never expires
-	for _, sh := range c.fab.Load().shards {
+	f := c.fab.Load()
+	_ = f.gate.Wait(context.Background())
+	for _, sh := range f.shards {
 		sh.sup.Close()
 	}
 	if c.dbg != nil {

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/check"
 )
 
 // TestClusterDifferential is the correctness acceptance: the cluster must
@@ -501,4 +503,121 @@ func TestClusterCancelledRoutesNoShard(t *testing.T) {
 	if c.InFlight() != 0 {
 		t.Fatalf("InFlight = %d after the cancelled route", c.InFlight())
 	}
+}
+
+// yieldNet is a shard network whose RouteInto parks the scheduled thread
+// at check.Yield while armed, so a schedule can hold a cluster route inside
+// a shard.
+type yieldNet struct {
+	Network
+	br    BulkRouter
+	armed *atomic.Bool
+}
+
+func (y yieldNet) RouteInto(dst, src []Word) error {
+	if y.armed.Load() {
+		check.Yield()
+	}
+	return y.br.RouteInto(dst, src)
+}
+
+// clusterScheduleRuns numbers the families the drain schedules register,
+// so repeated runs (-count) never collide in the registry.
+var clusterScheduleRuns atomic.Int64
+
+// clusterHoldsDrain parks one cluster route inside shard 0, runs op on its
+// own goroutine until started reports it has begun (its membership or
+// lifecycle change is published), checks that op does not return while the
+// route stays parked, then releases the route and checks that op returns
+// without error and the route was delivered word for word.
+func clusterHoldsDrain(t *testing.T, shards int, op func(*Cluster) error, started func(*Cluster) bool) {
+	t.Helper()
+	var armed atomic.Bool
+	family := fmt.Sprintf("bnb-yield-%d", clusterScheduleRuns.Add(1))
+	if err := Register(family, func(m, _ int) (Network, error) {
+		n, err := New("bnb", m)
+		if err != nil {
+			return nil, err
+		}
+		br, _ := AsBulkRouter(n)
+		return yieldNet{Network: n, br: br, armed: &armed}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(family, 2, WithShards(shards), WithHealthInterval(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	armed.Store(true)
+	p := RandomPerm(c.Inputs(), rand.New(rand.NewSource(9)))
+	var routeErr error
+	route := check.GoNamed("cluster-route", func(func()) {
+		out, err := c.RoutePerm(p)
+		if err != nil {
+			routeErr = err
+			return
+		}
+		for i, d := range p {
+			if out[d].Addr != d || out[d].Data != uint64(i) {
+				routeErr = fmt.Errorf("output %d = %+v, want {%d %d}", d, out[d], d, i)
+				return
+			}
+		}
+	})
+	route.Step() // parked inside shard 0
+	if got := c.InFlight(); got != 1 {
+		t.Fatalf("parked route: InFlight = %d, want 1", got)
+	}
+	done := make(chan error, 1)
+	go func() { done <- op(c) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for !started(c) {
+		if time.Now().After(deadline) {
+			t.Fatal("the operation never started")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("the operation returned (%v) while a route was parked in a shard", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	route.Finish()
+	armed.Store(false)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("the operation after the route was released: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the operation did not return after the route was released")
+	}
+	if routeErr != nil {
+		t.Fatalf("the parked route: %v", routeErr)
+	}
+}
+
+// TestClusterDrainScheduleDrain pins that Drain waits on the live
+// snapshot's gate: it does not return while a route is parked in a shard,
+// and returns once the route is released and delivered.
+func TestClusterDrainScheduleDrain(t *testing.T) {
+	clusterHoldsDrain(t, 2, func(c *Cluster) error {
+		return c.Drain(context.Background())
+	}, func(c *Cluster) bool { return c.draining.Load() })
+}
+
+// TestClusterDrainScheduleRemoveShard pins that RemoveShard waits on the
+// retired snapshot's gate: it publishes the shrunk membership, then does
+// not return (nor close the removed shard) while a route that acquired the
+// old membership is parked in a shard; the route is delivered across both
+// old shards once released.
+func TestClusterDrainScheduleRemoveShard(t *testing.T) {
+	clusterHoldsDrain(t, 2, func(c *Cluster) error {
+		got, err := c.RemoveShard(context.Background())
+		if err == nil && got != 1 {
+			err = fmt.Errorf("RemoveShard reported %d shards, want 1", got)
+		}
+		return err
+	}, func(c *Cluster) bool { return c.Shards() == 1 })
 }

@@ -11,18 +11,20 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	bnbnet "repro"
 )
 
 // Report is the machine-readable result of one bnbbench run at one order —
-// the BENCH_<m>.json payload. Schema "bnbbench/v8" (v2 added the compiled
+// the BENCH_<m>.json payload. Schema "bnbbench/v9" (v2 added the compiled
 // route-plan section; v3 the hitless-reconfiguration profile; v4 the
 // tail-tolerance profile; v5 the sharded-queue engine counters; v6 the
 // multi-shard cluster fabric sweep; v7 the host reference; v8 dropped the
-// engine counters that one queue fixes); Validate checks an emitted file
-// against it.
+// engine counters that one queue fixes; v9 measures the reconfig blackout
+// from three probers' completions against a steady window); Validate
+// checks an emitted file against it.
 type Report struct {
 	Schema string `json:"schema"`
 	M      int    `json:"m"`
@@ -141,20 +143,28 @@ type ClassPoint struct {
 	ShedRate  float64 `json:"shed_rate"`
 }
 
-// ReconfigResult profiles the hitless live-rollout path added by
-// bnbbench/v3: the wall time of one full Reconfigure of a two-plane
-// supervised stack under continuous traffic, the swap blackout (the longest
-// gap between successive successful routes while the rollout runs — the
-// availability cost of the rolling swap), the warm-hit ratio (the fraction
-// of the first post-rollout requests served from the pre-warmed plan
-// caches), and the latency of the final drain on the idle engine.
+// ReconfigResult profiles the hitless live-rollout path: one full
+// Reconfigure of a two-plane supervised stack while three closed-loop
+// probers keep routing. RolloutNs is Reconfigure's own time from call to
+// return. SwapBlackoutNs is the longest stretch of the rollout without a
+// completion (all probers merged, the rollout's start and end counted as
+// edges), and OutsideGapNs the same measure over a steady window just
+// before it; CompletionsInside counts the completions inside the rollout,
+// and BlackoutResolved records whether the rollout outlasts the steady
+// window's longest gap, without which the blackout cannot tell a stalled
+// rollout from ordinary gaps. WarmHitRatio is the fraction of the first
+// post-rollout requests served from the pre-warmed plan caches, and
+// DrainNs the latency of the final drain on the idle engine.
 type ReconfigResult struct {
-	Planes         int     `json:"planes"`
-	RolloutNs      int64   `json:"rollout_ns"`
-	SwapBlackoutNs int64   `json:"swap_blackout_ns"`
-	DrainNs        int64   `json:"drain_ns"`
-	PlanWarms      int64   `json:"plan_warms"`
-	WarmHitRatio   float64 `json:"warm_hit_ratio"`
+	Planes            int     `json:"planes"`
+	RolloutNs         int64   `json:"rollout_ns"`
+	SwapBlackoutNs    int64   `json:"swap_blackout_ns"`
+	OutsideGapNs      int64   `json:"outside_gap_ns"`
+	CompletionsInside int     `json:"completions_inside"`
+	BlackoutResolved  bool    `json:"blackout_resolved"`
+	DrainNs           int64   `json:"drain_ns"`
+	PlanWarms         int64   `json:"plan_warms"`
+	WarmHitRatio      float64 `json:"warm_hit_ratio"`
 }
 
 // NetworkResult is the single-threaded route latency profile of one family.
@@ -258,7 +268,7 @@ func defaultConfig(m int, families []string, workers []int, quick bool) benchCon
 // runBench measures every configured family and sweep at order cfg.m.
 func runBench(cfg benchConfig) (Report, error) {
 	rep := Report{
-		Schema: "bnbbench/v8",
+		Schema: "bnbbench/v9",
 		M:      cfg.m,
 		N:      1 << uint(cfg.m),
 		Go:     runtime.Version(),
@@ -590,15 +600,24 @@ func closedLoopP50(net bnbnet.Network, batches [][]bnbnet.Word) (time.Duration, 
 	return time.Duration(medianNs(samples)), nil
 }
 
+// reconfigProbers is the number of closed-loop Submit+Wait clients that
+// keep routing through the rollout; reconfigSteady is the window before
+// the rollout whose longest gap between completions is the reference.
+const (
+	reconfigProbers = 3
+	reconfigSteady  = 5 * time.Millisecond
+)
+
 // benchReconfig measures the hitless-rollout path: a two-plane supervised
-// stack serves a hot working set (filling both plan caches), then the whole
-// fleet is rolled onto fresh planes with ReconfigWarmPlans while a probe
-// loop keeps routing — the longest gap between successive completions is
-// the swap blackout. The first post-rollout requests measure how much of
-// the working set the pre-warm carried over, and a final Drain on the idle
-// engine gives the drain latency. The background health prober is parked
-// (the rolling swap verifies replacements synchronously) so the cache
-// counters reflect only this workload.
+// stack serves a hot working set (filling both plan caches), then
+// reconfigProbers closed-loop clients route the hot set through a steady
+// window and a rollout of the whole fleet onto fresh planes with
+// ReconfigWarmPlans, recording the time of every completion. The first
+// post-rollout requests measure how much of the working set the pre-warm
+// carried over, and a final Drain on the idle engine gives the drain
+// latency. The background health prober is parked (the rolling swap
+// verifies replacements synchronously) so the cache counters reflect only
+// this workload.
 func benchReconfig(cfg benchConfig) (ReconfigResult, error) {
 	const planes = 2
 	sink := bnbnet.NewMetrics()
@@ -612,13 +631,20 @@ func benchReconfig(cfg benchConfig) (ReconfigResult, error) {
 	}
 	n := sup.Inputs()
 	rng := rand.New(rand.NewSource(cfg.seed))
-	hot := make([]bnbnet.Perm, 8)
+	hot := make([][]bnbnet.Word, 8)
 	for i := range hot {
-		hot[i] = bnbnet.RandomPerm(n, rng)
+		hot[i] = make([]bnbnet.Word, n)
+		for j, d := range bnbnet.RandomPerm(n, rng) {
+			hot[i][j] = bnbnet.Word{Addr: d, Data: uint64(j)}
+		}
 	}
-	routeOne := func(p bnbnet.Perm) error {
-		_, errs := sup.RoutePermBatch([]bnbnet.Perm{p})
-		return errs[0]
+	routeOne := func(src, dst []bnbnet.Word) error {
+		tk, err := sup.Submit(dst, src)
+		if err != nil {
+			return err
+		}
+		_, err = tk.Wait()
+		return err
 	}
 	// Fill both plan caches with the working set: enough sequential passes
 	// that the rotor lands every hot permutation on every plane.
@@ -626,50 +652,65 @@ func benchReconfig(cfg benchConfig) (ReconfigResult, error) {
 	if cfg.quick {
 		fill = 4
 	}
+	dst := make([]bnbnet.Word, n)
 	for r := 0; r < fill; r++ {
-		for _, p := range hot {
-			if err := routeOne(p); err != nil {
+		for _, src := range hot {
+			if err := routeOne(src, dst); err != nil {
 				return ReconfigResult{}, fmt.Errorf("cache fill: %w", err)
 			}
 		}
 	}
 
+	// The probers record each completion as an offset from base; the
+	// steady window is [steady, start) and the rollout [start, end].
+	base := time.Now()
+	var stop atomic.Bool
+	done := make([][]time.Duration, reconfigProbers)
+	errs := make([]error, reconfigProbers)
+	var wg sync.WaitGroup
+	for g := range done {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			out := make([]bnbnet.Word, n)
+			times := make([]time.Duration, 0, 4096)
+			for i := g; !stop.Load(); i++ {
+				if err := routeOne(hot[i%len(hot)], out); err != nil {
+					errs[g] = fmt.Errorf("probe during rollout: %w", err)
+					break
+				}
+				times = append(times, time.Since(base))
+				// Yield between probes: the probers' requests are mostly
+				// claimed on their own goroutines, which never park, so
+				// without it the rollout goroutine could wait for the
+				// scheduler's preemption instead of running.
+				runtime.Gosched()
+			}
+			done[g] = times
+		}(g)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	// One full rollout under continuous probing: every gap between
-	// consecutive successful routes is a candidate blackout window.
-	rolloutDone := make(chan error, 1)
-	start := time.Now()
-	go func() {
-		rolloutDone <- sup.Reconfigure(ctx, bnbnet.ReconfigWarmPlans(len(hot)))
-	}()
-	var blackout time.Duration
-	last := time.Now()
-	for i := 0; ; i++ {
-		// Yield between probes: on a single-P runtime the Submit/Wait channel
-		// ping-pong would otherwise keep the rollout goroutine parked in the
-		// run queue indefinitely, and the probes would measure a stall they
-		// themselves caused.
-		runtime.Gosched()
-		if err := routeOne(hot[i%len(hot)]); err != nil {
-			return ReconfigResult{}, fmt.Errorf("probe during rollout: %w", err)
-		}
-		now := time.Now()
-		if gap := now.Sub(last); gap > blackout {
-			blackout = gap
-		}
-		last = now
-		select {
-		case err := <-rolloutDone:
-			if err != nil {
-				return ReconfigResult{}, fmt.Errorf("reconfigure: %w", err)
-			}
-		default:
-			continue
-		}
-		break
+	steady := time.Since(base)
+	time.Sleep(reconfigSteady)
+	start := time.Since(base)
+	rerr := sup.Reconfigure(ctx, bnbnet.ReconfigWarmPlans(len(hot)))
+	end := time.Since(base)
+	stop.Store(true)
+	wg.Wait()
+	if rerr != nil {
+		return ReconfigResult{}, fmt.Errorf("reconfigure: %w", rerr)
 	}
-	rollout := time.Since(start)
+	var all []time.Duration
+	for g, times := range done {
+		if errs[g] != nil {
+			return ReconfigResult{}, errs[g]
+		}
+		all = append(all, times...)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	outside, _ := largestGap(all, steady, start)
+	blackout, inside := largestGap(all, start, end)
 
 	// Warm-hit ratio: the share of the first post-rollout working-set
 	// requests the pre-warmed caches serve without a compile.
@@ -679,7 +720,7 @@ func benchReconfig(cfg benchConfig) (ReconfigResult, error) {
 	}
 	post := 8 * len(hot)
 	for i := 0; i < post; i++ {
-		if err := routeOne(hot[i%len(hot)]); err != nil {
+		if err := routeOne(hot[i%len(hot)], dst); err != nil {
 			return ReconfigResult{}, fmt.Errorf("post-rollout: %w", err)
 		}
 	}
@@ -697,14 +738,36 @@ func benchReconfig(cfg benchConfig) (ReconfigResult, error) {
 	if err := sup.Close(); err != nil {
 		return ReconfigResult{}, err
 	}
+	rollout := end - start
 	return ReconfigResult{
-		Planes:         planes,
-		RolloutNs:      rollout.Nanoseconds(),
-		SwapBlackoutNs: blackout.Nanoseconds(),
-		DrainNs:        drain.Nanoseconds(),
-		PlanWarms:      warms,
-		WarmHitRatio:   float64(hitsAfter-hitsBefore) / float64(post),
+		Planes:            planes,
+		RolloutNs:         rollout.Nanoseconds(),
+		SwapBlackoutNs:    blackout.Nanoseconds(),
+		OutsideGapNs:      outside.Nanoseconds(),
+		CompletionsInside: inside,
+		BlackoutResolved:  rollout > outside,
+		DrainNs:           drain.Nanoseconds(),
+		PlanWarms:         warms,
+		WarmHitRatio:      float64(hitsAfter-hitsBefore) / float64(post),
 	}, nil
+}
+
+// largestGap returns the longest stretch of the window [from, to] without a
+// completion — the largest difference between consecutive sorted
+// completion times strictly inside the window, with the window's edges
+// counted as completions — and the number of completions inside. With
+// none inside, the gap is the whole window.
+func largestGap(sorted []time.Duration, from, to time.Duration) (gap time.Duration, inside int) {
+	last := from
+	for _, t := range sorted {
+		if t <= from || t >= to {
+			continue
+		}
+		gap = max(gap, t-last)
+		last = t
+		inside++
+	}
+	return max(gap, to-last), inside
 }
 
 // benchPlan measures the compiled-plan path: compile cost across the sample

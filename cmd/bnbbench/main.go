@@ -56,7 +56,7 @@ func run(ms, nets, workers string, quick bool, out, validate string, minScale fl
 				return fmt.Errorf("%s: %w", validate, err)
 			}
 		}
-		fmt.Printf("%s: valid bnbbench/v8 report (m=%d, %d families, %d engine points, %d plan sweep points, %d cluster points, reconfig blackout %dns, host reference %.1f/%.1fus)\n",
+		fmt.Printf("%s: valid bnbbench/v9 report (m=%d, %d families, %d engine points, %d plan sweep points, %d cluster points, reconfig blackout %dns, host reference %.1f/%.1fus)\n",
 			validate, rep.M, len(rep.Networks), len(rep.Engine), len(rep.Plan.HitSweep), len(rep.Cluster.Sweep), rep.Reconfig.SwapBlackoutNs,
 			rep.HostRef.Before, rep.HostRef.After)
 		return nil

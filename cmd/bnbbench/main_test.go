@@ -68,8 +68,8 @@ func TestRunBenchProducesValidReport(t *testing.T) {
 	if rc.Planes != 2 || rc.RolloutNs <= 0 || rc.DrainNs <= 0 {
 		t.Errorf("reconfig profile incomplete: %+v", rc)
 	}
-	if rc.SwapBlackoutNs <= 0 || rc.SwapBlackoutNs > rc.RolloutNs {
-		t.Errorf("swap blackout %dns outside (0, rollout %dns]", rc.SwapBlackoutNs, rc.RolloutNs)
+	if rc.SwapBlackoutNs < 0 || rc.SwapBlackoutNs > rc.RolloutNs {
+		t.Errorf("swap blackout %dns outside [0, rollout %dns]", rc.SwapBlackoutNs, rc.RolloutNs)
 	}
 	if rc.PlanWarms < 8 {
 		t.Errorf("plan warms = %d, want >= 8 (8 hot plans carried onto at least one plane)", rc.PlanWarms)
@@ -133,7 +133,7 @@ func TestValidateRejections(t *testing.T) {
 		payload []byte
 		want    string
 	}{
-		{"unknown field", []byte(`{"schema":"bnbbench/v8","bogus":1}`), "decode"},
+		{"unknown field", []byte(`{"schema":"bnbbench/v9","bogus":1}`), "decode"},
 		{"wrong schema", marshal(func() Report { r := rep; r.Schema = "bnbbench/v2"; return r }()), "schema"},
 		{"n mismatch", marshal(func() Report { r := rep; r.N = 7; return r }()), "2^m"},
 		{"missing family", marshal(func() Report {
@@ -167,6 +167,35 @@ func TestValidateRejections(t *testing.T) {
 			r.Reconfig.SwapBlackoutNs = r.Reconfig.RolloutNs + 1
 			return r
 		}()), "swap blackout"},
+		{"negative blackout", marshal(func() Report {
+			r := rep
+			r.Reconfig.SwapBlackoutNs = -1
+			return r
+		}()), "swap blackout"},
+		{"completions inside a whole-rollout blackout", marshal(func() Report {
+			r := rep
+			r.Reconfig.SwapBlackoutNs = r.Reconfig.RolloutNs
+			r.Reconfig.CompletionsInside = 1
+			return r
+		}()), "completions inside"},
+		{"no completions inside a shorter blackout", marshal(func() Report {
+			r := rep
+			r.Reconfig.SwapBlackoutNs = r.Reconfig.RolloutNs - 1
+			r.Reconfig.CompletionsInside = 0
+			return r
+		}()), "completions inside"},
+		{"resolved flag contradicts the gaps", marshal(func() Report {
+			r := rep
+			r.Reconfig.OutsideGapNs = r.Reconfig.RolloutNs + 1
+			r.Reconfig.BlackoutResolved = true
+			return r
+		}()), "blackout_resolved"},
+		{"unresolved flag contradicts the gaps", marshal(func() Report {
+			r := rep
+			r.Reconfig.OutsideGapNs = r.Reconfig.RolloutNs - 1
+			r.Reconfig.BlackoutResolved = false
+			return r
+		}()), "blackout_resolved"},
 		{"no plan warms", marshal(func() Report {
 			r := rep
 			r.Reconfig.PlanWarms = 0

@@ -30,8 +30,8 @@ func Validate(r io.Reader) (Report, error) {
 }
 
 func checkReport(rep Report) error {
-	if rep.Schema != "bnbbench/v8" {
-		return fmt.Errorf("schema %q, want bnbbench/v8", rep.Schema)
+	if rep.Schema != "bnbbench/v9" {
+		return fmt.Errorf("schema %q, want bnbbench/v9", rep.Schema)
 	}
 	if rep.M < 1 || rep.N != 1<<uint(rep.M) {
 		return fmt.Errorf("m = %d with n = %d; want n = 2^m", rep.M, rep.N)
@@ -128,8 +128,18 @@ func checkReport(rep Report) error {
 	if rc.RolloutNs <= 0 || rc.DrainNs <= 0 {
 		return fmt.Errorf("reconfig: non-positive rollout %d ns or drain %d ns", rc.RolloutNs, rc.DrainNs)
 	}
-	if rc.SwapBlackoutNs <= 0 || rc.SwapBlackoutNs > rc.RolloutNs {
-		return fmt.Errorf("reconfig: swap blackout %d ns outside (0, rollout %d ns]", rc.SwapBlackoutNs, rc.RolloutNs)
+	// The blackout is the longest gap inside the rollout, edges included,
+	// so it spans the whole rollout exactly when nothing completed inside.
+	if rc.SwapBlackoutNs < 0 || rc.SwapBlackoutNs > rc.RolloutNs {
+		return fmt.Errorf("reconfig: swap blackout %d ns outside [0, rollout %d ns]", rc.SwapBlackoutNs, rc.RolloutNs)
+	}
+	if rc.CompletionsInside < 0 || (rc.CompletionsInside == 0) != (rc.SwapBlackoutNs == rc.RolloutNs) {
+		return fmt.Errorf("reconfig: %d completions inside the rollout, but the swap blackout %d ns against the rollout %d ns says otherwise",
+			rc.CompletionsInside, rc.SwapBlackoutNs, rc.RolloutNs)
+	}
+	if rc.OutsideGapNs <= 0 || rc.BlackoutResolved != (rc.RolloutNs > rc.OutsideGapNs) {
+		return fmt.Errorf("reconfig: blackout_resolved %v disagrees with rollout %d ns against the steady window's gap %d ns",
+			rc.BlackoutResolved, rc.RolloutNs, rc.OutsideGapNs)
 	}
 	if rc.PlanWarms < 1 {
 		return fmt.Errorf("reconfig: %d plan warms — the rollout must carry the hot set over", rc.PlanWarms)

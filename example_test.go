@@ -92,7 +92,7 @@ func ExampleVerifyNetwork() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report, err := bnbnet.VerifyNetwork(net, bnbnet.VerifyOptions{RandomTrials: 10, BPCTrials: 5})
+	report, err := bnbnet.VerifyNetwork(net, bnbnet.CheckOptions{RandomTrials: 10, BPCTrials: 5, AdversarialClimbs: -1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -60,7 +60,6 @@ type Metrics struct {
 	planesHealthy     atomic.Int64
 	planesSuspect     atomic.Int64
 	planesQuarantined atomic.Int64
-	planesAdmitting   atomic.Int64
 	planesDraining    atomic.Int64
 
 	// Live-reconfiguration counters, fed by the drain lifecycle and the
@@ -386,17 +385,16 @@ func (m *Metrics) AddPlanWarm() {
 }
 
 // SetPlaneStates publishes the supervisor's current plane-state census as
-// gauges; the supervisor calls it after every state transition. Admitting
-// planes are probing their way into service, draining planes are on their
-// way out; detached planes have left the set and are not counted.
-func (m *Metrics) SetPlaneStates(healthy, suspect, quarantined, admitting, draining int64) {
+// gauges; the supervisor calls it after every state transition. Draining
+// planes are on their way out; detached planes have left the set and are
+// not counted.
+func (m *Metrics) SetPlaneStates(healthy, suspect, quarantined, draining int64) {
 	if m == nil {
 		return
 	}
 	m.planesHealthy.Store(healthy)
 	m.planesSuspect.Store(suspect)
 	m.planesQuarantined.Store(quarantined)
-	m.planesAdmitting.Store(admitting)
 	m.planesDraining.Store(draining)
 }
 
@@ -437,9 +435,9 @@ type Snapshot struct {
 	// PlanesHealthy, PlanesSuspect and PlanesQuarantined are the current
 	// plane-state gauges of the supervisor, zero without one.
 	PlanesHealthy, PlanesSuspect, PlanesQuarantined int64
-	// PlanesAdmitting and PlanesDraining are the census of planes entering
-	// and leaving the serving set during live membership changes.
-	PlanesAdmitting, PlanesDraining int64
+	// PlanesDraining is the census of planes leaving the serving set during
+	// live membership changes.
+	PlanesDraining int64
 
 	// Drains counts graceful engine drains; Reconfigs completed live
 	// reconfigurations; PlanesAdded and PlanesRemoved runtime membership
@@ -513,7 +511,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		PlanesHealthy:     m.planesHealthy.Load(),
 		PlanesSuspect:     m.planesSuspect.Load(),
 		PlanesQuarantined: m.planesQuarantined.Load(),
-		PlanesAdmitting:   m.planesAdmitting.Load(),
 		PlanesDraining:    m.planesDraining.Load(),
 
 		Drains:        m.drains.Load(),
@@ -613,10 +610,10 @@ func (s Snapshot) String() string {
 			s.PlanHits, s.PlanMisses, s.PlanEvictions, s.PlanCompiles, s.PlanHitRatio())
 	}
 	if s.Drains != 0 || s.Reconfigs != 0 || s.PlanesAdded != 0 || s.PlanesRemoved != 0 ||
-		s.PlanWarms != 0 || s.PlanesAdmitting != 0 || s.PlanesDraining != 0 {
-		line += fmt.Sprintf(" drains=%d reconfigs=%d planes_added=%d planes_removed=%d plan_warms=%d admitting=%d draining=%d",
+		s.PlanWarms != 0 || s.PlanesDraining != 0 {
+		line += fmt.Sprintf(" drains=%d reconfigs=%d planes_added=%d planes_removed=%d plan_warms=%d draining=%d",
 			s.Drains, s.Reconfigs, s.PlanesAdded, s.PlanesRemoved, s.PlanWarms,
-			s.PlanesAdmitting, s.PlanesDraining)
+			s.PlanesDraining)
 	}
 	if s.Hedges != 0 || s.HedgeWins != 0 || s.SlowQuarantines != 0 ||
 		s.PoisonMarks != 0 || s.PoisonedRejects != 0 {

@@ -88,7 +88,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, ns string) error {
 		{"planes_healthy", "Supervised planes currently serving live traffic.", m.planesHealthy.Load()},
 		{"planes_suspect", "Supervised planes draining after a failure.", m.planesSuspect.Load()},
 		{"planes_quarantined", "Supervised planes under repair.", m.planesQuarantined.Load()},
-		{"planes_admitting", "Planes probing their way into the serving set.", m.planesAdmitting.Load()},
 		{"planes_draining", "Planes draining their way out of the serving set.", m.planesDraining.Load()},
 	}
 	for _, g := range gauges {

@@ -30,7 +30,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	m.AddRepair()
 	m.AddReadmit()
 	m.AddShed()
-	m.SetPlaneStates(2, 1, 0, 0, 0)
+	m.SetPlaneStates(2, 1, 0, 0)
 	m.AddPlanHit()
 	m.AddPlanHit()
 	m.AddPlanMiss()

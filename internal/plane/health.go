@@ -37,9 +37,9 @@ func (s *Supervisor) healthLoop() {
 
 // sweep advances every plane's state machine one step: suspect planes are
 // quarantined and probed for readmission; quarantined planes are probed for
-// readmission (rebuilt first when their failures call for it); admitting
-// planes are probed for first admission; healthy idle planes are probed so
-// a fault on a cold plane is found before live traffic hits it. A suspect
+// readmission (rebuilt first when their failures call for it); healthy idle
+// planes are probed so a fault on a cold plane is found before live traffic
+// hits it. A suspect
 // plane is not drained first: routing is thread-safe, and a straggler
 // still in flight holds the router it started on.
 // Every repair-side transition is a CompareAndSwap from the state the
@@ -54,15 +54,13 @@ func (s *Supervisor) sweep(dst, src []core.Word) {
 				continue // now Draining: membership owns this plane
 			}
 			s.publishGauges()
-			s.tryReadmit(p, dst, src, Quarantined)
+			s.tryReadmit(p, dst, src)
 		case Quarantined:
-			s.tryReadmit(p, dst, src, Quarantined)
-		case Admitting:
-			s.tryReadmit(p, dst, src, Admitting)
+			s.tryReadmit(p, dst, src)
 		case Healthy:
 			// Opportunistic idle probe: skip planes carrying live traffic —
 			// their routes are verified inline anyway.
-			if p.inflight.Load() == 0 {
+			if p.gate.Count() == 0 {
 				box := p.router.Load()
 				if err := s.tracedProbePass(p, box.r, dst, src); err != nil {
 					s.fail(p, box, err)
@@ -72,19 +70,18 @@ func (s *Supervisor) sweep(dst, src []core.Word) {
 	}
 }
 
-// tryReadmit runs a full probe pass over the quarantined (or admitting)
-// plane and promotes it to Healthy on a clean pass — by CompareAndSwap
-// from the state the caller observed, so a concurrent Draining mark wins.
+// tryReadmit runs a full probe pass over the quarantined plane and promotes
+// it to Healthy on a clean pass — by CompareAndSwap from Quarantined, so a
+// concurrent Draining mark wins.
 // The plane is rebuilt from its constructor — the repair for faults that
 // do not heal on their own — before the pass once rebuildAfter hard
 // failures have taken it out of service, which catches a fault the probes
 // miss, and after rebuildAfter consecutive failed passes, which catches
-// one they see; a rebuilt plane is probed on this sweep or the next. First
-// admissions (from Admitting) do not count as readmits: the plane was never
-// in service. A pass whose router SwapPlane replaced while it ran is
-// stale: its failure belongs to the router that is gone, so it neither
-// counts toward the rebuild nor overwrites the new router.
-func (s *Supervisor) tryReadmit(p *planeState, dst, src []core.Word, from State) {
+// one they see; a rebuilt plane is probed on this sweep or the next. A pass
+// whose router SwapPlane replaced while it ran is stale: its failure
+// belongs to the router that is gone, so it neither counts toward the
+// rebuild nor overwrites the new router.
+func (s *Supervisor) tryReadmit(p *planeState, dst, src []core.Word) {
 	if p.hardQuars.Load() >= rebuildAfter {
 		s.tryRebuild(p, p.router.Load())
 	}
@@ -108,19 +105,13 @@ func (s *Supervisor) tryReadmit(p *planeState, dst, src []core.Word, from State)
 	// toward the rebuild trigger — a rebuild cannot fix configured
 	// slowness, and each probe pass advances a transient slow fault toward
 	// its heal window.
-	if p.slow.Load() && s.slowFactor > 0 && len(s.probes) > 0 {
+	if p.slow.Load() && s.slow.factor > 0 && len(s.probes) > 0 {
 		perProbe := time.Since(begin).Nanoseconds() / int64(len(s.probes))
-		if ref := s.fastestOtherEwma(p); ref > 0 {
-			threshold := int64(s.slowFactor * float64(ref))
-			if threshold < s.slowFloorNs {
-				threshold = s.slowFloorNs
-			}
-			if perProbe > threshold {
-				return // still slow: wait for the fault to heal
-			}
+		if ref := s.fastestOtherEwma(p); ref > 0 && perProbe > s.slowThreshold(ref) {
+			return // still slow: wait for the fault to heal
 		}
 	}
-	if !p.state.CompareAndSwap(int32(from), int32(Healthy)) {
+	if !p.state.CompareAndSwap(int32(Quarantined), int32(Healthy)) {
 		return // now Draining or Detached: membership owns this plane
 	}
 	p.failedProbes.Store(0)
@@ -131,10 +122,8 @@ func (s *Supervisor) tryReadmit(p *planeState, dst, src []core.Word, from State)
 		p.latEwma.Store(0)
 		p.slowStrikes.Store(0)
 	}
-	if from == Quarantined {
-		p.readmits.Add(1)
-		s.m.AddReadmit()
-	}
+	p.readmits.Add(1)
+	s.m.AddReadmit()
 	s.publishGauges()
 }
 
@@ -167,8 +156,9 @@ func (s *Supervisor) tracedProbePass(p *planeState, r Router, dst, src []core.Wo
 }
 
 // probeRouter routes the probe set through an arbitrary router and verifies
-// every delivery; the first failing probe aborts the pass. SwapPlane uses it
-// to verify a replacement offline, before the router serves anything.
+// every delivery; the first failing probe aborts the pass. AddPlane and
+// SwapPlane verify a new router through it (verifyNew) before it serves
+// anything.
 func (s *Supervisor) probeRouter(r Router, id int, dst, src []core.Word) error {
 	for pi, probe := range s.probes {
 		for i, dest := range probe {

@@ -169,7 +169,7 @@ func (s *Supervisor) routeHedged(planes []*planeState, start int, dst, src []cor
 				continue
 			case isRequestError(r.err):
 				return true, r.err
-			default:
+			case r.err != errLeft:
 				sp.AddFailover()
 				lastErr = r.err
 				if perr := s.poisonStrike(src, fp, hasFP, elig[r.idx].id, r.err); perr != nil {
@@ -177,8 +177,9 @@ func (s *Supervisor) routeHedged(planes []*planeState, start int, dst, src []cor
 					return true, perr
 				}
 			}
-			// A failed attempt fails over to the next eligible plane
-			// immediately rather than waiting for the timer.
+			// A failed attempt, or one whose plane started leaving, moves on
+			// to the next eligible plane immediately rather than waiting for
+			// the timer.
 			if next < len(elig) {
 				launch(next)
 				next++

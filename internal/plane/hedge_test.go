@@ -20,8 +20,8 @@ func hedgeConfig(planes ...Router) Config {
 	return Config{
 		Planes:         planes,
 		HealthInterval: time.Hour,
-		SlowFloor:      time.Hour,
 		Metrics:        new(metrics.Metrics),
+		slow:           slowRule{floor: time.Hour},
 	}
 }
 
@@ -273,9 +273,11 @@ func TestHedgeFailoverBeforeTimer(t *testing.T) {
 func TestHedgeFallsBackSequential(t *testing.T) {
 	const n = 8
 	t.Run("every healthy attempt fails", func(t *testing.T) {
-		cfg := hedgeConfig(&funcRouter{n: n, fn: misdeliver}, &funcRouter{n: n, fn: misdeliver}, good(n))
+		// The healthy planes fail transiently, so the poison ledger, which
+		// counts only hard failures, leaves the cascade alone.
+		down := func(dst, src []core.Word) error { return fmt.Errorf("plane down: %w", neterr.ErrTransient) }
+		cfg := hedgeConfig(&funcRouter{n: n, fn: down}, &funcRouter{n: n, fn: down}, good(n))
 		cfg.HedgeAuto = true
-		cfg.PoisonThreshold = -1 // isolate the cascade from the poison quarantine
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -349,7 +351,6 @@ func TestAllPlanesQuarantinedFailsFast(t *testing.T) {
 	for _, hedged := range []bool{false, true} {
 		t.Run(fmt.Sprintf("hedged=%v", hedged), func(t *testing.T) {
 			cfg := hedgeConfig(&funcRouter{n: n, fn: misdeliver}, &funcRouter{n: n, fn: misdeliver})
-			cfg.PoisonThreshold = -1 // isolate the outage path from the poison quarantine
 			if hedged {
 				cfg.HedgeAuto = true
 			}

@@ -3,7 +3,6 @@ package plane
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/neterr"
@@ -13,55 +12,70 @@ import (
 // added, removed, and have their routers swapped while the hot path keeps
 // serving. All three operations follow the same discipline:
 //
+//   - a new router, added or swapped in, passes a full offline probe pass
+//     (verifyNew) before it serves anything;
 //   - membership mutations serialize on memberMu and publish a fresh
 //     snapshot slice through the atomic pointer, so a routing call in
 //     flight keeps the slice it loaded and never observes a half-edit;
 //   - state transitions into Draining are CAS loops against the hot path's
 //     Healthy→Suspect edge and the health checker's repair edges, so a
 //     plane can never be resurrected once it has started leaving;
-//   - a plane leaves (or has its router replaced) only after its in-flight
-//     count reaches zero, so no request ever runs on a router that has been
-//     handed back to the caller.
+//   - a plane leaves (or has its router replaced) only after its gate is
+//     empty. A request enters the gate before it re-reads the plane's state,
+//     so once the drain has seen the gate empty, every later request sees
+//     Draining and moves on: no request ever runs on a router that has
+//     been handed back to the caller.
 
 // swapYield, when non-nil, is invoked by SwapPlane between the drain
 // completing and the new router being installed — the mid-swap preemption
 // point the deterministic schedule tests park on. Production leaves it nil.
 var swapYield func()
 
-// memberDrainPoll is the poll interval while waiting for a draining
-// plane's in-flight requests to land.
-const memberDrainPoll = 50 * time.Microsecond
-
-// AddPlane adds a router to the serving set at runtime. The plane starts
-// Admitting: it carries no live traffic until the health checker's next
-// full probe pass comes back clean and promotes it to Healthy (use
-// AwaitHealthy to block on that). The returned id is stable for the
+// AddPlane verifies a router with a full offline probe pass and adds it to
+// the serving set as Healthy: the next request the rotor sends to it is
+// served there. A router that fails the pass is rejected with the probe's
+// error and the membership is unchanged. The returned id is stable for the
 // plane's lifetime and never reused.
 func (s *Supervisor) AddPlane(r Router) (int, error) {
-	if s.closed.Load() {
-		return 0, fmt.Errorf("plane: %w", neterr.ErrClosed)
-	}
-	if r == nil {
-		return 0, fmt.Errorf("plane: nil router")
-	}
-	if r.Inputs() != s.n {
-		return 0, fmt.Errorf("plane: router has %d ports, supervisor has %d: %w", r.Inputs(), s.n, neterr.ErrBadSize)
-	}
 	s.memberMu.Lock()
-	p := &planeState{id: s.nextID}
+	defer s.memberMu.Unlock()
+	id := s.nextID
+	if err := s.verifyNew(id, r); err != nil {
+		return 0, err
+	}
 	s.nextID++
-	p.state.Store(int32(Admitting))
+	p := &planeState{id: id}
 	p.router.Store(&routerBox{r: r})
 	old := s.snapshot()
 	next := make([]*planeState, len(old), len(old)+1)
 	copy(next, old)
 	next = append(next, p)
 	s.planes.Store(&next)
-	s.memberMu.Unlock()
 	s.m.AddPlaneAdded()
 	s.publishGauges()
-	s.kickChecker()
-	return p.id, nil
+	return id, nil
+}
+
+// verifyNew checks a router that is to serve as plane id: the supervisor
+// must be open, and the router must have its port count and route the full
+// probe set cleanly. It serves nothing yet, so a failure leaves the
+// membership untouched.
+func (s *Supervisor) verifyNew(id int, r Router) error {
+	if s.closed.Load() {
+		return fmt.Errorf("plane: %w", neterr.ErrClosed)
+	}
+	if r == nil {
+		return fmt.Errorf("plane: nil router")
+	}
+	if r.Inputs() != s.n {
+		return fmt.Errorf("plane: router has %d ports, supervisor has %d: %w", r.Inputs(), s.n, neterr.ErrBadSize)
+	}
+	dst := make([]core.Word, s.n)
+	src := make([]core.Word, s.n)
+	if err := s.probeRouter(r, id, dst, src); err != nil {
+		return fmt.Errorf("plane: new router for plane %d failed verification: %w", id, err)
+	}
+	return nil
 }
 
 // RemovePlane drains the identified plane and detaches it from the serving
@@ -89,7 +103,7 @@ func (s *Supervisor) RemovePlane(ctx context.Context, id int) error {
 		return fmt.Errorf("plane: plane %d is already detached", id)
 	}
 	s.publishGauges()
-	if err := s.awaitIdle(ctx, p); err != nil {
+	if err := p.gate.Wait(ctx); err != nil {
 		// Drain overran its deadline: abort the removal. Quarantine is the
 		// safe parking state — no live traffic, and the checker readmits
 		// the plane once a full probe pass comes back clean.
@@ -113,30 +127,16 @@ func (s *Supervisor) RemovePlane(ctx context.Context, id int) error {
 }
 
 // SwapPlane replaces the identified plane's router under traffic: the new
-// router is verified with a full offline probe pass first (it is not
-// serving yet, so a failure leaves the membership untouched), the plane is
-// drained exactly like a removal, the router pointer is swapped, and the
-// plane returns to Healthy. In-flight requests hold the router they
-// started on, so a straggler past the deadline finishes — verified — on
-// the old router; if ctx expires the swap still completes, and the
-// context's error is reported so the caller knows the drain was cut short.
+// router is verified with a full offline probe pass first, exactly like an
+// added one (verifyNew, outside the membership lock), the plane is drained
+// exactly like a removal, the router pointer is swapped, and the plane
+// returns to Healthy. In-flight requests hold the router they started on,
+// so a straggler past the deadline finishes — verified — on the old
+// router; if ctx expires the swap still completes, and the context's error
+// is reported so the caller knows the drain was cut short.
 func (s *Supervisor) SwapPlane(ctx context.Context, id int, r Router) error {
-	if s.closed.Load() {
-		return fmt.Errorf("plane: %w", neterr.ErrClosed)
-	}
-	if r == nil {
-		return fmt.Errorf("plane: nil router")
-	}
-	if r.Inputs() != s.n {
-		return fmt.Errorf("plane: router has %d ports, supervisor has %d: %w", r.Inputs(), s.n, neterr.ErrBadSize)
-	}
-	// Pre-admission verification, outside the membership lock: the
-	// replacement must route the full probe set cleanly before it is
-	// allowed anywhere near live traffic.
-	dst := make([]core.Word, s.n)
-	src := make([]core.Word, s.n)
-	if err := s.probeRouter(r, id, dst, src); err != nil {
-		return fmt.Errorf("plane: replacement for plane %d failed verification: %w", id, err)
+	if err := s.verifyNew(id, r); err != nil {
+		return err
 	}
 	s.memberMu.Lock()
 	defer s.memberMu.Unlock()
@@ -148,7 +148,7 @@ func (s *Supervisor) SwapPlane(ctx context.Context, id int, r Router) error {
 		return fmt.Errorf("plane: plane %d is already detached", id)
 	}
 	s.publishGauges()
-	drainErr := s.awaitIdle(ctx, p)
+	drainErr := p.gate.Wait(ctx)
 	if swapYield != nil {
 		swapYield()
 	}
@@ -163,27 +163,6 @@ func (s *Supervisor) SwapPlane(ctx context.Context, id int, r Router) error {
 		return fmt.Errorf("plane: swap of plane %d completed, but the drain was cut short: %w", id, drainErr)
 	}
 	return nil
-}
-
-// AwaitHealthy blocks until the identified plane reaches Healthy (kicking
-// the health checker along so admission probes run promptly), the plane
-// leaves the membership, or ctx expires.
-func (s *Supervisor) AwaitHealthy(ctx context.Context, id int) error {
-	for {
-		p := s.byID(id)
-		if p == nil {
-			return fmt.Errorf("plane: no plane with id %d", id)
-		}
-		if State(p.state.Load()) == Healthy {
-			return nil
-		}
-		s.kickChecker()
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("plane: waiting for plane %d: %w", id, ctx.Err())
-		case <-time.After(memberDrainPoll):
-		}
-	}
 }
 
 // markDraining moves the plane into Draining from whatever serving state
@@ -205,21 +184,8 @@ func (s *Supervisor) markDraining(p *planeState) bool {
 	}
 }
 
-// awaitIdle waits for the plane's in-flight requests to land, bounded by
-// ctx.
-func (s *Supervisor) awaitIdle(ctx context.Context, p *planeState) error {
-	for p.inflight.Load() > 0 {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(memberDrainPoll):
-		}
-	}
-	return nil
-}
-
-// kickChecker nudges the health loop so admission and readmission probes
-// run without waiting out the sweep interval.
+// kickChecker nudges the health loop so readmission probes run without
+// waiting out the sweep interval.
 func (s *Supervisor) kickChecker() {
 	select {
 	case s.kick <- struct{}{}:

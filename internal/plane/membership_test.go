@@ -16,10 +16,10 @@ import (
 	"repro/internal/perm"
 )
 
-// TestAddPlaneAdmission pins the admission state machine: a plane added at
-// runtime starts Admitting, carries no live traffic, and is promoted to
-// Healthy only by a clean full probe pass — which is a first admission,
-// not a readmit.
+// TestAddPlaneAdmission pins admission by offline verification: a router
+// that misdelivers a probe is rejected and the membership is unchanged; a
+// good one joins as Healthy, serves the next request the rotor sends it,
+// and its join is not a readmit.
 func TestAddPlaneAdmission(t *testing.T) {
 	const n = 8
 	var sink metrics.Metrics
@@ -32,6 +32,15 @@ func TestAddPlaneAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	stopHealth(s)
+	if _, err := s.AddPlane(&funcRouter{n: n, fn: misdeliver}); !errors.Is(err, neterr.ErrMisrouted) {
+		t.Fatalf("AddPlane of a misdelivering router: err = %v, want ErrMisrouted", err)
+	}
+	if got := s.PlaneIDs(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("PlaneIDs after a rejected add = %v, want [0 1]", got)
+	}
+	if got := sink.Snapshot().PlanesAdded; got != 0 {
+		t.Errorf("PlanesAdded = %d after a rejected add, want 0", got)
+	}
 	var servedNew atomic.Int64
 	newPlane := &funcRouter{n: n, fn: func(dst, src []core.Word) error {
 		servedNew.Add(1)
@@ -47,26 +56,8 @@ func TestAddPlaneAdmission(t *testing.T) {
 	if got := s.Planes(); got != 3 {
 		t.Fatalf("Planes() = %d, want 3", got)
 	}
-	if got := State(s.plane(2).state.Load()); got != Admitting {
-		t.Fatalf("added plane state = %v, want admitting", got)
-	}
-	// Live traffic must not land on the admitting plane.
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 12; i++ {
-		if err := route(t, s, rng); err != nil {
-			t.Fatalf("route %d with an admitting plane present: %v", i, err)
-		}
-	}
-	if got := servedNew.Load(); got != 0 {
-		t.Fatalf("admitting plane served %d live requests, want 0", got)
-	}
-	// A manual sweep runs the admission probe pass; the probes themselves
-	// hit the router, so count only the promotion effect.
-	src := make([]core.Word, n)
-	dst := make([]core.Word, n)
-	s.sweep(dst, src)
 	if got := State(s.plane(2).state.Load()); got != Healthy {
-		t.Fatalf("after sweep: added plane state = %v, want healthy", got)
+		t.Fatalf("added plane state = %v, want healthy", got)
 	}
 	if got := readmits(s); got != 0 {
 		t.Errorf("admission counted as a readmit (%d); it must not", got)
@@ -74,14 +65,15 @@ func TestAddPlaneAdmission(t *testing.T) {
 	if got := sink.Snapshot().PlanesAdded; got != 1 {
 		t.Errorf("PlanesAdded = %d, want 1", got)
 	}
-	// Now the plane serves: pin the rotor so the next request starts there.
+	// The verification pass routed the probe set; count only live traffic
+	// from here, with the rotor pinned so the next request starts there.
 	servedNew.Store(0)
 	s.rotor.Store(2)
-	if err := route(t, s, rng); err != nil {
+	if err := route(t, s, rand.New(rand.NewSource(7))); err != nil {
 		t.Fatal(err)
 	}
 	if got := servedNew.Load(); got != 1 {
-		t.Errorf("admitted plane served %d requests with the rotor pinned to it, want 1", got)
+		t.Errorf("added plane served %d requests with the rotor pinned to it, want 1", got)
 	}
 }
 
@@ -386,7 +378,7 @@ func TestDeterministicSwapReadmitSchedule(t *testing.T) {
 			readmit := check.GoNamed("readmit", func(func()) {
 				dst := make([]core.Word, n)
 				src := make([]core.Word, n)
-				s.tryReadmit(p, dst, src, Quarantined)
+				s.tryReadmit(p, dst, src)
 			})
 			swap.Step() // drained and parked; the old router is still installed
 			if straddle {
@@ -410,5 +402,156 @@ func TestDeterministicSwapReadmitSchedule(t *testing.T) {
 				t.Errorf("failedProbes = %d after the swap, want 0", got)
 			}
 		})
+	}
+}
+
+// parkedRoute starts a scheduled request that routes the identity
+// permutation and records its outcome in *err, failing it if the delivery
+// is wrong.
+func parkedRoute(s *Supervisor, err *error) *check.Thread {
+	return check.GoNamed("route", func(func()) {
+		dst := make([]core.Word, s.n)
+		if *err = s.RouteInto(dst, permWords(perm.Identity(s.n))); *err == nil {
+			for j := range dst {
+				if dst[j].Addr != j {
+					*err = fmt.Errorf("output %d carries address %d", j, dst[j].Addr)
+					return
+				}
+			}
+		}
+	})
+}
+
+// holdsDrain runs op on its own goroutine once route is parked inside
+// plane 0's gate, waits until op has marked the plane Draining, checks that
+// op does not return while the route stays parked, then releases the route
+// and checks that op returns without error and the route was delivered.
+func holdsDrain(t *testing.T, s *Supervisor, route *check.Thread, routeErr *error, op func() error) {
+	t.Helper()
+	p := s.plane(0)
+	route.Step() // parked on plane 0, inside its gate
+	if got := p.gate.Count(); got != 1 {
+		t.Fatalf("parked route: plane 0 gate count = %d, want 1", got)
+	}
+	done := make(chan error, 1)
+	go func() { done <- op() }()
+	deadline := time.Now().Add(10 * time.Second)
+	for State(p.state.Load()) < Draining {
+		if time.Now().After(deadline) {
+			t.Fatal("the operation never marked plane 0 draining")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("the operation returned (%v) while a route was parked on plane 0", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	route.Finish()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("the operation after the route was released: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the operation did not return after the route was released")
+	}
+	if *routeErr != nil {
+		t.Fatalf("the parked route: %v", *routeErr)
+	}
+}
+
+// yielding returns a router that parks the scheduled thread inside its
+// route and counts the routes it serves.
+func yielding(n int, served *atomic.Int64) *funcRouter {
+	return &funcRouter{n: n, fn: func(dst, src []core.Word) error {
+		check.Yield()
+		served.Add(1)
+		return deliver(dst, src)
+	}}
+}
+
+// TestDrainScheduleRemovePlane parks a route inside plane 0's router: the
+// RemovePlane of plane 0 waits on the plane's gate until the route is
+// released, and the route is delivered by the plane it started on.
+func TestDrainScheduleRemovePlane(t *testing.T) {
+	const n = 8
+	var served atomic.Int64
+	s, err := New(Config{Planes: []Router{yielding(n, &served), good(n), good(n)}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopHealth(s)
+	s.rotor.Store(0)
+	var routeErr error
+	holdsDrain(t, s, parkedRoute(s, &routeErr), &routeErr, func() error {
+		return s.RemovePlane(context.Background(), 0)
+	})
+	if got := served.Load(); got != 1 {
+		t.Errorf("plane 0 served %d routes, want the parked one", got)
+	}
+	if got := s.PlaneIDs(); len(got) != 2 || got[0] != 1 {
+		t.Errorf("PlaneIDs after the removal = %v, want [1 2]", got)
+	}
+}
+
+// TestDrainScheduleSwapPlane parks a route inside plane 0's router: the
+// SwapPlane of plane 0 waits on the plane's gate until the route is
+// released, the route is delivered by the old router, and the plane then
+// serves on the replacement.
+func TestDrainScheduleSwapPlane(t *testing.T) {
+	const n = 8
+	var served atomic.Int64
+	s, err := New(Config{Planes: []Router{yielding(n, &served), good(n)}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopHealth(s)
+	s.rotor.Store(0)
+	replacement := good(n)
+	var routeErr error
+	holdsDrain(t, s, parkedRoute(s, &routeErr), &routeErr, func() error {
+		return s.SwapPlane(context.Background(), 0, replacement)
+	})
+	if got := served.Load(); got != 1 {
+		t.Errorf("the old router served %d routes, want the parked one", got)
+	}
+	if p := s.plane(0); p.get() != Router(replacement) || State(p.state.Load()) != Healthy {
+		t.Errorf("plane 0 after the swap: state %v, replacement installed %v", State(p.state.Load()), p.get() == Router(replacement))
+	}
+}
+
+// TestDrainScheduleGateRecheck parks a request after it has entered plane
+// 0's gate and before it re-reads the plane's state (the gateYield point).
+// The parked request holds RemovePlane(0); once released it finds the plane
+// Draining, routes nothing on plane 0 and is served by plane 1. A request
+// that checked the state only before entering the gate would let
+// RemovePlane return while it went on to route on the removed plane.
+func TestDrainScheduleGateRecheck(t *testing.T) {
+	const n = 8
+	var served0, served1 atomic.Int64
+	counting := func(served *atomic.Int64) *funcRouter {
+		return &funcRouter{n: n, fn: func(dst, src []core.Word) error {
+			served.Add(1)
+			return deliver(dst, src)
+		}}
+	}
+	s, err := New(Config{Planes: []Router{counting(&served0), counting(&served1), good(n)}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopHealth(s)
+	gateYield = check.Yield
+	defer func() { gateYield = nil }()
+	s.rotor.Store(0)
+	var routeErr error
+	holdsDrain(t, s, parkedRoute(s, &routeErr), &routeErr, func() error {
+		return s.RemovePlane(context.Background(), 0)
+	})
+	if got := served0.Load(); got != 0 {
+		t.Errorf("the removed plane 0 routed %d requests after its drain, want 0", got)
+	}
+	if got := served1.Load(); got != 1 {
+		t.Errorf("plane 1 served %d requests, want the released one", got)
 	}
 }

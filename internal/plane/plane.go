@@ -16,7 +16,7 @@
 // a fabric.
 //
 // Concurrency contract: the hot path (RouteInto) takes no locks — plane
-// states, in-flight counts and the rotor are atomics — so a routing call
+// states, in-flight gates and the rotor are atomics — so a routing call
 // never serializes against another or against the health checker. The
 // health checker is one background goroutine; it owns the Suspect →
 // Quarantined → Healthy transitions, while the hot path owns Healthy →
@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/inflight"
 	"repro/internal/metrics"
 	"repro/internal/neterr"
 	"repro/internal/perm"
@@ -58,10 +59,6 @@ const (
 	// Quarantined planes are under repair; they rejoin only after a clean
 	// full probe pass.
 	Quarantined
-	// Admitting planes were added at runtime and are probing their way into
-	// service; they carry no live traffic until a clean full probe pass
-	// promotes them to Healthy.
-	Admitting
 	// Draining planes are leaving the serving set (RemovePlane) or having
 	// their router swapped (SwapPlane): admission stopped, in-flight
 	// requests running to completion.
@@ -96,8 +93,6 @@ func (s State) String() string {
 		return "suspect"
 	case Quarantined:
 		return "quarantined"
-	case Admitting:
-		return "admitting"
 	case Draining:
 		return "draining"
 	case Detached:
@@ -124,26 +119,8 @@ type Config struct {
 	// the hedge delay — a multiple of the fastest healthy plane's latency
 	// EWMA — is re-issued on the next healthy plane and the first response
 	// wins. Until the fleet has latency history, requests serve
-	// sequentially.
+	// sequentially. It also arms slow-plane detection (slowRule).
 	HedgeAuto bool
-	// SlowFactor tunes slow-plane detection: a successful pass slower than
-	// SlowFactor times the fastest other healthy plane's latency EWMA (and
-	// slower than SlowFloor) is a slow strike; SlowAfter consecutive
-	// strikes drain the plane into quarantine like a misroute would.
-	// <= 0 disables detection unless hedging is enabled, which defaults it
-	// to 8.
-	SlowFactor float64
-	// SlowFloor is the absolute latency below which a pass is never a slow
-	// strike, so microsecond-scale jitter cannot quarantine anything;
-	// <= 0 selects 100µs.
-	SlowFloor time.Duration
-	// SlowAfter is the consecutive-strike hysteresis before a slow plane is
-	// drained; <= 0 selects 4.
-	SlowAfter int
-	// PoisonThreshold is the number of distinct planes one request
-	// fingerprint must hard-fail on before it is rejected with ErrPoisoned;
-	// 0 selects 2, negative disables the poison quarantine.
-	PoisonThreshold int
 	// Metrics, when non-nil, receives failover/repair/readmit counters and
 	// the plane-state gauges. Routing observations stay with the engine.
 	Metrics *metrics.Metrics
@@ -151,16 +128,41 @@ type Config struct {
 	// (request spans arrive from the engine via RouteIntoTraced). Nil
 	// disables probe tracing at zero cost.
 	Tracer *trace.Tracer
+
+	// slow overrides the slow-plane rule in tests: a zero field selects
+	// its constant (slowFactor only under HedgeAuto).
+	slow slowRule
 }
+
+// slowRule is slow-plane detection: a successful pass slower than factor
+// times the fastest other healthy plane's latency EWMA, and slower than
+// floor, is a slow strike; after consecutive strikes drain the plane into
+// quarantine like a misroute would. A zero factor disables detection.
+type slowRule struct {
+	factor float64
+	floor  time.Duration
+	after  int64
+}
+
+// The slow-plane constants: 8x the fleet-best EWMA, only with HedgeAuto;
+// never below 100µs, so microsecond-scale jitter cannot quarantine
+// anything; four consecutive strikes.
+const (
+	slowFactor = 8
+	slowFloor  = 100 * time.Microsecond
+	slowAfter  = 4
+)
 
 // planeState is the per-plane control block. All fields the hot path reads
 // are atomics; the health checker is the only writer of router swaps and of
 // the Suspect -> Quarantined -> Healthy transitions.
 type planeState struct {
-	id       int
-	router   atomic.Pointer[routerBox]
-	state    atomic.Int32
-	inflight atomic.Int64
+	id     int
+	router atomic.Pointer[routerBox]
+	state  atomic.Int32
+	// gate counts the requests routing on the plane; RemovePlane and
+	// SwapPlane wait on it once the plane is Draining.
+	gate     inflight.Gate
 	served   atomic.Int64
 	failures atomic.Int64
 	repairs  atomic.Int64
@@ -223,16 +225,13 @@ type Supervisor struct {
 	rebuild  func() (Router, error)
 	interval time.Duration
 
-	// Tail-tolerance knobs, resolved from Config in New. hedgeAuto derives
-	// the hedge delay from the latency EWMAs; slowFactor <= 0 disables
-	// slow-plane detection.
-	hedgeAuto   bool
-	slowFactor  float64
-	slowFloorNs int64
-	slowAfter   int64
+	// Tail tolerance, resolved from Config in New: hedgeAuto derives the
+	// hedge delay from the latency EWMAs.
+	hedgeAuto bool
+	slow      slowRule
 	// bufPool holds the hedge scratch buffers ([]core.Word of length n).
 	bufPool sync.Pool
-	// poison is the poison-request quarantine; nil when disabled.
+	// poison is the poison-request quarantine.
 	poison *poisonTable
 
 	failovers atomic.Int64
@@ -290,36 +289,28 @@ func New(cfg Config) (*Supervisor, error) {
 	if interval <= 0 {
 		interval = 10 * time.Millisecond
 	}
-	slowFactor := cfg.SlowFactor
-	if slowFactor <= 0 && cfg.HedgeAuto {
-		slowFactor = 8
+	slow := cfg.slow
+	if slow.factor == 0 && cfg.HedgeAuto {
+		slow.factor = slowFactor
 	}
-	slowFloor := cfg.SlowFloor
-	if slowFloor <= 0 {
-		slowFloor = 100 * time.Microsecond
+	if slow.floor == 0 {
+		slow.floor = slowFloor
 	}
-	slowAfter := cfg.SlowAfter
-	if slowAfter <= 0 {
-		slowAfter = 4
-	}
-	var poison *poisonTable
-	if cfg.PoisonThreshold >= 0 {
-		poison = newPoisonTable(cfg.PoisonThreshold, poisonTTL)
+	if slow.after == 0 {
+		slow.after = slowAfter
 	}
 	s := &Supervisor{
-		n:           n,
-		m:           cfg.Metrics,
-		tracer:      cfg.Tracer,
-		probes:      fault.CanonicalProbes(m),
-		rebuild:     cfg.Rebuild,
-		interval:    interval,
-		hedgeAuto:   cfg.HedgeAuto,
-		slowFactor:  slowFactor,
-		slowFloorNs: int64(slowFloor),
-		slowAfter:   int64(slowAfter),
-		poison:      poison,
-		kick:        make(chan struct{}, 1),
-		stop:        make(chan struct{}),
+		n:         n,
+		m:         cfg.Metrics,
+		tracer:    cfg.Tracer,
+		probes:    fault.CanonicalProbes(m),
+		rebuild:   cfg.Rebuild,
+		interval:  interval,
+		hedgeAuto: cfg.HedgeAuto,
+		slow:      slow,
+		poison:    newPoisonTable(poisonThreshold, poisonTTL),
+		kick:      make(chan struct{}, 1),
+		stop:      make(chan struct{}),
 	}
 	members := make([]*planeState, len(cfg.Planes))
 	for i, r := range cfg.Planes {
@@ -412,7 +403,7 @@ func (s *Supervisor) PlaneStats() []Stats {
 			ID:          p.id,
 			State:       State(p.state.Load()),
 			Served:      p.served.Load(),
-			InFlight:    p.inflight.Load(),
+			InFlight:    p.gate.Count(),
 			Failures:    p.failures.Load(),
 			Repairs:     p.repairs.Load(),
 			Readmits:    p.readmits.Load(),
@@ -465,7 +456,7 @@ func (s *Supervisor) routeInto(dst, src []core.Word, sp *trace.Span) error {
 	// zero allocations.
 	var fp uint64
 	var hasFP bool
-	if s.poison != nil && s.poison.size.Load() > 0 {
+	if s.poison.size.Load() > 0 {
 		fp, hasFP = core.AddrHash(src), true
 		if s.poison.isPoisoned(fp) {
 			s.m.AddPoisonedReject()
@@ -497,8 +488,7 @@ func (s *Supervisor) routeInto(dst, src []core.Word, sp *trace.Span) error {
 	// The serving cascade walks Healthy, Suspect and Quarantined (three
 	// consecutive states) in order: when no healthy plane delivers, serve
 	// degraded rather than going dark. Every route is still verified, so a
-	// wrong answer cannot leak. Admitting planes stay out (unproven) and
-	// draining planes stay out (leaving).
+	// wrong answer cannot leak. Draining planes stay out (leaving).
 	for want := from; want <= Quarantined; want++ {
 		for off := 0; off < k; off++ {
 			p := planes[(start+off)%k]
@@ -506,6 +496,9 @@ func (s *Supervisor) routeInto(dst, src []core.Word, sp *trace.Span) error {
 				continue
 			}
 			err := s.routeOn(p, dst, src, sp)
+			if err == errLeft {
+				continue
+			}
 			sp.AddAttempt()
 			if err == nil {
 				sp.SetPlane(p.id)
@@ -537,7 +530,7 @@ func (s *Supervisor) routeInto(dst, src []core.Word, sp *trace.Span) error {
 // failure, so existing classification (errors.Is ErrMisrouted) still holds
 // on the request that crossed the line.
 func (s *Supervisor) poisonStrike(src []core.Word, fp *uint64, hasFP *bool, planeID int, err error) error {
-	if s.poison == nil || errors.Is(err, neterr.ErrTransient) {
+	if errors.Is(err, neterr.ErrTransient) {
 		return nil
 	}
 	if !*hasFP {
@@ -561,11 +554,31 @@ type spanRouter interface {
 	RouteIntoTraced(dst, src []core.Word, sp *trace.Span) error
 }
 
+// gateYield, when non-nil, is invoked by routeOn after the request has
+// entered the plane's gate and before it re-reads the plane's state — the
+// point the deterministic drain schedules park a request at. Production
+// leaves it nil.
+var gateYield func()
+
+// errLeft reports a plane that started leaving the serving set between the
+// caller's state check and the request entering its gate: the request was
+// not routed, and the caller goes on to the next plane.
+var errLeft = errors.New("plane left the serving set")
+
 // routeOn routes one request on the plane and returns the verified routing
-// outcome.
+// outcome. The request enters the plane's gate before it re-reads the
+// plane's state and then its router, so once a drain has marked the plane
+// Draining and seen the gate empty, no request can go on to route on the
+// drained router; one that finds the plane leaving returns errLeft.
 func (s *Supervisor) routeOn(p *planeState, dst, src []core.Word, sp *trace.Span) error {
-	p.inflight.Add(1)
-	defer p.inflight.Add(-1)
+	p.gate.Enter()
+	defer p.gate.Exit()
+	if gateYield != nil {
+		gateYield()
+	}
+	if State(p.state.Load()) >= Draining {
+		return errLeft
+	}
 	box := p.router.Load()
 	begin := time.Now()
 	var err error
@@ -601,7 +614,7 @@ func (s *Supervisor) routeOn(p *planeState, dst, src []core.Word, sp *trace.Span
 // compares the raw pass latency — not the EWMA, which decays too slowly to
 // separate a chronic stall from transient jitter — against the fastest
 // *other* healthy plane's EWMA, so "slow" is always relative to a live
-// fleet reference. SlowAfter consecutive strikes drain the plane.
+// fleet reference. slowRule.after consecutive strikes drain the plane.
 func (s *Supervisor) observeLatency(p *planeState, ns int64) {
 	if ns < 0 {
 		ns = 0
@@ -616,24 +629,26 @@ func (s *Supervisor) observeLatency(p *planeState, ns int64) {
 			break
 		}
 	}
-	if s.slowFactor <= 0 || State(p.state.Load()) != Healthy {
+	if s.slow.factor <= 0 || State(p.state.Load()) != Healthy {
 		return
 	}
 	ref := s.fastestOtherEwma(p)
 	if ref <= 0 {
 		return // no live reference: a cold fleet judges nobody
 	}
-	threshold := int64(s.slowFactor * float64(ref))
-	if threshold < s.slowFloorNs {
-		threshold = s.slowFloorNs
-	}
-	if ns <= threshold {
+	if ns <= s.slowThreshold(ref) {
 		p.slowStrikes.Store(0)
 		return
 	}
-	if p.slowStrikes.Add(1) >= s.slowAfter {
+	if p.slowStrikes.Add(1) >= s.slow.after {
 		s.failSlow(p, ns, ref)
 	}
+}
+
+// slowThreshold is the pass latency above which a pass is a slow strike
+// against the fleet reference EWMA ref.
+func (s *Supervisor) slowThreshold(ref int64) int64 {
+	return max(int64(s.slow.factor*float64(ref)), int64(s.slow.floor))
 }
 
 // fastestOtherEwma returns the smallest nonzero latency EWMA among the
@@ -716,7 +731,7 @@ func (s *Supervisor) publishGauges() {
 	if s.m == nil {
 		return
 	}
-	var h, su, q, adm, dr int64
+	var h, su, q, dr int64
 	for _, p := range s.snapshot() {
 		switch State(p.state.Load()) {
 		case Healthy:
@@ -725,13 +740,11 @@ func (s *Supervisor) publishGauges() {
 			su++
 		case Quarantined:
 			q++
-		case Admitting:
-			adm++
 		case Draining:
 			dr++
 		}
 	}
-	s.m.SetPlaneStates(h, su, q, adm, dr)
+	s.m.SetPlaneStates(h, su, q, dr)
 }
 
 // Close stops the health checker. It does not close the planes — the

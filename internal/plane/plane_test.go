@@ -298,8 +298,8 @@ func TestRequestErrorsDoNotBlameThePlane(t *testing.T) {
 }
 
 // TestNoPlaneInServiceSheds pins the request that finds every plane
-// admitting or draining: no plane may serve it, so it is shed with
-// ErrOverloaded and counted, without touching a router.
+// draining: no plane may serve it, so it is shed with ErrOverloaded and
+// counted, without touching a router.
 func TestNoPlaneInServiceSheds(t *testing.T) {
 	const n = 8
 	var m metrics.Metrics
@@ -312,7 +312,7 @@ func TestNoPlaneInServiceSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.plane(0).state.Store(int32(Admitting))
+	s.plane(0).state.Store(int32(Draining))
 	s.plane(1).state.Store(int32(Draining))
 	dst := make([]core.Word, n)
 	err = s.RouteInto(dst, permWords(perm.Identity(n)))

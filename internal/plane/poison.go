@@ -6,7 +6,7 @@ package plane
 // a quarantine on every plane it touches. The supervisor fingerprints the
 // offered source addresses (core.AddrHash), records each plane-blamed hard
 // failure against the fingerprint, and once the strike set spans
-// PoisonThreshold distinct planes the request is rejected with ErrPoisoned:
+// poisonThreshold distinct planes the request is rejected with ErrPoisoned:
 // immediately mid-request (stopping the cascade at the threshold) and at
 // admission for as long as the entry's TTL keeps it quarantined.
 //
@@ -21,9 +21,9 @@ import (
 )
 
 const (
-	// defaultPoisonThreshold is the number of distinct planes a fingerprint
-	// must hard-fail on before it is quarantined.
-	defaultPoisonThreshold = 2
+	// poisonThreshold is the number of distinct planes a fingerprint must
+	// hard-fail on before it is quarantined.
+	poisonThreshold = 2
 	// poisonTTL is how long a quarantined fingerprint stays rejected (and
 	// how long stale strike entries survive) after its last strike.
 	poisonTTL = 30 * time.Second
@@ -56,9 +56,6 @@ type poisonTable struct {
 }
 
 func newPoisonTable(threshold int, ttl time.Duration) *poisonTable {
-	if threshold <= 0 {
-		threshold = defaultPoisonThreshold
-	}
 	return &poisonTable{
 		entries:   make(map[uint64]*poisonEntry),
 		threshold: threshold,

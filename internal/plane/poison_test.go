@@ -18,8 +18,8 @@ func poisonConfig(planes ...Router) Config {
 	return Config{
 		Planes:         planes,
 		HealthInterval: time.Hour,
-		SlowFloor:      time.Hour,
 		Metrics:        new(metrics.Metrics),
+		slow:           slowRule{floor: time.Hour},
 	}
 }
 
@@ -134,32 +134,6 @@ func TestPoisonRequiresDistinctPlanes(t *testing.T) {
 	}
 	if got := s.m.Snapshot().PoisonMarks; got != 0 {
 		t.Errorf("PoisonMarks = %d, want 0 — a single plane's failures cannot poison", got)
-	}
-}
-
-// TestPoisonDisabled pins the opt-out: PoisonThreshold -1 turns the ledger
-// off entirely, so even fleet-wide hard failures only surface as routing
-// errors.
-func TestPoisonDisabled(t *testing.T) {
-	const n = 8
-	cfg := poisonConfig(&funcRouter{n: n, fn: misdeliver}, &funcRouter{n: n, fn: misdeliver})
-	cfg.PoisonThreshold = -1
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	dst := make([]core.Word, n)
-	err = s.RouteInto(dst, identitySrc(n))
-	if err == nil {
-		t.Fatal("route on an all-misrouting fleet succeeded")
-	}
-	if errors.Is(err, neterr.ErrPoisoned) {
-		t.Errorf("poison disabled yet the error classifies as ErrPoisoned: %v", err)
-	}
-	if got := s.m.Snapshot().PoisonMarks; got != 0 {
-		t.Errorf("PoisonMarks = %d, want 0 when disabled", got)
 	}
 }
 

@@ -25,10 +25,8 @@ func TestSlowPlaneQuarantineAndReadmit(t *testing.T) {
 	s, err := New(Config{
 		Planes:         []Router{slowPlane, good(n)},
 		HealthInterval: 5 * time.Millisecond,
-		SlowFactor:     2,
-		SlowFloor:      time.Microsecond,
-		SlowAfter:      2,
 		Metrics:        new(metrics.Metrics),
+		slow:           slowRule{factor: 2, floor: time.Microsecond, after: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,10 +137,8 @@ func TestSlowDetectionNeedsReference(t *testing.T) {
 	s, err := New(Config{
 		Planes:         []Router{good(n), good(n)},
 		HealthInterval: time.Hour,
-		SlowFactor:     2,
-		SlowFloor:      time.Nanosecond,
-		SlowAfter:      1,
 		Metrics:        new(metrics.Metrics),
+		slow:           slowRule{factor: 2, floor: time.Nanosecond, after: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,8 +156,8 @@ func TestSlowDetectionNeedsReference(t *testing.T) {
 	}
 }
 
-// TestSlowDetectionDisabledByDefault pins the opt-in: without hedging or an
-// explicit SlowFactor, latency observations feed the EWMA but never strike.
+// TestSlowDetectionDisabledByDefault pins the opt-in: without hedging,
+// latency observations feed the EWMA but never strike.
 func TestSlowDetectionDisabledByDefault(t *testing.T) {
 	const n = 8
 	s, err := New(Config{Planes: []Router{good(n), good(n)}, HealthInterval: time.Hour})
@@ -193,8 +189,8 @@ func TestHedgingArmsSlowDetection(t *testing.T) {
 		Planes:         []Router{good(n), good(n)},
 		HealthInterval: time.Hour,
 		HedgeAuto:      true,
-		SlowAfter:      1,
 		Metrics:        new(metrics.Metrics),
+		slow:           slowRule{after: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -60,39 +60,34 @@ func ReconfigWarmPlans(topK int) ReconfigOption {
 	}
 }
 
-// AddPlane builds one fresh plane of the configured family and admits it to
-// the serving set: the plane enters Admitting, the health checker verifies
-// it with a full probe pass, and AddPlane returns its stable id once the
-// plane is Healthy and serving. If ctx expires while the plane is still
-// probing, the id is returned with the context's error — the plane stays
-// Admitting and joins as soon as a probe pass comes back clean (or can be
-// removed with RemovePlane). Once a Drain or Close has begun the fleet no
-// longer admits traffic, so AddPlane fails with ErrDraining or ErrClosed.
+// AddPlane builds one fresh plane of the configured family, verifies it
+// with the same full offline probe pass a Reconfigure swap runs, and adds
+// it to the serving set as Healthy: it returns the plane's stable id with
+// the plane already serving. A plane that fails the pass is not added.
+// The build and the pass do not wait on traffic, so ctx is checked only
+// before they start. Once a Drain or Close has begun the fleet no longer
+// admits traffic, so AddPlane fails with ErrDraining or ErrClosed.
 func (s *Supervised) AddPlane(ctx context.Context) (int, error) {
 	s.reconfigMu.Lock()
 	defer s.reconfigMu.Unlock()
 	if err := s.e.AdmissionErr(); err != nil {
 		return 0, fmt.Errorf("bnbnet: add plane: %w", err)
 	}
-	return s.addPlane(ctx, nil, 0)
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return s.addPlane(nil, 0)
 }
 
-// addPlane builds, optionally pre-warms, admits and awaits one plane.
-// Callers hold reconfigMu.
-func (s *Supervised) addPlane(ctx context.Context, donor *plancache.Cache, topK int) (int, error) {
+// addPlane builds, optionally pre-warms and adds one plane. Callers hold
+// reconfigMu.
+func (s *Supervised) addPlane(donor *plancache.Cache, topK int) (int, error) {
 	r, err := s.build()
 	if err != nil {
 		return 0, err
 	}
 	s.warm(r, donor, topK)
-	id, err := s.sup.AddPlane(r)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.sup.AwaitHealthy(ctx, id); err != nil {
-		return id, err
-	}
-	return id, nil
+	return s.sup.AddPlane(r)
 }
 
 // RemovePlane drains the identified plane and detaches it from the serving
@@ -172,7 +167,7 @@ func (s *Supervised) reconfigure(ctx context.Context, o reconfigOptions) error {
 	// lets them serve.
 	donor := s.planCache(originals[0])
 	for grow := target - len(originals); grow > 0; grow-- {
-		if _, err := s.addPlane(ctx, donor, o.warmTopK); err != nil {
+		if _, err := s.addPlane(donor, o.warmTopK); err != nil {
 			return fmt.Errorf("bnbnet: reconfigure: adding plane: %w", err)
 		}
 	}

@@ -294,7 +294,7 @@ func FullReport(minM, maxM, w, trials int, seed int64) (*Report, error) {
 		if n == nil {
 			continue
 		}
-		rep, err := VerifyNetwork(n, VerifyOptions{RandomTrials: 20, BPCTrials: 10, Seed: seed})
+		rep, err := VerifyNetwork(n, CheckOptions{RandomTrials: 20, BPCTrials: 10, AdversarialClimbs: -1, Seed: seed})
 		if err != nil {
 			return nil, err
 		}

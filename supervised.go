@@ -21,14 +21,13 @@ type PlaneState = plane.State
 
 // The plane-state taxonomy: healthy planes serve, suspect planes are
 // draining after a failure, quarantined planes are under repair. The
-// membership states cover runtime reconfiguration: admitting planes are
-// probing their way into service, draining planes are leaving under a
-// RemovePlane or a Reconfigure swap, detached planes have left entirely.
+// membership states cover runtime reconfiguration: draining planes are
+// leaving under a RemovePlane or a Reconfigure swap, detached planes have
+// left entirely.
 const (
 	PlaneHealthy     = plane.Healthy
 	PlaneSuspect     = plane.Suspect
 	PlaneQuarantined = plane.Quarantined
-	PlaneAdmitting   = plane.Admitting
 	PlaneDraining    = plane.Draining
 	PlaneDetached    = plane.Detached
 )

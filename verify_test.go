@@ -9,7 +9,7 @@ import (
 // battery against every network in the repository.
 func TestVerifyNetworkPassesAllImplementations(t *testing.T) {
 	for _, n := range allNetworks(t, 3, 0) {
-		report, err := VerifyNetwork(n, VerifyOptions{})
+		report, err := VerifyNetwork(n, CheckOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", n.Name(), err)
 		}
@@ -19,7 +19,7 @@ func TestVerifyNetworkPassesAllImplementations(t *testing.T) {
 		if !report.ExhaustiveDone {
 			t.Errorf("%s: exhaustive pass should auto-enable at N=8", n.Name())
 		}
-		// 40320 exhaustive + 50 random + families + 20 BPC.
+		// 40320 exhaustive + 100 random + families + the BPC class + climbs.
 		if report.Checked < 40320+50 {
 			t.Errorf("%s: only %d permutations checked", n.Name(), report.Checked)
 		}
@@ -28,7 +28,7 @@ func TestVerifyNetworkPassesAllImplementations(t *testing.T) {
 
 func TestVerifyNetworkLargerOrders(t *testing.T) {
 	for _, n := range allNetworks(t, 6, 8) {
-		report, err := VerifyNetwork(n, VerifyOptions{RandomTrials: 10, BPCTrials: 5, Seed: 3})
+		report, err := VerifyNetwork(n, CheckOptions{RandomTrials: 10, BPCTrials: 5, Seed: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", n.Name(), err)
 		}
@@ -69,7 +69,7 @@ func TestVerifyNetworkCatchesViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := VerifyNetwork(brokenNetwork{inner: inner}, VerifyOptions{MaxFailures: 3})
+	report, err := VerifyNetwork(brokenNetwork{inner: inner}, CheckOptions{MaxFailures: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestVerifyNetworkCatchesViolations(t *testing.T) {
 }
 
 func TestVerifyNetworkValidation(t *testing.T) {
-	if _, err := VerifyNetwork(nil, VerifyOptions{}); err == nil {
+	if _, err := VerifyNetwork(nil, CheckOptions{}); err == nil {
 		t.Error("nil network accepted")
 	}
 }
@@ -96,7 +96,7 @@ func TestVerifyNetworkExhaustiveOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	off := false
-	report, err := VerifyNetwork(n, VerifyOptions{Exhaustive: &off, RandomTrials: 5, BPCTrials: 1})
+	report, err := VerifyNetwork(n, CheckOptions{Exhaustive: &off, RandomTrials: 5, BPCTrials: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestVerifyNetworkExhaustiveOverride(t *testing.T) {
 		t.Error("exhaustive ran despite explicit override")
 	}
 	on := true
-	report, err = VerifyNetwork(n, VerifyOptions{Exhaustive: &on, RandomTrials: 1, BPCTrials: 1})
+	report, err = VerifyNetwork(n, CheckOptions{Exhaustive: &on, RandomTrials: 1, BPCTrials: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
